@@ -37,7 +37,6 @@ from .graph import (
 )
 from .oracle import CallableOracle, ExternalOracleSpec, MalfunctionOracle, SubprocessOracle
 from .profiles import (
-    DiscoveryConfig,
     Profile,
     chi_square_p_value,
     chi_square_statistic,
@@ -47,7 +46,7 @@ from .profiles import (
     violation,
 )
 from .synth import PlantedCause, ScenarioSpec, adversarial_rank_scenario, generate
-from .tabular import ColumnType, Dataset, Predicate, Term, column_stats, from_columns, load_csv, save_csv, select_where
+from .tabular import ColumnType, Dataset, Predicate, Term, from_columns, load_csv, save_csv, select_where
 from .transforms import PvtTriplet, compose, coverage, make_triplets, transform
 
 __version__ = "0.1.0"

@@ -32,9 +32,9 @@ from .errors import (
 )
 from .graph import attribute_graph_to_dot, build_pvt_attribute_graph
 from .oracle import ExternalOracleSpec, MalfunctionOracle, SubprocessOracle
-from .profiles import DiscoveryConfig, discover_profiles, violation
+from .profiles import discover_profiles, violation
 from .synth import ScenarioSpec, build_builtin_oracle, generate, ground_truth
-from .tabular import Dataset, load_csv, save_csv
+from .tabular import load_csv, save_csv
 from .transforms import coverage
 
 REPORT_SCHEMA_VERSION = 1
@@ -191,11 +191,6 @@ def _cmd_explain(args) -> int:
     return exit_code
 
 
-def _profile_rows(dataset: Dataset, predicates=()) -> list[dict]:
-    config = DiscoveryConfig(selectivity_predicates=tuple(predicates))
-    return [p.to_json_dict() for p in discover_profiles(dataset, config)]
-
-
 def _cmd_profile(args) -> int:
     started = time.monotonic()
     report = _report_skeleton("profile", {"data": args.data})
@@ -203,7 +198,8 @@ def _cmd_profile(args) -> int:
     exit_code = EXIT_OK
     try:
         dataset = load_csv(args.data)
-        profiles = [] if dataset.row_count == 0 else _profile_rows(dataset)
+        profiles = [] if dataset.row_count == 0 else [
+            p.to_json_dict() for p in discover_profiles(dataset)]
         report["profiles"] = profiles
         report["row_count"] = dataset.row_count
         report["fingerprint"] = dataset.fingerprint

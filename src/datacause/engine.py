@@ -29,17 +29,10 @@ from .graph import (
 )
 from .oracle import MalfunctionOracle
 from .profiles import (
-    ChiSquareBound,
-    CorrelationBound,
-    DiscoveryConfig,
+    DependenceBound,
     Profile,
-    chi_square_dof,
-    chi_square_p_value,
-    chi_square_statistic,
     discover_profiles,
     enumerate_selectivity_predicates,
-    pearson_correlation,
-    pearson_p_value,
     violation,
 )
 from .tabular import Dataset
@@ -53,8 +46,8 @@ from .transforms import (
 )
 
 ALGORITHMS = ("greedy", "group_test", "group_test_random")
-SIGNIFICANCE_LEVEL = 0.05
 PARAM_TOLERANCE = 1e-9
+MAX_REFITS = 10  # failed conjunctions the decision tree learns from before giving up
 
 
 @dataclass(frozen=True)
@@ -64,12 +57,6 @@ class EngineConfig:
     max_interventions: int = 1000
     algorithm: str = "greedy"
     a3: str = "warn"  # "warn" records assumption violations, "strict" falls back to greedy
-    outlier_k: float = 1.5
-    min_support: float = 0.05
-    selectivity_gap: float = 0.1
-    max_transform_iterations: int = 40
-    bisection_restarts: int = 3
-    max_refits: int = 10
     # domain knowledge: per-attribute categorical replacements overriding
     # the frequency-rank alignment, e.g. {"target": {"0": "-1", "4": "1"}}
     remap_overrides: dict | None = None
@@ -195,12 +182,10 @@ class _Run:
 
     def transform(self, dataset: Dataset, triplet: PvtTriplet) -> Dataset:
         return transform(dataset, triplet, seed=self.config.seed,
-                         max_iterations=self.config.max_transform_iterations,
                          remap_overrides=self.config.remap_overrides)
 
     def compose(self, triplets, dataset: Dataset):
         return compose(triplets, dataset, seed=self.config.seed,
-                       max_iterations=self.config.max_transform_iterations,
                        remap_overrides=self.config.remap_overrides)
 
 
@@ -215,38 +200,21 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
     Profiles identical across both datasets (same kind, attributes and
     parameters within 1e-9) are discarded; dependence profiles additionally
     need the failing-side statistic to be significant at p <= 0.05.
+    Discovery has no settings, so ``config`` is accepted but unused.
     """
     if not d_pass.same_schema(d_fail):
         raise SchemaError("pass and fail datasets must share a schema")
-    if config is None:
-        config = EngineConfig(tau=0.0)
-    predicates = enumerate_selectivity_predicates(
-        d_pass, d_fail, min_support=config.min_support, sel_gap=config.selectivity_gap)
-    discovery = DiscoveryConfig(outlier_k=config.outlier_k,
-                                selectivity_predicates=tuple(predicates))
-    profiles_pass = discover_profiles(d_pass, discovery)
-    profiles_fail = {p.identity(): p for p in discover_profiles(d_fail, discovery)}
+    predicates = enumerate_selectivity_predicates(d_pass, d_fail)
+    profiles_pass = discover_profiles(d_pass, predicates)
+    profiles_fail = {p.identity(): p for p in discover_profiles(d_fail, predicates)}
 
     discriminative: list[Profile] = []
     for profile in profiles_pass:
         twin = profiles_fail.get(profile.identity())
         if twin is not None and profile.same_parameters(twin, tol=PARAM_TOLERANCE):
             continue
-        if isinstance(profile, ChiSquareBound):
-            stat = chi_square_statistic(d_fail, profile.left, profile.right)
-            dof = chi_square_dof(d_fail, profile.left, profile.right)
-            if dof < 1 or chi_square_p_value(stat, dof) > SIGNIFICANCE_LEVEL:
-                continue
-        if isinstance(profile, CorrelationBound):
-            pairs = sum(1 for x, y in zip(d_fail.column(profile.left),
-                                          d_fail.column(profile.right))
-                        if x is not None and y is not None)
-            if pairs < 3:
-                continue
-            r = pearson_correlation(d_fail, profile.left, profile.right)
-            if pearson_p_value(r, pairs) > SIGNIFICANCE_LEVEL:
-                continue
-        discriminative.append(profile)
+        if profile.significant(d_fail):
+            discriminative.append(profile)
 
     degrees: dict[str, int] = {}
     for profile in discriminative:
@@ -254,7 +222,7 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
             degrees[attribute] = degrees.get(attribute, 0) + 1
 
     def perturb_target(profile: Profile) -> str | None:
-        if not isinstance(profile, (ChiSquareBound, CorrelationBound)):
+        if not isinstance(profile, DependenceBound):
             return None
         # rewrite the endpoint entangled with more discriminative profiles;
         # ties go to the lexicographically first attribute
@@ -296,8 +264,7 @@ def _validate_inputs(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle
 def _safe_benefit(triplet: PvtTriplet, dataset: Dataset, config: EngineConfig,
                   log: InterventionLog) -> float:
     try:
-        return benefit_score(triplet, dataset, seed=config.seed,
-                             max_iterations=config.max_transform_iterations)
+        return benefit_score(triplet, dataset, seed=config.seed)
     except TransformFailure as exc:
         log.notes.append(f"benefit of {triplet.id} treated as 0: {exc}")
         return 0.0
@@ -367,7 +334,7 @@ def explain_greedy(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
     """
     run = _Run(oracle, config)
     _, fail_score = _validate_inputs(d_pass, d_fail, oracle, config)
-    candidates = discriminative_pvts(d_pass, d_fail, config)
+    candidates = discriminative_pvts(d_pass, d_fail)
     if not candidates:
         raise NoExplanationFound("no discriminative profiles between the datasets",
                                  log=run.log)
@@ -455,8 +422,7 @@ def _group_test(run: _Run, xs: list[PvtTriplet], dataset: Dataset,
     if random_partition:
         half1_ids, half2_ids = random_balanced_split(ids, split_seed)
     else:
-        half1_ids, half2_ids = best_bisection(g_pd, ids, split_seed,
-                                              restarts=config.bisection_restarts)
+        half1_ids, half2_ids = best_bisection(g_pd, ids, split_seed)
     half1 = [t for t in xs if t.id in set(half1_ids)]
     half2 = [t for t in xs if t.id in set(half2_ids)]
     base_score = run.query(dataset, (), 1.0)
@@ -493,7 +459,7 @@ def explain_group_testing(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionO
     """Group-testing search over the discriminative triplets, then minimality."""
     run = _Run(oracle, config)
     _, fail_score = _validate_inputs(d_pass, d_fail, oracle, config)
-    candidates = discriminative_pvts(d_pass, d_fail, config)
+    candidates = discriminative_pvts(d_pass, d_fail)
     if not candidates:
         raise NoExplanationFound("no discriminative profiles between the datasets",
                                  log=run.log)
@@ -506,13 +472,7 @@ def explain_group_testing(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionO
         run.log.notes.append("falling back to the greedy search (strict assumption mode)")
         return explain_greedy(d_pass, d_fail, oracle,
                               replace(config, algorithm="greedy"))
-    unique: list[PvtTriplet] = []
-    seen: set[str] = set()
-    for t in found:
-        if t.id not in seen:
-            seen.add(t.id)
-            unique.append(t)
-    unique.sort(key=lambda t: t.sort_key)
+    unique = sorted({t.id: t for t in found}.values(), key=lambda t: t.sort_key)
     if not unique:
         raise NoExplanationFound("group testing found no score-reducing repairs",
                                  log=run.log)
@@ -628,7 +588,7 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
     profiles: list[Profile] = []
     seen_ids: set[tuple] = set()
     for d in passing:
-        for t in discriminative_pvts(d, d_fail, config):
+        for t in discriminative_pvts(d, d_fail):
             key = t.profile.identity()
             if key not in seen_ids:
                 seen_ids.add(key)
@@ -699,9 +659,9 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
             rows.append((features_of(composed.dataset), False))
             refits += 1
             progressed = True
-            if refits > config.max_refits:
+            if refits > MAX_REFITS:
                 raise NoExplanationFound(
-                    f"decision tree exhausted {config.max_refits} refits", log=run.log)
+                    f"decision tree exhausted {MAX_REFITS} refits", log=run.log)
             break
         if not progressed:
             raise NoExplanationFound("decision tree found no passing conjunction",

@@ -22,12 +22,6 @@ class PvtAttributeGraph:
     def attribute_degree(self, attribute: str) -> int:
         return sum(1 for _, a in self.edges if a == attribute)
 
-    def attributes_of(self, triplet_id: str) -> tuple[str, ...]:
-        return tuple(sorted(a for t, a in self.edges if t == triplet_id))
-
-    def triplets_of(self, attribute: str) -> tuple[str, ...]:
-        return tuple(sorted(t for t, a in self.edges if a == attribute))
-
 
 @dataclass(frozen=True)
 class PvtDependencyGraph:
@@ -35,15 +29,6 @@ class PvtDependencyGraph:
 
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]  # sorted id pairs
-
-    def neighbors(self, node: str) -> set[str]:
-        out = set()
-        for u, v in self.edges:
-            if u == node:
-                out.add(v)
-            elif v == node:
-                out.add(u)
-        return out
 
 
 def build_pvt_attribute_graph(triplets: Iterable[PvtTriplet], dataset: Dataset) -> PvtAttributeGraph:
@@ -72,6 +57,17 @@ def build_dependency_graph(graph: PvtAttributeGraph) -> PvtDependencyGraph:
     return PvtDependencyGraph(graph.triplet_ids, frozenset(edges))
 
 
+def _adjacency(graph: PvtDependencyGraph, nodes: list[str]) -> dict[str, set[str]]:
+    """Neighbour sets of the subgraph induced by ``nodes``."""
+    restricted = set(nodes)
+    adjacency: dict[str, set[str]] = {u: set() for u in nodes}
+    for u, v in graph.edges:
+        if u in restricted and v in restricted:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    return adjacency
+
+
 def _cut_size(adjacency: dict[str, set[str]], half1: set[str], half2: set[str]) -> int:
     return sum(1 for u in half1 for v in adjacency[u] if v in half2)
 
@@ -93,12 +89,7 @@ def get_min_bisection(
     nodes = sorted(set(nodes))
     if len(nodes) < 2:
         raise BisectionSizeError(f"bisection needs at least 2 nodes, got {len(nodes)}")
-    restricted = set(nodes)
-    adjacency: dict[str, set[str]] = {u: set() for u in nodes}
-    for u, v in graph.edges:
-        if u in restricted and v in restricted:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+    adjacency = _adjacency(graph, nodes)
     rng = random.Random(seed)
     shuffled = list(nodes)
     rng.shuffle(shuffled)
@@ -147,12 +138,7 @@ def best_bisection(
     best = None
     best_cut = None
     nodes = sorted(set(nodes))
-    restricted = set(nodes)
-    adjacency: dict[str, set[str]] = {u: set() for u in nodes}
-    for u, v in graph.edges:
-        if u in restricted and v in restricted:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+    adjacency = _adjacency(graph, nodes)
     for attempt in range(max(1, restarts)):
         halves = get_min_bisection(graph, nodes, seed + 7919 * attempt)
         cut = _cut_size(adjacency, set(halves[0]), set(halves[1]))

@@ -8,7 +8,7 @@ another dataset breaks it. Violation scores always land in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -29,6 +29,11 @@ from .tabular import (
 
 _ZERO_SNAP = 1e-12  # absorbs float roundoff so satisfied profiles score exactly 0.0
 
+OUTLIER_K = 1.5  # stddevs from the mean beyond which a value is an outlier
+MIN_SUPPORT = 0.05  # least frequency, in both datasets, of a value in a selectivity predicate
+SELECTIVITY_GAP = 0.1  # least selectivity difference that makes a predicate discriminative
+SIGNIFICANCE_LEVEL = 0.05  # p-value a dependence must reach on the failing dataset
+
 
 class ProfileKind(str, Enum):
     DOMAIN_CATEGORICAL = "domain_categorical"
@@ -42,12 +47,18 @@ class ProfileKind(str, Enum):
 
 
 class Profile:
-    """Base class; concrete kinds are the frozen dataclasses below."""
+    """Base class; concrete kinds are the frozen dataclasses below.
+
+    Each kind scores itself in ``_score``, which :func:`violation` calls
+    once the dataset is known to be non-empty, and lists the transform
+    variants that repair it in ``repairs``, in preference order.
+    """
 
     kind: ProfileKind
+    repairs: tuple[str, ...]
 
     def attributes(self) -> tuple[str, ...]:
-        raise NotImplementedError
+        return (self.attribute,)
 
     def label(self) -> str:
         return f"{self.kind.value}({','.join(self.attributes())})"
@@ -56,17 +67,15 @@ class Profile:
         """Key identifying which constraint this is, ignoring learned parameters."""
         return (self.kind.value, self.attributes())
 
-    def parameters(self) -> tuple[float | int | str, ...]:
+    def parameters(self) -> tuple:
         """Learned parameters, compared with tolerance between datasets."""
-        raise NotImplementedError
+        return tuple(_plain(getattr(self, f.name)) for f in fields(self)
+                     if f.name not in _SUBJECT_FIELDS)
 
     def same_parameters(self, other: "Profile", tol: float = 1e-9) -> bool:
         if self.identity() != other.identity():
             return False
-        mine, theirs = self.parameters(), other.parameters()
-        if len(mine) != len(theirs):
-            return False
-        for a, b in zip(mine, theirs):
+        for a, b in zip(self.parameters(), other.parameters()):
             if isinstance(a, float) or isinstance(b, float):
                 if abs(float(a) - float(b)) > tol:
                     return False
@@ -74,57 +83,96 @@ class Profile:
                 return False
         return True
 
+    def significant(self, dataset: Dataset) -> bool:
+        """Whether ``dataset`` shows the behaviour this profile bounds
+        strongly enough to blame it; only dependence kinds test this."""
+        return True
+
     def to_json_dict(self) -> dict:
+        return {"kind": self.kind.value,
+                **{f.name: _plain(getattr(self, f.name)) for f in fields(self)}}
+
+    def _score(self, dataset: Dataset) -> float:
         raise NotImplementedError
 
 
+#: fields naming what a profile constrains rather than what it learned
+_SUBJECT_FIELDS = ("attribute", "predicate", "left", "right")
+
+
+def _plain(value):
+    """JSON-ready form of a profile field."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, Predicate):
+        return [{"attribute": t.attribute, "comparator": t.comparator, "value": t.value}
+                for t in value.terms]
+    return value
+
+
+class RowCountBound(Profile):
+    """At most a ``threshold`` fraction of rows may break the profile."""
+
+    threshold: float
+    column_type = None  # the ColumnType ``attribute`` must have, if any
+
+    def offending(self, dataset: Dataset) -> int:
+        """Number of rows breaking the profile."""
+        raise NotImplementedError
+
+    def _score(self, dataset):
+        if self.column_type is not None:
+            _require_type(dataset, self.attribute, self.column_type, self)
+        return _thresholded(self.offending(dataset), self.threshold, dataset.row_count)
+
+
+class DomainBound(RowCountBound):
+    """Every present value lies in the learned domain: no row may break it."""
+
+    threshold = 0.0
+
+
 @dataclass(frozen=True)
-class DomainCategorical(Profile):
+class DomainCategorical(DomainBound):
     attribute: str
     values: frozenset[str]
 
     kind = ProfileKind.DOMAIN_CATEGORICAL
+    repairs = ("remap",)
+    column_type = ColumnType.CATEGORICAL
 
     def __post_init__(self):
         if not self.values:
             raise DomainError("categorical domain must be non-empty")
 
-    def attributes(self):
-        return (self.attribute,)
-
-    def parameters(self):
-        return tuple(sorted(self.values))
-
-    def to_json_dict(self):
-        return {"kind": self.kind.value, "attribute": self.attribute,
-                "values": sorted(self.values)}
+    def offending(self, dataset):
+        return sum(1 for v in dataset.column(self.attribute)
+                   if v is not None and v not in self.values)
 
 
 @dataclass(frozen=True)
-class DomainNumerical(Profile):
+class DomainNumerical(DomainBound):
     attribute: str
     lower: float
     upper: float
 
     kind = ProfileKind.DOMAIN_NUMERICAL
+    repairs = ("linear_map", "winsorize")
+    column_type = ColumnType.NUMERICAL
 
     def __post_init__(self):
         if self.lower > self.upper:
             raise DomainError("lower bound above upper bound")
 
-    def attributes(self):
-        return (self.attribute,)
-
-    def parameters(self):
-        return (self.lower, self.upper)
-
-    def to_json_dict(self):
-        return {"kind": self.kind.value, "attribute": self.attribute,
-                "lower": self.lower, "upper": self.upper}
+    def offending(self, dataset):
+        return sum(1 for v in dataset.column(self.attribute)
+                   if v is not None and not self.lower <= v <= self.upper)
 
 
 @dataclass(frozen=True)
-class DomainText(Profile):
+class DomainText(DomainBound):
     """Shape constraint on a text column: run-class pattern plus length bounds."""
 
     attribute: str
@@ -133,26 +181,24 @@ class DomainText(Profile):
     max_len: int
 
     kind = ProfileKind.DOMAIN_TEXT
+    repairs = ("fit_length",)
+    column_type = ColumnType.TEXT
 
     def __post_init__(self):
         if self.min_len > self.max_len:
             raise DomainError("min length above max length")
 
-    def attributes(self):
-        return (self.attribute,)
+    def conforms(self, value: str) -> bool:
+        return (matches_pattern(value, self.pattern)
+                and self.min_len <= len(value) <= self.max_len)
 
-    def parameters(self):
-        return (self.pattern if self.pattern is None else "/".join(self.pattern),
-                self.min_len, self.max_len)
-
-    def to_json_dict(self):
-        return {"kind": self.kind.value, "attribute": self.attribute,
-                "pattern": list(self.pattern) if self.pattern is not None else None,
-                "min_len": self.min_len, "max_len": self.max_len}
+    def offending(self, dataset):
+        return sum(1 for v in dataset.column(self.attribute)
+                   if v is not None and not self.conforms(v))
 
 
 @dataclass(frozen=True)
-class OutlierBound(Profile):
+class OutlierBound(RowCountBound):
     """At most a ``threshold`` fraction of values may sit more than
     ``k`` population standard deviations from the column mean."""
 
@@ -161,45 +207,32 @@ class OutlierBound(Profile):
     threshold: float
 
     kind = ProfileKind.OUTLIER
+    repairs = ("replace_with_mean",)
+    column_type = ColumnType.NUMERICAL
 
-    def attributes(self):
-        return (self.attribute,)
-
-    def identity(self):
-        return (self.kind.value, self.attributes(), self.k)
-
-    def parameters(self):
-        return (self.threshold,)
-
-    def to_json_dict(self):
-        return {"kind": self.kind.value, "attribute": self.attribute,
-                "k": self.k, "threshold": self.threshold}
+    def offending(self, dataset):
+        return sum(outlier_flags(dataset.column(self.attribute), self.k))
 
 
 @dataclass(frozen=True)
-class MissingRate(Profile):
+class MissingRate(RowCountBound):
     attribute: str
     threshold: float
 
     kind = ProfileKind.MISSING
+    repairs = ("impute",)
 
-    def attributes(self):
-        return (self.attribute,)
-
-    def parameters(self):
-        return (self.threshold,)
-
-    def to_json_dict(self):
-        return {"kind": self.kind.value, "attribute": self.attribute,
-                "threshold": self.threshold}
+    def offending(self, dataset):
+        return sum(1 for v in dataset.column(self.attribute) if v is None)
 
 
 @dataclass(frozen=True)
-class SelectivityBound(Profile):
+class SelectivityBound(RowCountBound):
     predicate: Predicate
     threshold: float
 
     kind = ProfileKind.SELECTIVITY
+    repairs = ("resample",)
 
     def attributes(self):
         return self.predicate.attributes()
@@ -210,64 +243,69 @@ class SelectivityBound(Profile):
     def identity(self):
         return (self.kind.value, self.predicate.label())
 
-    def parameters(self):
-        return (self.threshold,)
-
-    def to_json_dict(self):
-        return {"kind": self.kind.value,
-                "predicate": [{"attribute": t.attribute, "comparator": t.comparator,
-                               "value": t.value} for t in self.predicate.terms],
-                "threshold": self.threshold}
+    def offending(self, dataset):
+        return len(select_where(dataset, self.predicate))
 
 
 @dataclass(frozen=True)
-class ChiSquareBound(Profile):
+class DependenceBound(Profile):
+    """A dependence statistic between two distinct columns stays below ``limit``."""
+
+    left: str
+    right: str
+    limit: float
+
+    def __post_init__(self):
+        if self.left == self.right:
+            raise DomainError("dependence profile needs two distinct attributes")
+
+    def attributes(self):
+        return tuple(sorted((self.left, self.right)))
+
+    def significant(self, dataset):
+        return self._p_value(dataset) <= SIGNIFICANCE_LEVEL
+
+    def _p_value(self, dataset: Dataset) -> float:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class ChiSquareBound(DependenceBound):
     """Chi-square statistic between two categorical columns stays below ``limit``."""
 
-    left: str
-    right: str
-    limit: float
-
     kind = ProfileKind.CHI2
+    repairs = ("shuffle",)
 
-    def __post_init__(self):
-        if self.left == self.right:
-            raise DomainError("dependence profile needs two distinct attributes")
+    def _score(self, dataset):
+        stat = chi_square_statistic(dataset, self.left, self.right)
+        return _snap_unit(1.0 - math.exp(-max(0.0, stat - self.limit)))
 
-    def attributes(self):
-        return tuple(sorted((self.left, self.right)))
-
-    def parameters(self):
-        return (self.limit,)
-
-    def to_json_dict(self):
-        return {"kind": self.kind.value, "left": self.left, "right": self.right,
-                "limit": self.limit}
+    def _p_value(self, dataset):
+        stat = chi_square_statistic(dataset, self.left, self.right)
+        dof = chi_square_dof(dataset, self.left, self.right)
+        return chi_square_p_value(stat, dof) if dof >= 1 else 1.0
 
 
 @dataclass(frozen=True)
-class CorrelationBound(Profile):
+class CorrelationBound(DependenceBound):
     """Absolute Pearson correlation between two numerical columns stays below ``limit``."""
 
-    left: str
-    right: str
-    limit: float
-
     kind = ProfileKind.PCC
+    repairs = ("add_noise",)
 
-    def __post_init__(self):
-        if self.left == self.right:
-            raise DomainError("dependence profile needs two distinct attributes")
+    def _score(self, dataset):
+        r = pearson_correlation(dataset, self.left, self.right)
+        a = abs(self.limit)
+        if a >= 1.0:
+            return 0.0
+        return _snap_unit(max(0.0, (abs(r) - a) / (1.0 - a)))
 
-    def attributes(self):
-        return tuple(sorted((self.left, self.right)))
-
-    def parameters(self):
-        return (self.limit,)
-
-    def to_json_dict(self):
-        return {"kind": self.kind.value, "left": self.left, "right": self.right,
-                "limit": self.limit}
+    def _p_value(self, dataset):
+        pairs = sum(1 for x, y in zip(dataset.column(self.left), dataset.column(self.right))
+                    if x is not None and y is not None)
+        if pairs < 3:
+            return 1.0
+        return pearson_p_value(pearson_correlation(dataset, self.left, self.right), pairs)
 
 
 # --- text patterns ---------------------------------------------------------
@@ -335,48 +373,9 @@ def violation(dataset: Dataset, profile: Profile) -> float:
     Zero means full compliance; profiles discovered from a dataset score
     exactly zero on it.
     """
-    n = dataset.row_count
-    if n == 0:
+    if dataset.row_count == 0:
         raise DegenerateInputError("violation of an empty dataset")
-    if isinstance(profile, DomainCategorical):
-        _require_type(dataset, profile.attribute, ColumnType.CATEGORICAL, profile)
-        bad = sum(1 for v in dataset.column(profile.attribute)
-                  if v is not None and v not in profile.values)
-        return _snap_unit(bad / n)
-    if isinstance(profile, DomainNumerical):
-        _require_type(dataset, profile.attribute, ColumnType.NUMERICAL, profile)
-        bad = sum(1 for v in dataset.column(profile.attribute)
-                  if v is not None and not profile.lower <= v <= profile.upper)
-        return _snap_unit(bad / n)
-    if isinstance(profile, DomainText):
-        _require_type(dataset, profile.attribute, ColumnType.TEXT, profile)
-        bad = 0
-        for v in dataset.column(profile.attribute):
-            if v is None:
-                continue
-            if not matches_pattern(v, profile.pattern) or not profile.min_len <= len(v) <= profile.max_len:
-                bad += 1
-        return _snap_unit(bad / n)
-    if isinstance(profile, OutlierBound):
-        _require_type(dataset, profile.attribute, ColumnType.NUMERICAL, profile)
-        count = sum(outlier_flags(dataset.column(profile.attribute), profile.k))
-        return _thresholded(count, profile.threshold, n)
-    if isinstance(profile, MissingRate):
-        count = sum(1 for v in dataset.column(profile.attribute) if v is None)
-        return _thresholded(count, profile.threshold, n)
-    if isinstance(profile, SelectivityBound):
-        count = len(select_where(dataset, profile.predicate))
-        return _thresholded(count, profile.threshold, n)
-    if isinstance(profile, ChiSquareBound):
-        stat = chi_square_statistic(dataset, profile.left, profile.right)
-        return _snap_unit(1.0 - math.exp(-max(0.0, stat - profile.limit)))
-    if isinstance(profile, CorrelationBound):
-        r = pearson_correlation(dataset, profile.left, profile.right)
-        a = abs(profile.limit)
-        if a >= 1.0:
-            return 0.0
-        return _snap_unit(max(0.0, (abs(r) - a) / (1.0 - a)))
-    raise TypeError(f"unknown profile {profile!r}")
+    return profile._score(dataset)
 
 
 # --- dependence statistics --------------------------------------------------
@@ -589,18 +588,12 @@ def pearson_p_value(r: float, n_pairs: int) -> float:
 # --- discovery --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscoveryConfig:
-    outlier_k: float = 1.5
-    selectivity_predicates: tuple[Predicate, ...] = ()
-
-
-def discover_profiles(dataset: Dataset, config: DiscoveryConfig = DiscoveryConfig()) -> list[Profile]:
+def discover_profiles(dataset: Dataset, predicates: Sequence[Predicate] = ()) -> list[Profile]:
     """Minimal concretized profiles satisfied by ``dataset``, one per
     applicable (kind, attribute) combination.
 
-    Selectivity profiles are emitted for the predicates carried by the
-    config, typically produced by :func:`enumerate_selectivity_predicates`.
+    Selectivity profiles are emitted for the given predicates, typically
+    produced by :func:`enumerate_selectivity_predicates`.
     """
     n = dataset.row_count
     if n == 0:
@@ -617,14 +610,14 @@ def discover_profiles(dataset: Dataset, config: DiscoveryConfig = DiscoveryConfi
             out.append(DomainCategorical(attribute, frozenset(present)))
         elif ctype is ColumnType.NUMERICAL:
             out.append(DomainNumerical(attribute, min(present), max(present)))
-            flagged = sum(outlier_flags(col, config.outlier_k))
-            out.append(OutlierBound(attribute, config.outlier_k, flagged / n))
+            flagged = sum(outlier_flags(col, OUTLIER_K))
+            out.append(OutlierBound(attribute, OUTLIER_K, flagged / n))
         else:
             signatures = {text_signature(v) for v in present}
             pattern = next(iter(signatures)) if len(signatures) == 1 else None
             lengths = [len(v) for v in present]
             out.append(DomainText(attribute, pattern, min(lengths), max(lengths)))
-    for predicate in config.selectivity_predicates:
+    for predicate in predicates:
         count = len(select_where(dataset, predicate))
         out.append(SelectivityBound(predicate, count / n))
     categorical = [a for a, t in dataset.schema if t is ColumnType.CATEGORICAL]
@@ -643,16 +636,11 @@ def discover_profiles(dataset: Dataset, config: DiscoveryConfig = DiscoveryConfi
     return out
 
 
-def enumerate_selectivity_predicates(
-    d_pass: Dataset,
-    d_fail: Dataset,
-    min_support: float = 0.05,
-    sel_gap: float = 0.1,
-) -> list[Predicate]:
+def enumerate_selectivity_predicates(d_pass: Dataset, d_fail: Dataset) -> list[Predicate]:
     """Equality predicates (up to two terms) whose satisfying fraction differs
-    between the two datasets by at least ``sel_gap``.
+    between the two datasets by at least ``SELECTIVITY_GAP``.
 
-    Only values reaching ``min_support`` frequency in both datasets are
+    Only values reaching ``MIN_SUPPORT`` frequency in both datasets are
     eligible; this keeps the enumeration anchored on content the datasets
     share rather than on wholesale value replacements, which the domain
     profiles already capture.
@@ -669,7 +657,7 @@ def enumerate_selectivity_predicates(
         for v in sorted(values):
             f_pass = sum(1 for c in d_pass.column(attribute) if c == v) / d_pass.row_count
             f_fail = sum(1 for c in d_fail.column(attribute) if c == v) / d_fail.row_count
-            if f_pass >= min_support and f_fail >= min_support:
+            if f_pass >= MIN_SUPPORT and f_fail >= MIN_SUPPORT:
                 keep.append(v)
         if keep:
             eligible[attribute] = keep
@@ -683,7 +671,7 @@ def enumerate_selectivity_predicates(
     for attribute in sorted(eligible):
         for value in eligible[attribute]:
             predicate = Predicate((Term(attribute, "eq", value),))
-            if gap(predicate) >= sel_gap:
+            if gap(predicate) >= SELECTIVITY_GAP:
                 out.append(predicate)
     attrs = sorted(eligible)
     for i, a1 in enumerate(attrs):
@@ -691,6 +679,6 @@ def enumerate_selectivity_predicates(
             for v1 in eligible[a1]:
                 for v2 in eligible[a2]:
                     predicate = Predicate((Term(a1, "eq", v1), Term(a2, "eq", v2)))
-                    if gap(predicate) >= sel_gap:
+                    if gap(predicate) >= SELECTIVITY_GAP:
                         out.append(predicate)
     return out

@@ -1,4 +1,4 @@
-"""Immutable columnar datasets with CSV ingestion and basic statistics.
+"""Immutable columnar datasets with CSV ingestion and row predicates.
 
 A :class:`Dataset` is a fixed table of typed columns. Missing cells are
 represented by ``None`` in every column type. Instances never mutate;
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import ColumnTypeError, CsvParseError, DegenerateInputError, PredicateError, SchemaError
+from .errors import ColumnTypeError, CsvParseError, PredicateError, SchemaError
 
 Cell = object  # float | str | None
 
@@ -27,13 +27,7 @@ class ColumnType(str, Enum):
 
 
 #: cell literals treated as missing on CSV ingestion, besides the empty cell
-DEFAULT_MISSING_LITERALS = ("NULL", "null", "NA")
-
-
-@dataclass(frozen=True)
-class CsvOptions:
-    missing_literals: tuple[str, ...] = DEFAULT_MISSING_LITERALS
-    delimiter: str = ","
+MISSING_LITERALS = ("NULL", "null", "NA")
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ class Dataset:
                 if value is None:
                     cells.append(None)
                 elif ctype is ColumnType.NUMERICAL:
-                    value = float(value)
+                    value = float(value) + 0.0  # folds -0.0 into 0.0, which it equals
                     if not math.isfinite(value):
                         raise ColumnTypeError(f"non-finite value in numerical column {name!r}")
                     cells.append(value)
@@ -180,14 +174,14 @@ def infer_types(raw_columns: Sequence[Sequence[str | None]]) -> list[ColumnType]
     return out
 
 
-def load_csv(path, options: CsvOptions = CsvOptions()) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load an RFC-4180 CSV file with a mandatory header row.
 
-    Empty cells and the configured missing literals become missing. Types
-    are inferred per :func:`infer_types`.
+    Empty cells and ``MISSING_LITERALS`` become missing. Types are inferred
+    per :func:`infer_types`.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=options.delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -202,15 +196,15 @@ def load_csv(path, options: CsvOptions = CsvOptions()) -> Dataset:
                     row_index=row_index,
                 )
             for col, cell in zip(raw, row):
-                col.append(None if cell == "" or cell in options.missing_literals else cell)
+                col.append(None if cell == "" or cell in MISSING_LITERALS else cell)
     types = infer_types(raw)
     return Dataset(tuple(header), tuple(types), tuple(tuple(col) for col in raw))
 
 
-def save_csv(dataset: Dataset, path, options: CsvOptions = CsvOptions()) -> None:
+def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset as UTF-8 CSV; missing cells become empty cells."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=options.delimiter)
+        writer = csv.writer(fh)
         writer.writerow(dataset.attributes)
         for i in range(dataset.row_count):
             row = []
@@ -263,10 +257,6 @@ class Predicate:
         return "&".join(t.label() for t in self.terms)
 
 
-def equals(attribute: str, value: Cell) -> Term:
-    return Term(attribute, "eq", value)
-
-
 def _check_term(dataset: Dataset, term: Term) -> None:
     ctype = dataset.type_of(term.attribute)
     if term.comparator in ("le", "ge") and ctype is not ColumnType.NUMERICAL:
@@ -300,65 +290,7 @@ def select_where(dataset: Dataset, predicate: Predicate) -> set[int]:
     return out
 
 
-def selectivity_fraction(dataset: Dataset, predicate: Predicate) -> float:
-    if dataset.row_count == 0:
-        raise DegenerateInputError("selectivity of an empty dataset")
-    return len(select_where(dataset, predicate)) / dataset.row_count
-
-
-# --- column statistics ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    attribute: str
-    missing_fraction: float
-    value_counts: tuple[tuple[Cell, int], ...]
-    mean: float | None = None
-    stddev: float | None = None
-    min_value: float | None = None
-    max_value: float | None = None
-
-
 def population_stddev(values: Iterable[float]) -> float:
     vals = list(values)
     m = sum(vals) / len(vals)
     return math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals))
-
-
-def column_stats(dataset: Dataset, attribute: str) -> ColumnStats:
-    """Missing fraction and value counts for any column; moments for numerical ones.
-
-    Mean and stddev are computed over non-missing entries only and the
-    stddev is the population estimate.
-    """
-    col = dataset.column(attribute)
-    n = dataset.row_count
-    if n == 0:
-        raise DegenerateInputError(f"column_stats on empty dataset for {attribute!r}")
-    present = [v for v in col if v is not None]
-    counts: dict[Cell, int] = {}
-    for v in present:
-        counts[v] = counts.get(v, 0) + 1
-    value_counts = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0]))))
-    missing_fraction = (n - len(present)) / n
-    if dataset.type_of(attribute) is not ColumnType.NUMERICAL or not present:
-        return ColumnStats(attribute, missing_fraction, value_counts)
-    mean = sum(present) / len(present)
-    return ColumnStats(
-        attribute,
-        missing_fraction,
-        value_counts,
-        mean=mean,
-        stddev=population_stddev(present),
-        min_value=min(present),
-        max_value=max(present),
-    )
-
-
-def numeric_stats(dataset: Dataset, attribute: str) -> ColumnStats:
-    """As :func:`column_stats` but rejects non-numerical columns."""
-    if dataset.type_of(attribute) is not ColumnType.NUMERICAL:
-        raise ColumnTypeError(f"numerical statistics requested on {attribute!r} "
-                              f"({dataset.type_of(attribute).value} column)")
-    return column_stats(dataset, attribute)

@@ -14,18 +14,9 @@ from dataclasses import dataclass
 
 from .errors import TransformFailure
 from .profiles import (
-    ChiSquareBound,
-    CorrelationBound,
-    DomainCategorical,
-    DomainNumerical,
-    DomainText,
-    MissingRate,
-    OutlierBound,
     Profile,
-    ProfileKind,
-    SelectivityBound,
     chi_square_from_counts,
-    matches_pattern,
+    contingency_table,
     outlier_flags,
     pearson_correlation,
     text_signature,
@@ -34,18 +25,6 @@ from .profiles import (
 from .tabular import ColumnType, Dataset, population_stddev, select_where
 
 POSTCONDITION_TOL = 1e-9
-
-#: transform variants registered per profile kind, in preference order
-TRANSFORM_VARIANTS: dict[ProfileKind, tuple[str, ...]] = {
-    ProfileKind.DOMAIN_CATEGORICAL: ("remap",),
-    ProfileKind.DOMAIN_NUMERICAL: ("linear_map", "winsorize"),
-    ProfileKind.DOMAIN_TEXT: ("fit_length",),
-    ProfileKind.OUTLIER: ("replace_with_mean",),
-    ProfileKind.MISSING: ("impute",),
-    ProfileKind.SELECTIVITY: ("resample",),
-    ProfileKind.CHI2: ("shuffle",),
-    ProfileKind.PCC: ("add_noise",),
-}
 
 
 @dataclass(frozen=True)
@@ -66,9 +45,8 @@ class PvtTriplet:
 
 
 def make_triplets(profile: Profile, perturb: str | None = None) -> list[PvtTriplet]:
-    """All registered transform variants for a profile, preference order."""
-    return [PvtTriplet(profile, variant, perturb)
-            for variant in TRANSFORM_VARIANTS[profile.kind]]
+    """One triplet per repair variant of the profile's kind, preference order."""
+    return [PvtTriplet(profile, variant, perturb) for variant in profile.repairs]
 
 
 def _derive_seed(seed: int, *parts: str) -> int:
@@ -83,11 +61,16 @@ def _mode(values) -> str:
     return min(counts, key=lambda v: (-counts[v], v))
 
 
-# --- per-kind repairs -------------------------------------------------------
+# --- repairs ---------------------------------------------------------------
+#
+# Every repair and every coverage formula takes the dataset and the triplet
+# plus the keyword options of :func:`transform`, and ignores those it does
+# not use.
 
 
-def _remap_categorical(dataset: Dataset, profile: DomainCategorical,
-                       overrides: dict[str, str] | None = None) -> Dataset:
+def _remap(dataset: Dataset, triplet: PvtTriplet, remap_overrides=None, **_) -> Dataset:
+    profile = triplet.profile
+    overrides = (remap_overrides or {}).get(profile.attribute)
     col = dataset.column(profile.attribute)
     counts: dict[str, int] = {}
     for v in col:
@@ -114,7 +97,8 @@ def _remap_categorical(dataset: Dataset, profile: DomainCategorical,
         [mapping.get(v, v) if v is not None else None for v in col])
 
 
-def _linear_map(dataset: Dataset, profile: DomainNumerical) -> Dataset:
+def _linear_map(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
+    profile = triplet.profile
     col = dataset.column(profile.attribute)
     present = [v for v in col if v is not None]
     if not present:
@@ -137,22 +121,19 @@ def _linear_map(dataset: Dataset, profile: DomainNumerical) -> Dataset:
                                [move(v) if v is not None else None for v in col])
 
 
-def _winsorize(dataset: Dataset, profile: DomainNumerical) -> Dataset:
-    col = dataset.column(profile.attribute)
-    if all(v is None or profile.lower <= v <= profile.upper for v in col):
+def _winsorize(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
+    profile = triplet.profile
+    if not profile.offending(dataset):
         return dataset
     return dataset.with_column(
         profile.attribute,
-        [None if v is None else min(max(v, profile.lower), profile.upper) for v in col])
+        [None if v is None else min(max(v, profile.lower), profile.upper)
+         for v in dataset.column(profile.attribute)])
 
 
-def _fit_text(dataset: Dataset, profile: DomainText) -> Dataset:
-    col = dataset.column(profile.attribute)
-
-    def conforms(v: str) -> bool:
-        return matches_pattern(v, profile.pattern) and profile.min_len <= len(v) <= profile.max_len
-
-    if all(v is None or conforms(v) for v in col):
+def _fit_text(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
+    profile = triplet.profile
+    if not profile.offending(dataset):
         return dataset
 
     fill = {"digits": "0", "letters": "a", "other": "-"}
@@ -198,10 +179,13 @@ def _fit_text(dataset: Dataset, profile: DomainText) -> Dataset:
 
     return dataset.with_column(
         profile.attribute,
-        [v if v is None or conforms(v) else repair(v) for v in col])
+        [v if v is None or profile.conforms(v) else repair(v)
+         for v in dataset.column(profile.attribute)])
 
 
-def _replace_outliers(dataset: Dataset, profile: OutlierBound, max_iterations: int) -> Dataset:
+def _replace_outliers(dataset: Dataset, triplet: PvtTriplet, max_iterations: int,
+                      **_) -> Dataset:
+    profile = triplet.profile
     current = dataset
     for _ in range(max_iterations):
         if violation(current, profile) <= POSTCONDITION_TOL:
@@ -218,7 +202,8 @@ def _replace_outliers(dataset: Dataset, profile: OutlierBound, max_iterations: i
         best_violation=violation(current, profile))
 
 
-def _impute_missing(dataset: Dataset, profile: MissingRate) -> Dataset:
+def _impute_missing(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
+    profile = triplet.profile
     if violation(dataset, profile) <= POSTCONDITION_TOL:
         return dataset
     col = dataset.column(profile.attribute)
@@ -231,7 +216,8 @@ def _impute_missing(dataset: Dataset, profile: MissingRate) -> Dataset:
                                [fill if v is None else v for v in col])
 
 
-def _resample_selectivity(dataset: Dataset, profile: SelectivityBound, seed: int) -> Dataset:
+def _resample_selectivity(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> Dataset:
+    profile = triplet.profile
     if profile.threshold >= 1.0:
         return dataset
     satisfying = sorted(select_where(dataset, profile.predicate))
@@ -249,6 +235,10 @@ def _resample_selectivity(dataset: Dataset, profile: SelectivityBound, seed: int
         removed = 0
         while count - removed > int(profile.threshold * (n - removed)) and removed < count:
             removed += 1
+        if removed == n:
+            raise TransformFailure(
+                f"meeting {profile.label()} would delete every row",
+                best_violation=violation(dataset, profile))
         drop = set(rng.sample(satisfying, removed))
         keep = [i for i in range(n) if i not in drop]
         return dataset.take_rows(keep)
@@ -304,22 +294,18 @@ def _balanced_reassignment(groups: dict[str, list[int]], values: list[str],
     return assignment
 
 
-def _decorrelate_chi2(dataset: Dataset, profile: ChiSquareBound, perturb: str | None,
-                      seed: int, max_iterations: int) -> Dataset:
+def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iterations: int,
+                      **_) -> Dataset:
+    profile = triplet.profile
     if violation(dataset, profile) <= POSTCONDITION_TOL:
         return dataset
-    target = perturb or profile.attributes()[1]
+    target = triplet.perturb or profile.attributes()[1]
     anchor = profile.left if target == profile.right else profile.right
     n = dataset.row_count
     best = (violation(dataset, profile), dataset)
 
     def stat_of(candidate: Dataset) -> float:
-        table: dict[tuple[str, str], int] = {}
-        for a, b in zip(candidate.column(anchor), candidate.column(target)):
-            if a is None or b is None:
-                continue
-            table[(a, b)] = table.get((a, b), 0) + 1
-        return chi_square_from_counts(table)
+        return chi_square_from_counts(contingency_table(candidate, anchor, target))
 
     if profile.limit > 1e-12:
         fraction = 0.125
@@ -367,11 +353,12 @@ def _decorrelate_chi2(dataset: Dataset, profile: ChiSquareBound, perturb: str | 
         f"({profile.left},{profile.right})", best_violation=best[0])
 
 
-def _decorrelate_pcc(dataset: Dataset, profile: CorrelationBound, perturb: str | None,
-                     seed: int, max_iterations: int) -> Dataset:
+def _decorrelate_pcc(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iterations: int,
+                     **_) -> Dataset:
+    profile = triplet.profile
     if violation(dataset, profile) <= POSTCONDITION_TOL:
         return dataset
-    target = perturb or profile.attributes()[1]
+    target = triplet.perturb or profile.attributes()[1]
     col = dataset.column(target)
     present = [v for v in col if v is not None]
     sd = population_stddev(present) if present else 0.0
@@ -393,6 +380,74 @@ def _decorrelate_pcc(dataset: Dataset, profile: CorrelationBound, perturb: str |
         f"({profile.left},{profile.right})", best_violation=best[0])
 
 
+# --- coverage formulas -----------------------------------------------------
+
+
+def _offending_rows(dataset: Dataset, triplet: PvtTriplet, **_) -> float:
+    """A row-count repair rewrites the offending rows, unless the profile holds."""
+    profile = triplet.profile
+    if violation(dataset, profile) <= POSTCONDITION_TOL:
+        return 0.0
+    return profile.offending(dataset) / dataset.row_count
+
+
+def _linear_map_coverage(dataset: Dataset, triplet: PvtTriplet, **_) -> float:
+    profile = triplet.profile
+    n = dataset.row_count
+    present = dataset.non_missing(profile.attribute)
+    if not present:
+        return 0.0
+    lo, hi = min(present), max(present)
+    if lo == profile.lower and hi == profile.upper:
+        return 0.0
+    if lo == hi:
+        moved = sum(1 for v in present if not profile.lower <= v <= profile.upper)
+        return moved / n
+    return len(present) / n
+
+
+def _resample_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> float:
+    n = dataset.row_count
+    result = _resample_selectivity(dataset, triplet, seed=seed)
+    return min(1.0, abs(result.row_count - n) / n)
+
+
+def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iterations: int,
+                      **_) -> float:
+    """Run the seeded repair and count the cells it changed."""
+    result = transform(dataset, triplet, seed=seed, max_iterations=max_iterations)
+    if result is dataset:
+        return 0.0
+    changed = 0
+    for before, after in zip(dataset.columns, result.columns):
+        if before != after:
+            changed = sum(1 for a, b in zip(before, after) if a != b)
+            break
+    return changed / dataset.row_count
+
+
+#: variant name -> (repair, coverage formula); a kind lists its variants in
+#: ``Profile.repairs``
+REPAIRS = {
+    "remap": (_remap, _offending_rows),
+    "linear_map": (_linear_map, _linear_map_coverage),
+    "winsorize": (_winsorize, _offending_rows),
+    "fit_length": (_fit_text, _offending_rows),
+    "replace_with_mean": (_replace_outliers, _offending_rows),
+    "impute": (_impute_missing, _offending_rows),
+    "resample": (_resample_selectivity, _resample_coverage),
+    "shuffle": (_decorrelate_chi2, _dry_run_coverage),
+    "add_noise": (_decorrelate_pcc, _dry_run_coverage),
+}
+
+
+def _variant(triplet: PvtTriplet):
+    try:
+        return REPAIRS[triplet.transform_id]
+    except KeyError:
+        raise ValueError(f"unknown transform id {triplet.transform_id!r}") from None
+
+
 # --- public operations ------------------------------------------------------
 
 
@@ -406,30 +461,10 @@ def transform(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
     attribute (bad value -> replacement inside the domain) where domain
     knowledge beats the default frequency-rank alignment.
     """
-    profile = triplet.profile
-    tid = triplet.transform_id
-    if tid == "remap":
-        overrides = (remap_overrides or {}).get(profile.attribute)
-        result = _remap_categorical(dataset, profile, overrides)
-    elif tid == "linear_map":
-        result = _linear_map(dataset, profile)
-    elif tid == "winsorize":
-        result = _winsorize(dataset, profile)
-    elif tid == "fit_length":
-        result = _fit_text(dataset, profile)
-    elif tid == "replace_with_mean":
-        result = _replace_outliers(dataset, profile, max_iterations)
-    elif tid == "impute":
-        result = _impute_missing(dataset, profile)
-    elif tid == "resample":
-        result = _resample_selectivity(dataset, profile, seed)
-    elif tid == "shuffle":
-        result = _decorrelate_chi2(dataset, profile, triplet.perturb, seed, max_iterations)
-    elif tid == "add_noise":
-        result = _decorrelate_pcc(dataset, profile, triplet.perturb, seed, max_iterations)
-    else:
-        raise ValueError(f"unknown transform id {tid!r}")
-    residual = violation(result, profile)
+    repair, _ = _variant(triplet)
+    result = repair(dataset, triplet, seed=seed, max_iterations=max_iterations,
+                    remap_overrides=remap_overrides)
+    residual = violation(result, triplet.profile)
     if residual > POSTCONDITION_TOL:
         raise TransformFailure(
             f"{triplet.id} left violation {residual:.3g}", best_violation=residual)
@@ -443,54 +478,8 @@ def coverage(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
     Counted analytically where possible; seeded kinds run a dry transform
     with the given seed.
     """
-    profile = triplet.profile
-    n = dataset.row_count
-    tid = triplet.transform_id
-    if tid == "remap":
-        bad = sum(1 for v in dataset.column(profile.attribute)
-                  if v is not None and v not in profile.values)
-        return bad / n
-    if tid == "linear_map":
-        present = dataset.non_missing(profile.attribute)
-        if not present:
-            return 0.0
-        lo, hi = min(present), max(present)
-        if lo == profile.lower and hi == profile.upper:
-            return 0.0
-        if lo == hi:
-            moved = sum(1 for v in present if not profile.lower <= v <= profile.upper)
-            return moved / n
-        return len(present) / n
-    if tid == "winsorize":
-        bad = sum(1 for v in dataset.column(profile.attribute)
-                  if v is not None and not profile.lower <= v <= profile.upper)
-        return bad / n
-    if tid == "fit_length":
-        bad = sum(1 for v in dataset.column(profile.attribute)
-                  if v is not None and not (matches_pattern(v, profile.pattern)
-                                            and profile.min_len <= len(v) <= profile.max_len))
-        return bad / n
-    if tid == "replace_with_mean":
-        if violation(dataset, profile) <= POSTCONDITION_TOL:
-            return 0.0
-        return sum(outlier_flags(dataset.column(profile.attribute), profile.k)) / n
-    if tid == "impute":
-        if violation(dataset, profile) <= POSTCONDITION_TOL:
-            return 0.0
-        return sum(1 for v in dataset.column(profile.attribute) if v is None) / n
-    if tid == "resample":
-        result = _resample_selectivity(dataset, profile, seed)
-        return min(1.0, abs(result.row_count - n) / n)
-    # dependence kinds: dry-run and count changed cells
-    result = transform(dataset, triplet, seed=seed, max_iterations=max_iterations)
-    if result is dataset:
-        return 0.0
-    changed = 0
-    for before, after in zip(dataset.columns, result.columns):
-        if before != after:
-            changed = sum(1 for a, b in zip(before, after) if a != b)
-            break
-    return changed / n
+    _, rows_touched = _variant(triplet)
+    return rows_touched(dataset, triplet, seed=seed, max_iterations=max_iterations)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,20 @@ def test_explain_no_explanation_exit_2(capsys, tmp_path):
     assert report["log"]["entries"]
 
 
+def test_explain_repair_emptying_the_dataset_exits_2(capsys, tmp_path):
+    (tmp_path / "pass.csv").write_text("c1,c2\n" + "a,b\nb,a\n" * 5)
+    (tmp_path / "fail.csv").write_text("c1,c2\n" + "a,a\n" * 10)
+    code, report = run(capsys, [
+        "explain",
+        "--pass", str(tmp_path / "pass.csv"),
+        "--fail", str(tmp_path / "fail.csv"),
+        "--oracle", "builtin:skew-timeout?attribute=c1&value=a&limit=0.3",
+        "--tau", "0.5",
+    ])
+    assert code == 2
+    assert any("would delete every row" in note for note in report["log"]["notes"])
+
+
 def test_bad_flags_exit_64(capsys):
     assert main(["explain", "--pass", "x.csv"]) == 64
     assert main(["nonsense"]) == 64

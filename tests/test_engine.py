@@ -208,6 +208,27 @@ def test_greedy_no_candidates():
         explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.2))
 
 
+def selectivity_wipeout_pair():
+    """Meeting the pass-side bound of ``c1=a`` on the failing side (every
+    row satisfies it) would delete every row."""
+    d_pass = from_columns([("c1", ColumnType.CATEGORICAL, ["a", "b"] * 5),
+                           ("c2", ColumnType.CATEGORICAL, ["b", "a"] * 5)])
+    d_fail = from_columns([("c1", ColumnType.CATEGORICAL, ["a"] * 10),
+                           ("c2", ColumnType.CATEGORICAL, ["a"] * 10)])
+    oracle = CallableOracle(lambda d: 1.0 if set(d.column("c1")) == {"a"} else 0.0)
+    return d_pass, d_fail, oracle
+
+
+@pytest.mark.parametrize("algorithm", ["greedy", "group_test"])
+def test_repair_emptying_the_dataset_is_skipped(algorithm):
+    d_pass, d_fail, oracle = selectivity_wipeout_pair()
+    assert "selectivity(c1=a&c2=a)#resample" in [
+        t.id for t in discriminative_pvts(d_pass, d_fail)]
+    with pytest.raises(NoExplanationFound) as err:
+        explain(d_pass, d_fail, oracle, EngineConfig(tau=0.5, algorithm=algorithm))
+    assert any("would delete every row" in note for note in err.value.log.notes)
+
+
 def test_greedy_budget_exhaustion():
     d_pass, d_fail, oracle = generate(ScenarioSpec(
         oracle_family="interaction-pair",

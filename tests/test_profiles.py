@@ -11,7 +11,6 @@ from datacause.errors import ColumnTypeError, DegenerateInputError, DomainError
 from datacause.profiles import (
     ChiSquareBound,
     CorrelationBound,
-    DiscoveryConfig,
     DomainCategorical,
     DomainText,
     MissingRate,
@@ -373,8 +372,7 @@ def test_enumerate_requires_support_in_both_datasets():
 
 def test_selectivity_profile_round_trip(people_pass, people_fail):
     predicates = enumerate_selectivity_predicates(people_pass, people_fail)
-    config = DiscoveryConfig(selectivity_predicates=tuple(predicates))
-    profiles = [p for p in discover_profiles(people_pass, config)
+    profiles = [p for p in discover_profiles(people_pass, predicates)
                 if isinstance(p, SelectivityBound)]
     by_label = {p.predicate.label(): p for p in profiles}
     target = by_label["gender=F&high_expenditure=yes"]

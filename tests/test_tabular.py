@@ -10,11 +10,9 @@ from datacause.tabular import (
     Dataset,
     Predicate,
     Term,
-    column_stats,
     from_columns,
     infer_types,
     load_csv,
-    numeric_stats,
     save_csv,
     select_where,
 )
@@ -87,6 +85,13 @@ def test_fingerprint_tracks_content():
     assert d1.fingerprint != d3.fingerprint
 
 
+def test_negative_zero_fingerprints_as_zero():
+    d1 = from_columns([("a", ColumnType.NUMERICAL, [-0.0, 1.0])])
+    d2 = from_columns([("a", ColumnType.NUMERICAL, [0.0, 1.0])])
+    assert d1 == d2
+    assert d1.fingerprint == d2.fingerprint
+
+
 def test_missing_cell_tracked_in_fingerprint():
     d1 = from_columns([("a", ColumnType.CATEGORICAL, ["x", None])])
     d2 = from_columns([("a", ColumnType.CATEGORICAL, ["x", "y"])])
@@ -127,29 +132,6 @@ def test_select_where_size_invariant_under_permutation(people_fail):
     assert len(select_where(shuffled, pred)) == len(select_where(people_fail, pred))
 
 
-def test_column_stats_age(people_fail):
-    stats = column_stats(people_fail, "age")
-    assert stats.mean == pytest.approx(34.5)
-    assert stats.stddev == pytest.approx(11.78, abs=0.01)
-    assert stats.min_value == 20 and stats.max_value == 60
-
-
-def test_column_stats_missing_fraction(people_fail):
-    assert column_stats(people_fail, "zip_code").missing_fraction == pytest.approx(0.2)
-
-
-def test_single_value_column_stddev_zero():
-    d = from_columns([("a", ColumnType.NUMERICAL, [5.0])])
-    stats = column_stats(d, "a")
-    assert stats.mean == 5.0
-    assert stats.stddev == 0.0
-
-
-def test_numeric_stats_type_error(people_fail):
-    with pytest.raises(ColumnTypeError):
-        numeric_stats(people_fail, "gender")
-
-
 def test_dataset_validation():
     with pytest.raises(SchemaError):
         from_columns([("a", ColumnType.NUMERICAL, [1]), ("a", ColumnType.NUMERICAL, [2])])
@@ -188,9 +170,8 @@ def test_predicate_arity_limits():
 
 
 def test_all_missing_column_is_numerical():
-    # vacuously numeric; statistics stay undefined but total
+    # vacuously numeric; a numerical column of missing cells still builds
     assert infer_types([[None, None]]) == [ColumnType.NUMERICAL]
     d = from_columns([("a", ColumnType.NUMERICAL, [None, None])])
-    stats = column_stats(d, "a")
-    assert stats.missing_fraction == 1.0
-    assert stats.mean is None
+    assert d.column("a") == (None, None)
+    assert d.non_missing("a") == []

@@ -148,6 +148,13 @@ def test_selectivity_exact_match_is_noop():
     assert out.fingerprint == d.fingerprint
 
 
+def test_selectivity_refuses_to_delete_every_row():
+    d = sel_dataset(hot=10, cold=0)
+    with pytest.raises(TransformFailure) as err:
+        transform(d, triplet(sel_profile(0.0)), seed=1)
+    assert err.value.best_violation == 1.0
+
+
 # --- dependence -----------------------------------------------------------------------
 
 
