@@ -16,9 +16,6 @@ from .engine import (
     decision_tree_explain,
     discriminative_pvts,
     explain,
-    explain_greedy,
-    explain_group_testing,
-    group_test,
     make_minimal,
 )
 from .errors import (

@@ -33,7 +33,7 @@ from .errors import (
 from .graph import attribute_graph_to_dot, build_pvt_attribute_graph
 from .oracle import ExternalOracleSpec, MalfunctionOracle, SubprocessOracle
 from .profiles import discover_profiles, violation
-from .synth import ScenarioSpec, build_builtin_oracle, generate, ground_truth
+from .synth import ScenarioSpec, builtin_oracle, generate, ground_truth
 from .tabular import load_csv, save_csv
 from .transforms import coverage
 
@@ -104,14 +104,7 @@ def _build_parser() -> _Parser:
 
 def _make_oracle(argument: str, timeout: float, seed: int) -> MalfunctionOracle:
     if argument.startswith("builtin:"):
-        body = argument[len("builtin:"):]
-        family, _, query = body.partition("?")
-        params = {}
-        if query:
-            for piece in query.split("&"):
-                key, _, value = piece.partition("=")
-                params[key] = value
-        return build_builtin_oracle(family, params)
+        return builtin_oracle(argument)
     command = shlex.split(argument)
     if not any("{dataset}" in part for part in command):
         command.append("{dataset}")
@@ -128,49 +121,24 @@ def _emit(report: dict, report_path: str | None, human_lines: list[str] | None) 
         print(text)
 
 
-def _report_skeleton(command: str, config: dict) -> dict:
-    return {
+def _run_report(command: str, config: dict, args, body) -> int:
+    """Run ``body(args, report, human)`` and emit its report.
+
+    ``human`` is the list of ``--human`` lines, or None for JSON output.
+    Errors become the report's ``error`` and the matching exit code.
+    """
+    started = time.monotonic()
+    report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": command,
         "config": config,
         "exit_status": EXIT_OK,
         "timing_seconds": 0.0,
     }
-
-
-def _cmd_explain(args) -> int:
-    started = time.monotonic()
-    report = _report_skeleton("explain", {
-        "pass": args.pass_csv, "fail": args.fail_csv, "oracle": args.oracle,
-        "tau": args.tau, "algorithm": args.algorithm, "seed": args.seed,
-        "max_interventions": args.max_interventions,
-    })
     human: list[str] | None = [] if args.human else None
     exit_code = EXIT_OK
     try:
-        d_pass = load_csv(args.pass_csv)
-        d_fail = load_csv(args.fail_csv)
-        oracle = _make_oracle(args.oracle, args.oracle_timeout, args.seed)
-        remap = None
-        if args.remap:
-            remap = json.loads(Path(args.remap).read_text(encoding="utf-8"))
-        config = EngineConfig(
-            tau=args.tau, seed=args.seed,
-            max_interventions=args.max_interventions,
-            algorithm=_ALGORITHM_FLAGS[args.algorithm],
-            remap_overrides=remap,
-        )
-        result: Explanation = explain(d_pass, d_fail, oracle, config)
-        report["explanation"] = result.to_json_dict()
-        if args.out_repaired:
-            save_csv(result.repaired, args.out_repaired)
-            report["repaired_csv"] = args.out_repaired
-        if human is not None:
-            human.append(f"explanation ({len(result.triplets)} repair(s), "
-                         f"{result.interventions} interventions, final score "
-                         f"{result.final_score:.4g}):")
-            for t in result.triplets:
-                human.append(f"  - {t.id}")
+        body(args, report, human)
     except NoExplanationFound as exc:
         report["error"] = str(exc)
         report["log"] = exc.log.to_json_dict() if exc.log is not None else None
@@ -186,82 +154,84 @@ def _cmd_explain(args) -> int:
     report["exit_status"] = exit_code
     report["timing_seconds"] = round(time.monotonic() - started, 6)
     if human is not None and exit_code != EXIT_OK:
-        human.append(f"error: {report.get('error', 'unknown')}")
+        human.append(f"error: {report['error']}")
     _emit(report, args.report, human)
     return exit_code
 
 
-def _cmd_profile(args) -> int:
-    started = time.monotonic()
-    report = _report_skeleton("profile", {"data": args.data})
-    human: list[str] | None = [] if args.human else None
-    exit_code = EXIT_OK
-    try:
-        dataset = load_csv(args.data)
-        profiles = [] if dataset.row_count == 0 else [
-            p.to_json_dict() for p in discover_profiles(dataset)]
-        report["profiles"] = profiles
-        report["row_count"] = dataset.row_count
-        report["fingerprint"] = dataset.fingerprint
-        if human is not None:
-            human.append(f"{len(profiles)} profile(s) over {dataset.row_count} rows")
-            for p in profiles:
-                human.append(f"  - {json.dumps(p, sort_keys=True)}")
-    except _DATA_ERRORS as exc:
-        report["error"] = str(exc)
-        exit_code = EXIT_DATA
-    report["exit_status"] = exit_code
-    report["timing_seconds"] = round(time.monotonic() - started, 6)
-    _emit(report, args.report, human)
-    return exit_code
+def _explain(args, report: dict, human: list[str] | None) -> None:
+    d_pass = load_csv(args.pass_csv)
+    d_fail = load_csv(args.fail_csv)
+    oracle = _make_oracle(args.oracle, args.oracle_timeout, args.seed)
+    remap = None
+    if args.remap:
+        remap = json.loads(Path(args.remap).read_text(encoding="utf-8"))
+    config = EngineConfig(
+        tau=args.tau, seed=args.seed,
+        max_interventions=args.max_interventions,
+        algorithm=_ALGORITHM_FLAGS[args.algorithm],
+        remap_overrides=remap,
+    )
+    result: Explanation = explain(d_pass, d_fail, oracle, config)
+    report["explanation"] = result.to_json_dict()
+    if args.out_repaired:
+        save_csv(result.repaired, args.out_repaired)
+        report["repaired_csv"] = args.out_repaired
+    if human is not None:
+        human.append(f"explanation ({len(result.triplets)} repair(s), "
+                     f"{result.interventions} interventions, final score "
+                     f"{result.final_score:.4g}):")
+        for t in result.triplets:
+            human.append(f"  - {t.id}")
 
 
-def _cmd_diff(args) -> int:
-    started = time.monotonic()
-    report = _report_skeleton("diff", {"pass": args.pass_csv, "fail": args.fail_csv})
-    human: list[str] | None = [] if args.human else None
-    exit_code = EXIT_OK
-    try:
-        d_pass = load_csv(args.pass_csv)
-        d_fail = load_csv(args.fail_csv)
-        if d_pass.row_count == 0 or d_fail.row_count == 0:
-            triplets = []
-        else:
-            triplets = discriminative_pvts(d_pass, d_fail)
-        graph = build_pvt_attribute_graph(triplets, d_fail)
-        rows = []
-        for t in triplets:
-            v = violation(d_fail, t.profile)
-            try:
-                c = coverage(d_fail, t)
-            except DatacauseError:
-                c = None
-            rows.append({
-                "id": t.id,
-                "profile": t.profile.to_json_dict(),
-                "transform": t.transform_id,
-                "violation": v,
-                "coverage": c,
-                "benefit": None if c is None else v * c,
-            })
-        degrees = {a: graph.attribute_degree(a) for a in d_fail.attributes
-                   if graph.attribute_degree(a)}
-        report["discriminative"] = rows
-        report["attribute_degrees"] = degrees
-        if args.graph:
-            report["dot"] = attribute_graph_to_dot(graph)
-        if human is not None:
-            human.append(f"{len(rows)} discriminative triplet(s)")
-            for row in rows:
-                human.append(f"  - {row['id']}: violation={row['violation']:.4g} "
-                             f"coverage={row['coverage']} benefit={row['benefit']}")
-    except _DATA_ERRORS as exc:
-        report["error"] = str(exc)
-        exit_code = EXIT_DATA
-    report["exit_status"] = exit_code
-    report["timing_seconds"] = round(time.monotonic() - started, 6)
-    _emit(report, args.report, human)
-    return exit_code
+def _profile(args, report: dict, human: list[str] | None) -> None:
+    dataset = load_csv(args.data)
+    profiles = [] if dataset.row_count == 0 else [
+        p.to_json_dict() for p in discover_profiles(dataset)]
+    report["profiles"] = profiles
+    report["row_count"] = dataset.row_count
+    report["fingerprint"] = dataset.fingerprint
+    if human is not None:
+        human.append(f"{len(profiles)} profile(s) over {dataset.row_count} rows")
+        for p in profiles:
+            human.append(f"  - {json.dumps(p, sort_keys=True)}")
+
+
+def _diff(args, report: dict, human: list[str] | None) -> None:
+    d_pass = load_csv(args.pass_csv)
+    d_fail = load_csv(args.fail_csv)
+    if d_pass.row_count == 0 or d_fail.row_count == 0:
+        triplets = []
+    else:
+        triplets = discriminative_pvts(d_pass, d_fail)
+    graph = build_pvt_attribute_graph(triplets, d_fail)
+    rows = []
+    for t in triplets:
+        v = violation(d_fail, t.profile)
+        try:
+            c = coverage(d_fail, t)
+        except DatacauseError:
+            c = None
+        rows.append({
+            "id": t.id,
+            "profile": t.profile.to_json_dict(),
+            "transform": t.transform_id,
+            "violation": v,
+            "coverage": c,
+            "benefit": None if c is None else v * c,
+        })
+    degrees = {a: graph.attribute_degree(a) for a in d_fail.attributes
+               if graph.attribute_degree(a)}
+    report["discriminative"] = rows
+    report["attribute_degrees"] = degrees
+    if args.graph:
+        report["dot"] = attribute_graph_to_dot(graph)
+    if human is not None:
+        human.append(f"{len(rows)} discriminative triplet(s)")
+        for row in rows:
+            human.append(f"  - {row['id']}: violation={row['violation']:.4g} "
+                         f"coverage={row['coverage']} benefit={row['benefit']}")
 
 
 def _cmd_synth(args) -> int:
@@ -301,11 +271,16 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         if args.command == "explain":
-            return _cmd_explain(args)
+            return _run_report("explain", {
+                "pass": args.pass_csv, "fail": args.fail_csv, "oracle": args.oracle,
+                "tau": args.tau, "algorithm": args.algorithm, "seed": args.seed,
+                "max_interventions": args.max_interventions,
+            }, args, _explain)
         if args.command == "profile":
-            return _cmd_profile(args)
+            return _run_report("profile", {"data": args.data}, args, _profile)
         if args.command == "diff":
-            return _cmd_diff(args)
+            return _run_report("diff", {"pass": args.pass_csv, "fail": args.fail_csv},
+                               args, _diff)
         return _cmd_synth(args)
     except DatacauseError as exc:
         print(json.dumps({"error": str(exc), "exit_status": EXIT_SOFTWARE},

@@ -10,7 +10,7 @@ member pushes the oracle back above the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     DatacauseError,
@@ -56,7 +56,6 @@ class EngineConfig:
     seed: int = 0
     max_interventions: int = 1000
     algorithm: str = "greedy"
-    a3: str = "warn"  # "warn" records assumption violations, "strict" falls back to greedy
     # domain knowledge: per-attribute categorical replacements overriding
     # the frequency-rank alignment, e.g. {"target": {"0": "-1", "4": "1"}}
     remap_overrides: dict | None = None
@@ -66,8 +65,6 @@ class EngineConfig:
             raise ValidationError(f"tau must lie in [0, 1], got {self.tau}")
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
-        if self.a3 not in ("warn", "strict"):
-            raise ValidationError(f"a3 must be 'warn' or 'strict', got {self.a3!r}")
         if self.max_interventions < 1:
             raise ValidationError("max_interventions must be positive")
 
@@ -130,10 +127,6 @@ class Explanation:
         }
 
 
-class _A3Abort(DatacauseError):
-    """Internal: strict mode detected a group-testing assumption violation."""
-
-
 class _Run:
     """Per-run state: oracle access with budget enforcement and logging."""
 
@@ -168,17 +161,12 @@ class _Run:
     def _check_a3(self, triplet_ids: tuple[str, ...], pre: float, post: float) -> None:
         if len(triplet_ids) >= 2 and post >= pre:
             self._flat_groups.append(frozenset(triplet_ids))
-            return
-        if len(triplet_ids) == 1 and post < pre:
+        elif len(triplet_ids) == 1 and post < pre:
             member = triplet_ids[0]
-            for group in self._flat_groups:
-                if member in group:
-                    note = (f"group-testing assumption violated: {member} reduces the "
-                            f"score but a composed group containing it did not")
-                    self.log.notes.append(note)
-                    if self.config.a3 == "strict":
-                        raise _A3Abort(note)
-                    return
+            if any(member in group for group in self._flat_groups):
+                self.log.notes.append(
+                    f"group-testing assumption violated: {member} reduces the "
+                    f"score but a composed group containing it did not")
 
     def transform(self, dataset: Dataset, triplet: PvtTriplet) -> Dataset:
         return transform(dataset, triplet, seed=self.config.seed,
@@ -236,11 +224,10 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
     return triplets
 
 
-def benefit_score(triplet: PvtTriplet, dataset: Dataset, seed: int = 0,
-                  max_iterations: int = 40) -> float:
+def benefit_score(triplet: PvtTriplet, dataset: Dataset, seed: int = 0) -> float:
     """Violation times coverage: a prior on which repair to try first."""
     v = violation(dataset, triplet.profile)
-    c = coverage(dataset, triplet, seed=seed, max_iterations=max_iterations)
+    c = coverage(dataset, triplet, seed=seed)
     return v * c
 
 
@@ -248,7 +235,8 @@ def benefit_score(triplet: PvtTriplet, dataset: Dataset, seed: int = 0,
 
 
 def _validate_inputs(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
-                     config: EngineConfig) -> tuple[float, float]:
+                     config: EngineConfig) -> float:
+    """The failing dataset's score, once both baselines sit on the right side of tau."""
     score_pass = oracle.evaluate(d_pass, baseline=True)
     score_fail = oracle.evaluate(d_fail, baseline=True)
     if score_pass > config.tau:
@@ -258,7 +246,7 @@ def _validate_inputs(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle
         raise ValidationError(
             f"failing dataset scores {score_fail:.4g}, already within tau "
             f"{config.tau:.4g}; nothing to explain")
-    return score_pass, score_fail
+    return score_fail
 
 
 def _safe_benefit(triplet: PvtTriplet, dataset: Dataset, config: EngineConfig,
@@ -301,30 +289,32 @@ def make_minimal(x_star, d_fail: Dataset, oracle: MalfunctionOracle,
     return current
 
 
-def _finalize(x_star: list[PvtTriplet], d_fail: Dataset, run: _Run,
-              fail_score: float) -> Explanation:
-    config = run.config
-    composed = run.compose(x_star, d_fail)
-    final_score = run.query(composed.dataset, tuple(t.id for t in x_star),
-                            fail_score, warnings=composed.warnings)
-    if final_score > config.tau:  # pragma: no cover - minimality already verified this
-        raise NoExplanationFound(
-            f"final verification scored {final_score:.4g} above tau", log=run.log)
+def _finalize(run: _Run, members: list[PvtTriplet], d_fail: Dataset,
+              repaired: Dataset, fail_score: float) -> Explanation:
+    """Make a set the oracle has seen pass deletion-minimal and report it.
+
+    ``repaired`` is ``members`` composed on ``d_fail``. The closing query is
+    a cache hit that runs the group-testing assumption check on the final set.
+    """
+    x_star = make_minimal(members, d_fail, run.oracle, run.config, log=run.log)
+    if len(x_star) < len(members):
+        repaired = run.compose(x_star, d_fail).dataset
+    final_score = run.query(repaired, tuple(t.id for t in x_star), fail_score)
     return Explanation(
         triplets=tuple(x_star),
         final_score=final_score,
-        repaired_fingerprint=composed.dataset.fingerprint,
+        repaired_fingerprint=repaired.fingerprint,
         interventions=run.oracle.intervention_count(),
         log=run.log,
-        repaired=composed.dataset,
+        repaired=repaired,
     )
 
 
 # --- greedy ------------------------------------------------------------------
 
 
-def explain_greedy(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
-                   config: EngineConfig) -> Explanation:
+def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
+            fail_score: float) -> tuple[list[PvtTriplet], Dataset]:
     """One repair at a time: among triplets adjacent to a highest-degree
     attribute, try the highest-benefit one; keep it only if the score drops.
 
@@ -332,13 +322,7 @@ def explain_greedy(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
     whose profiles the new dataset already satisfies and refreshes the
     benefit of candidates sharing an attribute with the accepted one.
     """
-    run = _Run(oracle, config)
-    _, fail_score = _validate_inputs(d_pass, d_fail, oracle, config)
-    candidates = discriminative_pvts(d_pass, d_fail)
-    if not candidates:
-        raise NoExplanationFound("no discriminative profiles between the datasets",
-                                 log=run.log)
-    build_pvt_attribute_graph(candidates, d_fail)  # validates attribute references
+    config = run.config
     benefit: dict[str, float] = {
         t.id: _safe_benefit(t, d_fail, config, run.log) for t in candidates}
     remaining = {t.id: t for t in candidates}
@@ -384,17 +368,15 @@ def explain_greedy(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
                 del remaining[t.id]
             elif touched.intersection(t.profile.attributes()):
                 benefit[t.id] = _safe_benefit(t, current, config, run.log)
-    x_star = make_minimal(accepted, d_fail, oracle, config, log=run.log)
-    return _finalize(x_star, d_fail, run, fail_score)
+    return accepted, current
 
 
 # --- group testing -------------------------------------------------------------
 
 
-def group_test(xs, dataset: Dataset, g_pd: PvtDependencyGraph,
-               oracle: MalfunctionOracle, config: EngineConfig,
-               log: InterventionLog | None = None,
-               random_partition: bool = False) -> tuple[Dataset, list[PvtTriplet]]:
+def _group_test(run: _Run, xs: list[PvtTriplet], dataset: Dataset,
+                g_pd: PvtDependencyGraph,
+                random_partition: bool) -> tuple[Dataset, list[PvtTriplet]]:
     """Adaptive group intervention over the candidate set.
 
     Recursively bisects the candidates (minimum bisection of the dependency
@@ -402,13 +384,6 @@ def group_test(xs, dataset: Dataset, g_pd: PvtDependencyGraph,
     and scores each half, and descends only into halves that help. Assumes
     a composed repair helps iff some constituent repair helps.
     """
-    run = _Run(oracle, config, log)
-    return _group_test(run, list(xs), dataset, g_pd, random_partition)
-
-
-def _group_test(run: _Run, xs: list[PvtTriplet], dataset: Dataset,
-                g_pd: PvtDependencyGraph,
-                random_partition: bool) -> tuple[Dataset, list[PvtTriplet]]:
     config = run.config
     if len(xs) == 1:
         only = xs[0]
@@ -454,24 +429,14 @@ def _group_test(run: _Run, xs: list[PvtTriplet], dataset: Dataset,
     return dataset, found
 
 
-def explain_group_testing(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
-                          config: EngineConfig) -> Explanation:
-    """Group-testing search over the discriminative triplets, then minimality."""
-    run = _Run(oracle, config)
-    _, fail_score = _validate_inputs(d_pass, d_fail, oracle, config)
-    candidates = discriminative_pvts(d_pass, d_fail)
-    if not candidates:
-        raise NoExplanationFound("no discriminative profiles between the datasets",
-                                 log=run.log)
-    g_pa = build_pvt_attribute_graph(candidates, d_fail)
-    g_pd = build_dependency_graph(g_pa)
-    random_partition = config.algorithm == "group_test_random"
-    try:
-        _, found = _group_test(run, candidates, d_fail, g_pd, random_partition)
-    except _A3Abort:
-        run.log.notes.append("falling back to the greedy search (strict assumption mode)")
-        return explain_greedy(d_pass, d_fail, oracle,
-                              replace(config, algorithm="greedy"))
+def _group_testing(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
+                   fail_score: float) -> tuple[list[PvtTriplet], Dataset]:
+    """Group testing over the candidates, then one check that the repairs it
+    collected pass together."""
+    config = run.config
+    g_pd = build_dependency_graph(build_pvt_attribute_graph(candidates, d_fail))
+    _, found = _group_test(run, candidates, d_fail, g_pd,
+                           random_partition=config.algorithm == "group_test_random")
     unique = sorted({t.id: t for t in found}.values(), key=lambda t: t.sort_key)
     if not unique:
         raise NoExplanationFound("group testing found no score-reducing repairs",
@@ -487,16 +452,27 @@ def explain_group_testing(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionO
         raise NoExplanationFound(
             f"collected repairs only reach {verify:.4g}, above tau {config.tau:.4g}",
             log=run.log)
-    x_star = make_minimal(unique, d_fail, oracle, config, log=run.log)
-    return _finalize(x_star, d_fail, run, fail_score)
+    return unique, composed.dataset
 
 
 def explain(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
             config: EngineConfig) -> Explanation:
-    """Dispatch on the configured algorithm."""
-    if config.algorithm == "greedy":
-        return explain_greedy(d_pass, d_fail, oracle, config)
-    return explain_group_testing(d_pass, d_fail, oracle, config)
+    """A deletion-minimal set of repairs that makes ``d_fail`` pass.
+
+    ``config.algorithm`` picks the search over the discriminative triplets:
+    greedy, or group testing with min-bisection or random splits. The search
+    returns a set the oracle has seen pass; :func:`make_minimal` then drops
+    every member the rest can do without.
+    """
+    run = _Run(oracle, config)
+    fail_score = _validate_inputs(d_pass, d_fail, oracle, config)
+    candidates = discriminative_pvts(d_pass, d_fail)
+    if not candidates:
+        raise NoExplanationFound("no discriminative profiles between the datasets",
+                                 log=run.log)
+    search = _greedy if config.algorithm == "greedy" else _group_testing
+    members, repaired = search(run, candidates, d_fail, fail_score)
+    return _finalize(run, members, d_fail, repaired, fail_score)
 
 
 # --- decision-tree extension ---------------------------------------------------
@@ -654,8 +630,7 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
             score = run.query(composed.dataset, tuple(t.id for t in triplets),
                               fail_score, warnings=composed.warnings)
             if score <= config.tau:
-                x_star = make_minimal(triplets, d_fail, oracle, config, log=run.log)
-                return _finalize(x_star, d_fail, run, fail_score)
+                return _finalize(run, triplets, d_fail, composed.dataset, fail_score)
             rows.append((features_of(composed.dataset), False))
             refits += 1
             progressed = True

@@ -72,6 +72,15 @@ def _cut_size(adjacency: dict[str, set[str]], half1: set[str], half2: set[str]) 
     return sum(1 for u in half1 for v in adjacency[u] if v in half2)
 
 
+def _shuffled_halves(nodes: list[str], seed: int) -> tuple[list[str], list[str]]:
+    """``nodes`` shuffled by ``seed`` and cut in two; with an odd count the
+    first half is the larger one."""
+    shuffled = list(nodes)
+    random.Random(seed).shuffle(shuffled)
+    half = (len(shuffled) + 1) // 2
+    return shuffled[:half], shuffled[half:]
+
+
 def get_min_bisection(
     graph: PvtDependencyGraph,
     nodes: Sequence[str],
@@ -90,11 +99,7 @@ def get_min_bisection(
     if len(nodes) < 2:
         raise BisectionSizeError(f"bisection needs at least 2 nodes, got {len(nodes)}")
     adjacency = _adjacency(graph, nodes)
-    rng = random.Random(seed)
-    shuffled = list(nodes)
-    rng.shuffle(shuffled)
-    half = (len(shuffled) + 1) // 2
-    half1, half2 = set(shuffled[:half]), set(shuffled[half:])
+    half1, half2 = map(set, _shuffled_halves(nodes, seed))
     cut = _cut_size(adjacency, half1, half2)
     if history is not None:
         history.append(cut)
@@ -152,11 +157,8 @@ def random_balanced_split(nodes: Sequence[str], seed: int) -> tuple[tuple[str, .
     nodes = sorted(set(nodes))
     if len(nodes) < 2:
         raise BisectionSizeError(f"split needs at least 2 nodes, got {len(nodes)}")
-    rng = random.Random(seed)
-    shuffled = list(nodes)
-    rng.shuffle(shuffled)
-    half = (len(shuffled) + 1) // 2
-    return tuple(sorted(shuffled[:half])), tuple(sorted(shuffled[half:]))
+    half1, half2 = _shuffled_halves(nodes, seed)
+    return tuple(sorted(half1)), tuple(sorted(half2))
 
 
 def attribute_graph_to_dot(graph: PvtAttributeGraph) -> str:

@@ -257,6 +257,13 @@ def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOrac
     raise ScenarioSpecError(f"unknown builtin oracle family {family!r}")
 
 
+def builtin_oracle(argument: str) -> MalfunctionOracle:
+    """The scorer a ``builtin:<family>?key=value&...`` string names."""
+    family, _, query = argument[len("builtin:"):].partition("?")
+    params = dict(piece.partition("=")[::2] for piece in query.split("&") if piece)
+    return build_builtin_oracle(family, params)
+
+
 def oracle_argument(spec: ScenarioSpec) -> str:
     """The ``--oracle`` string reconstructing this scenario's builtin scorer."""
     if spec.oracle_family == "domain-remap":
@@ -349,14 +356,7 @@ def _generate_domain_remap(spec: ScenarioSpec):
     for col in _filler_columns(rng, n, spec.n_attributes):
         pass_cols.append(col)
         fail_cols.append(col)
-    d_pass = from_columns(pass_cols)
-    d_fail = from_columns(fail_cols)
-    oracle = build_builtin_oracle("domain-remap", {
-        "logic": spec.cause_logic,
-        "domain": ",".join(a for a, kinds in units.items() if "domain" in kinds),
-        "missing": ",".join(a for a, kinds in units.items() if "missing" in kinds),
-    })
-    return d_pass, d_fail, oracle
+    return from_columns(pass_cols), from_columns(fail_cols)
 
 
 def _generate_dependence_bias(spec: ScenarioSpec):
@@ -407,13 +407,7 @@ def _generate_dependence_bias(spec: ScenarioSpec):
     for col in _filler_columns(rng, n, spec.n_attributes):
         pass_cols.append(col)
         fail_cols.append(col)
-    d_pass = from_columns(pass_cols)
-    d_fail = from_columns(fail_cols)
-    oracle = build_builtin_oracle("dependence-bias", {
-        "target": target, "protected": "c1",
-        "skew": "usage_class" if skew else "", "skew_limit": "0.2",
-    })
-    return d_pass, d_fail, oracle
+    return from_columns(pass_cols), from_columns(fail_cols)
 
 
 def _generate_skew_timeout(spec: ScenarioSpec):
@@ -433,9 +427,7 @@ def _generate_skew_timeout(spec: ScenarioSpec):
     for col in _filler_columns(rng, n, spec.n_attributes):
         pass_cols.append(col)
         fail_cols.append(col)
-    oracle = build_builtin_oracle("skew-timeout", {
-        "attribute": attribute, "value": "black", "limit": "0.3"})
-    return from_columns(pass_cols), from_columns(fail_cols), oracle
+    return from_columns(pass_cols), from_columns(fail_cols)
 
 
 def _generate_interaction_pair(spec: ScenarioSpec):
@@ -459,20 +451,22 @@ def _generate_interaction_pair(spec: ScenarioSpec):
     for col in _filler_columns(rng, n, spec.n_attributes):
         pass_cols.append(col)
         fail_cols.append(col)
-    oracle = build_builtin_oracle("interaction-pair", {
-        "attributes": ",".join(sorted(c.attribute for c in spec.planted_causes))})
-    return from_columns(pass_cols), from_columns(fail_cols), oracle
+    return from_columns(pass_cols), from_columns(fail_cols)
+
+
+_GENERATORS = {
+    "domain-remap": _generate_domain_remap,
+    "dependence-bias": _generate_dependence_bias,
+    "skew-timeout": _generate_skew_timeout,
+    "interaction-pair": _generate_interaction_pair,
+}
 
 
 def generate(spec: ScenarioSpec) -> tuple[Dataset, Dataset, MalfunctionOracle]:
-    """Build (passing dataset, failing dataset, oracle) for a scenario."""
-    if spec.oracle_family == "domain-remap":
-        return _generate_domain_remap(spec)
-    if spec.oracle_family == "dependence-bias":
-        return _generate_dependence_bias(spec)
-    if spec.oracle_family == "skew-timeout":
-        return _generate_skew_timeout(spec)
-    return _generate_interaction_pair(spec)
+    """Build (passing dataset, failing dataset, oracle) for a scenario; the
+    oracle is the one :func:`oracle_argument` names."""
+    d_pass, d_fail = _GENERATORS[spec.oracle_family](spec)
+    return d_pass, d_fail, builtin_oracle(oracle_argument(spec))
 
 
 def ground_truth(spec: ScenarioSpec) -> dict:
@@ -528,7 +522,7 @@ def generate_paired(scenario: PairedCauseScenario) -> tuple[Dataset, Dataset, Ma
         tau=scenario.tau,
     )
     rng = random.Random(scenario.seed * 977 + 5)
-    d_pass, d_fail, oracle = _generate_domain_remap(spec)
+    d_pass, d_fail, oracle = generate(spec)
     for j in range(scenario.junk_attributes):
         n = scenario.n_rows
         note_pass, note_fail = _note_columns(rng, f"junk_{j}", n)

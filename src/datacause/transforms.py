@@ -412,10 +412,9 @@ def _resample_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) ->
     return min(1.0, abs(result.row_count - n) / n)
 
 
-def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iterations: int,
-                      **_) -> float:
+def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> float:
     """Run the seeded repair and count the cells it changed."""
-    result = transform(dataset, triplet, seed=seed, max_iterations=max_iterations)
+    result = transform(dataset, triplet, seed=seed)
     if result is dataset:
         return 0.0
     changed = 0
@@ -471,15 +470,14 @@ def transform(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
     return result
 
 
-def coverage(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
-             max_iterations: int = 40) -> float:
+def coverage(dataset: Dataset, triplet: PvtTriplet, seed: int = 0) -> float:
     """Fraction of rows the transformation would modify or resample.
 
     Counted analytically where possible; seeded kinds run a dry transform
     with the given seed.
     """
     _, rows_touched = _variant(triplet)
-    return rows_touched(dataset, triplet, seed=seed, max_iterations=max_iterations)
+    return rows_touched(dataset, triplet, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -489,7 +487,6 @@ class ComposeResult:
 
 
 def compose(triplets, dataset: Dataset, seed: int = 0,
-            max_iterations: int = 40,
             remap_overrides: dict[str, dict[str, str]] | None = None) -> ComposeResult:
     """Apply transformations sequentially in the given order.
 
@@ -500,8 +497,7 @@ def compose(triplets, dataset: Dataset, seed: int = 0,
     warnings: list[str] = []
     applied: list[PvtTriplet] = []
     for triplet in triplets:
-        current = transform(current, triplet, seed=seed, max_iterations=max_iterations,
-                            remap_overrides=remap_overrides)
+        current = transform(current, triplet, seed=seed, remap_overrides=remap_overrides)
         for earlier in applied:
             residual = violation(current, earlier.profile)
             if residual > POSTCONDITION_TOL:

@@ -26,8 +26,6 @@ from datacause.engine import (
     decision_tree_explain,
     discriminative_pvts,
     explain,
-    explain_greedy,
-    explain_group_testing,
 )
 from datacause.errors import NoExplanationFound, TransformFailure
 from datacause.graph import PvtDependencyGraph, get_min_bisection
@@ -324,14 +322,14 @@ def test_criterion_05_sentiment_analog():
     for seed in range(10):
         d_pass, d_fail, oracle = generate(sentiment_spec(seed))
         assert len(discriminative_pvts(d_pass, d_fail)) == 3
-        grd = explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=seed))
+        grd = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=seed))
         assert grd.interventions <= 3
         assert grd.triplets[0].profile.kind is ProfileKind.DOMAIN_CATEGORICAL
         assert grd.triplets[0].profile.attributes() == ("target",)
         d_pass, d_fail, oracle = generate(sentiment_spec(seed))
-        gt = explain_group_testing(d_pass, d_fail, oracle,
-                                   EngineConfig(tau=0.2, seed=seed,
-                                                algorithm="group_test"))
+        gt = explain(d_pass, d_fail, oracle,
+                     EngineConfig(tau=0.2, seed=seed,
+                                  algorithm="group_test"))
         assert gt.interventions <= 5
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"sentiment sweep took {elapsed:.1f}s"
@@ -343,8 +341,8 @@ def test_criterion_06_income_analog():
     worst = 0
     for seed in range(10):
         d_pass, d_fail, oracle = generate(income_spec(seed))
-        result = explain_greedy(d_pass, d_fail, oracle,
-                                EngineConfig(tau=0.3, seed=seed))
+        result = explain(d_pass, d_fail, oracle,
+                         EngineConfig(tau=0.3, seed=seed))
         worst = max(worst, result.interventions)
         assert result.interventions <= 2
         kinds = {t.profile.kind for t in result.triplets}
@@ -366,12 +364,12 @@ def test_criterion_07_adversarial_ranking():
         rank = next(i for i, t in enumerate(ranked, 1)
                     if t.profile.attributes() == ("col_00",))
         assert rank >= 50
-        grd = explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=seed))
+        grd = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=seed))
         assert abs(grd.interventions - rank) <= 2
         d_pass, d_fail, oracle = adversarial_rank_scenario(seed)
-        gt = explain_group_testing(d_pass, d_fail, oracle,
-                                   EngineConfig(tau=0.2, seed=seed,
-                                                algorithm="group_test"))
+        gt = explain(d_pass, d_fail, oracle,
+                     EngineConfig(tau=0.2, seed=seed,
+                                  algorithm="group_test"))
         assert gt.interventions <= 2 * math.ceil(math.log2(len(triplets))) + 2
         assert gt.interventions < grd.interventions
     announce(7, "greedy pays the planted rank while group testing stays "
@@ -393,16 +391,16 @@ def test_criterion_08_scaling_shape():
                                 n_rows=260, seed=seed, decoys=size - 3)
             d_pass, d_fail, oracle = generate(spec)
             assert len(discriminative_pvts(d_pass, d_fail)) == size
-            result = explain_group_testing(d_pass, d_fail, oracle,
-                                           EngineConfig(tau=0.2, seed=seed,
-                                                        algorithm="group_test"))
+            result = explain(d_pass, d_fail, oracle,
+                             EngineConfig(tau=0.2, seed=seed,
+                                          algorithm="group_test"))
             counts.append(result.interventions)
         gt_means[size] = sum(counts) / len(counts)
     spec = ScenarioSpec(oracle_family="domain-remap",
                         planted_causes=(PlantedCause("domain", "target"),),
                         n_rows=260, seed=0, decoys=125)
     d_pass, d_fail, oracle = generate(spec)
-    greedy = explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=0))
+    greedy = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=0))
     assert greedy.interventions <= 10
     logs = {size: math.log2(size) for size in sizes}
     slope = (sum(gt_means[s] * logs[s] for s in sizes) /
@@ -512,8 +510,8 @@ def test_criterion_11_decision_tree_extension():
     d_pass, d_fail, oracle = generate(spec)
     budget = len(discriminative_pvts(d_pass, d_fail))
     with pytest.raises(NoExplanationFound):
-        explain_greedy(d_pass, d_fail, oracle,
-                       EngineConfig(tau=0.2, seed=0, max_interventions=budget))
+        explain(d_pass, d_fail, oracle,
+                EngineConfig(tau=0.2, seed=0, max_interventions=budget))
     d_pass, d_fail, oracle = generate(spec)
     result = decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail,
                                    oracle, EngineConfig(tau=0.2, seed=0))

@@ -253,6 +253,17 @@ def test_human_rendering(capsys):
     assert "discriminative triplet(s)" in out
 
 
+@pytest.mark.parametrize("command", ["profile", "diff"])
+def test_human_rendering_shows_errors(capsys, tmp_path, command):
+    bad = tmp_path / "dup.csv"
+    bad.write_text("a,a\n1,2\n")
+    inputs = {"profile": ["--data", str(bad)],
+              "diff": ["--pass", str(bad), "--fail", str(tmp_path / "nope.csv")]}
+    code = main([command, *inputs[command], "--human"])
+    assert code == 65
+    assert capsys.readouterr().out == f"error: {bad}: duplicate header\n"
+
+
 # --- synth -----------------------------------------------------------------------
 
 

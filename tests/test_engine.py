@@ -8,9 +8,6 @@ from datacause.engine import (
     decision_tree_explain,
     discriminative_pvts,
     explain,
-    explain_greedy,
-    explain_group_testing,
-    group_test,
     make_minimal,
 )
 from datacause.errors import NoExplanationFound, SchemaError, ValidationError
@@ -143,7 +140,7 @@ def test_benefit_zero_when_satisfied(people_fail):
 def test_greedy_sentiment_analog(seed):
     d_pass, d_fail, oracle = generate(sentiment_spec(seed=seed))
     config = EngineConfig(tau=0.2, seed=seed)
-    result = explain_greedy(d_pass, d_fail, oracle, config)
+    result = explain(d_pass, d_fail, oracle, config)
     assert result.interventions <= 3
     assert [t.profile.kind for t in result.triplets] == [ProfileKind.DOMAIN_CATEGORICAL]
     assert result.triplets[0].profile.attributes() == ("target",)
@@ -163,7 +160,7 @@ def single_missing_candidate_pair():
 def test_greedy_single_candidate_single_intervention():
     d_pass, d_fail, oracle = single_missing_candidate_pair()
     assert len(discriminative_pvts(d_pass, d_fail)) == 1
-    result = explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.2))
+    result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2))
     assert result.interventions == 1
     assert len(result.triplets) == 1
 
@@ -171,7 +168,7 @@ def test_greedy_single_candidate_single_intervention():
 @pytest.mark.parametrize("seed", range(3))
 def test_greedy_fairness_analog_two_step(seed):
     d_pass, d_fail, oracle = generate(income_spec(seed=seed, with_skew=True))
-    result = explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.3, seed=seed))
+    result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.3, seed=seed))
     kinds = {t.profile.kind for t in result.triplets}
     assert ProfileKind.CHI2 in kinds
     assert ProfileKind.SELECTIVITY in kinds
@@ -186,10 +183,10 @@ def test_greedy_validation_errors():
     d_pass, d_fail, oracle = generate(sentiment_spec())
     with pytest.raises(ValidationError):
         # tau below the pass-side score
-        explain_greedy(d_fail, d_pass, oracle, EngineConfig(tau=0.2))
+        explain(d_fail, d_pass, oracle, EngineConfig(tau=0.2))
     oracle2 = CallableOracle(lambda d: 0.0)
     with pytest.raises(ValidationError):
-        explain_greedy(d_pass, d_fail, oracle2, EngineConfig(tau=0.2))
+        explain(d_pass, d_fail, oracle2, EngineConfig(tau=0.2))
 
 
 def profile_identical_pair():
@@ -205,7 +202,7 @@ def test_greedy_no_candidates():
     d_pass, d_fail, oracle = profile_identical_pair()
     assert discriminative_pvts(d_pass, d_fail) == []
     with pytest.raises(NoExplanationFound):
-        explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.2))
+        explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2))
 
 
 def selectivity_wipeout_pair():
@@ -235,21 +232,21 @@ def test_greedy_budget_exhaustion():
         planted_causes=(PlantedCause("missing", "p1"), PlantedCause("missing", "p2")),
         n_rows=80, seed=2))
     with pytest.raises(NoExplanationFound) as err:
-        explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.2, max_interventions=2))
+        explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, max_interventions=2))
     assert err.value.log is not None
 
 
 def test_greedy_log_matches_intervention_count():
     d_pass, d_fail, oracle = generate(sentiment_spec(seed=3))
-    result = explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=3))
+    result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=3))
     assert len(result.log.entries) == result.interventions
     assert result.interventions == oracle.intervention_count()
     assert any(e.accepted for e in result.log.entries)
 
 
 def test_greedy_deterministic():
-    a = explain_greedy(*generate(sentiment_spec(seed=5)), EngineConfig(tau=0.2, seed=5))
-    b = explain_greedy(*generate(sentiment_spec(seed=5)), EngineConfig(tau=0.2, seed=5))
+    a = explain(*generate(sentiment_spec(seed=5)), EngineConfig(tau=0.2, seed=5))
+    b = explain(*generate(sentiment_spec(seed=5)), EngineConfig(tau=0.2, seed=5))
     assert a.triplet_ids() == b.triplet_ids()
     assert a.repaired_fingerprint == b.repaired_fingerprint
     assert a.interventions == b.interventions
@@ -262,7 +259,7 @@ def test_greedy_deterministic():
 def test_group_testing_sentiment_analog(seed):
     d_pass, d_fail, oracle = generate(sentiment_spec(seed=seed))
     config = EngineConfig(tau=0.2, seed=seed, algorithm="group_test")
-    result = explain_group_testing(d_pass, d_fail, oracle, config)
+    result = explain(d_pass, d_fail, oracle, config)
     assert result.interventions <= 5
     assert ProfileKind.DOMAIN_CATEGORICAL in {t.profile.kind for t in result.triplets}
     assert result.final_score <= 0.2
@@ -272,7 +269,7 @@ def test_group_testing_sentiment_analog(seed):
 def test_group_testing_income_analog(seed):
     d_pass, d_fail, oracle = generate(income_spec(seed=seed))
     config = EngineConfig(tau=0.3, seed=seed, algorithm="group_test")
-    result = explain_group_testing(d_pass, d_fail, oracle, config)
+    result = explain(d_pass, d_fail, oracle, config)
     dependence = [t for t in result.triplets if isinstance(t.profile, ChiSquareBound)]
     assert dependence and all(t.perturb == "target" for t in dependence)
 
@@ -280,7 +277,7 @@ def test_group_testing_income_analog(seed):
 def test_group_test_singleton_one_intervention():
     d_pass, d_fail, oracle = single_missing_candidate_pair()
     config = EngineConfig(tau=0.2, algorithm="group_test")
-    result = explain_group_testing(d_pass, d_fail, oracle, config)
+    result = explain(d_pass, d_fail, oracle, config)
     assert result.interventions == 1
     assert len(result.triplets) == 1
 
@@ -292,7 +289,7 @@ def test_group_test_two_cluster_example():
     triplets = discriminative_pvts(d_pass, d_fail)
     assert len(triplets) >= 6
     config = EngineConfig(tau=0.2, seed=4, algorithm="group_test")
-    result = explain_group_testing(d_pass, d_fail, oracle, config)
+    result = explain(d_pass, d_fail, oracle, config)
     assert result.interventions <= 10
     assert result.final_score <= 0.2
 
@@ -300,17 +297,19 @@ def test_group_test_two_cluster_example():
 def test_group_test_empty_candidates():
     d_pass, d_fail, oracle = profile_identical_pair()
     with pytest.raises(NoExplanationFound):
-        explain_group_testing(d_pass, d_fail, oracle,
-                              EngineConfig(tau=0.2, algorithm="group_test"))
+        explain(d_pass, d_fail, oracle,
+                EngineConfig(tau=0.2, algorithm="group_test"))
 
 
 def test_group_test_direct_call():
+    from datacause.engine import _group_test, _Run
     d_pass, d_fail, oracle = generate(sentiment_spec(seed=1))
     oracle.evaluate(d_fail, baseline=True)
     candidates = discriminative_pvts(d_pass, d_fail)
     g_pd = build_dependency_graph(build_pvt_attribute_graph(candidates, d_fail))
     config = EngineConfig(tau=0.2, seed=1, algorithm="group_test")
-    repaired, found = group_test(candidates, d_fail, g_pd, oracle, config)
+    repaired, found = _group_test(_Run(oracle, config), candidates, d_fail, g_pd,
+                                  random_partition=False)
     assert found
     assert oracle.evaluate(repaired) <= 0.2
 
@@ -323,7 +322,7 @@ def test_gt_random_vs_gt_paired_means():
             d_pass, d_fail, oracle = generate_paired(
                 PairedCauseScenario(units=2, junk_attributes=2, seed=seed))
             config = EngineConfig(tau=0.2, seed=seed, algorithm=algorithm)
-            result = explain_group_testing(d_pass, d_fail, oracle, config)
+            result = explain(d_pass, d_fail, oracle, config)
             counts[algorithm] = result.interventions
             assert result.final_score <= 0.2
         sizes.append(counts)
@@ -398,7 +397,7 @@ def test_explanation_soundness_and_log(algorithm):
 
 def test_greedy_steps_strictly_decrease():
     d_pass, d_fail, oracle = generate(income_spec(seed=0, with_skew=True))
-    result = explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.3, seed=0))
+    result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.3, seed=0))
     accepted = [e for e in result.log.entries if e.accepted]
     for entry in accepted:
         assert entry.post_score < entry.pre_score
@@ -429,7 +428,7 @@ def test_greedy_fails_on_interaction_pair():
     n_candidates = len(discriminative_pvts(d_pass, d_fail))
     config = EngineConfig(tau=0.2, seed=0, max_interventions=n_candidates)
     with pytest.raises(NoExplanationFound):
-        explain_greedy(d_pass, d_fail, oracle, config)
+        explain(d_pass, d_fail, oracle, config)
 
 
 def test_decision_tree_single_separating_profile():
@@ -479,7 +478,7 @@ def test_a3_violation_recorded_in_warn_mode():
     d_fail = cancelling_pair()
     oracle = cancelling_oracle()
     oracle.evaluate(d_fail, baseline=True)
-    run = _Run(oracle, EngineConfig(tau=0.2, a3="warn"))
+    run = _Run(oracle, EngineConfig(tau=0.2))
     triplets = {t.profile.attributes()[0]: t
                 for t in (make_triplets(MissingRate(a, 0.0))[0] for a in ("p1", "p2"))}
     both = compose(list(triplets.values()), d_fail, seed=0).dataset
@@ -490,25 +489,29 @@ def test_a3_violation_recorded_in_warn_mode():
     assert any("assumption violated" in note for note in run.log.notes)
 
 
-def test_a3_strict_mode_raises_internally():
-    from datacause.engine import _A3Abort, _Run
-    d_fail = cancelling_pair()
-    oracle = cancelling_oracle()
-    oracle.evaluate(d_fail, baseline=True)
-    run = _Run(oracle, EngineConfig(tau=0.2, a3="strict"))
-    triplets = [make_triplets(MissingRate(a, 0.0))[0] for a in ("p1", "p2")]
-    both = compose(triplets, d_fail, seed=0).dataset
-    run.query(both, tuple(t.id for t in triplets), 1.0)
-    alone = compose(triplets[:1], d_fail, seed=0).dataset
-    with pytest.raises(_A3Abort):
-        run.query(alone, (triplets[0].id,), 1.0)
+def test_a3_violation_noted_end_to_end():
+    # p1 and p3 only pass together and p2 undoes p3: a minimality probe
+    # composes {p2, p3}, which scores no better than the failing dataset
+    # although p3 alone reduces the score
+    def column(name, k):
+        cells = ["u", "v"] * 14
+        for i in range(k):
+            cells[3 + 2 * i] = None
+        return (name, ColumnType.CATEGORICAL, cells)
 
-
-def test_a3_strict_mode_no_false_alarms():
-    d_pass, d_fail, oracle = generate(sentiment_spec(seed=4))
-    config = EngineConfig(tau=0.2, seed=4, algorithm="group_test", a3="strict")
-    result = explain_group_testing(d_pass, d_fail, oracle, config)
-    assert result.final_score <= 0.2
+    names = ("p1", "p2", "p3", "p4")
+    d_pass = from_columns([column(a, k) for a, k in zip(names, (0, 0, 0, 1))])
+    d_fail = from_columns([column(a, 3) for a in names])
+    scores = {(): 1.0, ("p1",): 0.5, ("p2",): 0.9, ("p3",): 0.5, ("p1", "p2"): 0.6,
+              ("p1", "p3"): 0.0, ("p2", "p3"): 1.0, ("p1", "p2", "p3"): 0.0}
+    oracle = CallableOracle(lambda d: scores[tuple(
+        a for a in ("p1", "p2", "p3") if None not in d.column(a))])
+    result = explain(d_pass, d_fail, oracle,
+                     EngineConfig(tau=0.2, seed=0, algorithm="group_test_random"))
+    assert result.triplet_ids() == ("missing_rate(p1)#impute", "missing_rate(p3)#impute")
+    assert result.interventions == 14
+    assert len(result.log.entries) == 14
+    assert any("group-testing assumption violated" in n for n in result.log.notes)
 
 
 def test_oracle_error_carries_log():
@@ -530,7 +533,7 @@ def test_oracle_error_carries_log():
 
     oracle = CallableOracle(guarded)
     with pytest.raises(OracleProtocolError) as err:
-        explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=1))
+        explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=1))
     assert err.value.log is not None
 
 
@@ -541,13 +544,13 @@ def test_intervention_bound_invariants():
     # greedy worst case: |candidates| + |explanation| * (|explanation| - 1)
     d_pass, d_fail, oracle = adversarial_rank_scenario(seed=0)
     n_candidates = len(discriminative_pvts(d_pass, d_fail))
-    grd = explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=0))
+    grd = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=0))
     k = len(grd.triplets)
     assert grd.interventions <= n_candidates + k * (k - 1)
     # group testing: 4 * t * ceil(log2 |candidates|) + |explanation|^2, t = 1 here
     d_pass, d_fail, oracle = adversarial_rank_scenario(seed=0)
-    gt = explain_group_testing(d_pass, d_fail, oracle,
-                               EngineConfig(tau=0.2, seed=0, algorithm="group_test"))
+    gt = explain(d_pass, d_fail, oracle,
+                 EngineConfig(tau=0.2, seed=0, algorithm="group_test"))
     assert gt.interventions <= 4 * math.ceil(math.log2(n_candidates)) + len(gt.triplets) ** 2
 
 
@@ -556,7 +559,7 @@ def test_group_testing_deterministic():
     for _ in range(2):
         d_pass, d_fail, oracle = generate(sentiment_spec(seed=8))
         config = EngineConfig(tau=0.2, seed=8, algorithm="group_test")
-        runs.append(explain_group_testing(d_pass, d_fail, oracle, config))
+        runs.append(explain(d_pass, d_fail, oracle, config))
     assert runs[0].triplet_ids() == runs[1].triplet_ids()
     assert runs[0].repaired_fingerprint == runs[1].repaired_fingerprint
     assert runs[0].interventions == runs[1].interventions
@@ -607,8 +610,8 @@ def test_fairness_walkthrough_on_worked_example_tables(people_pass, people_fail)
     oracle = fairness_people_oracle()
     assert oracle.evaluate(people_pass) <= 0.2
     assert oracle.evaluate(people_fail) > 0.4
-    result = explain_greedy(people_pass, people_fail, oracle,
-                            EngineConfig(tau=0.2, seed=0))
+    result = explain(people_pass, people_fail, oracle,
+                     EngineConfig(tau=0.2, seed=0))
     # two complementary repairs, one of them the dependence breaker
     assert len(result.triplets) == 2
     assert any(t.profile.kind is ProfileKind.CHI2 and
@@ -629,5 +632,5 @@ def test_tau_boundary_is_inclusive():
     d_fail = from_columns([("c", ColumnType.CATEGORICAL, ["ok"] * 19 + [None])])
     oracle = CallableOracle(
         lambda d: 0.9 if any(v is None for v in d.column("c")) else 0.3)
-    result = explain_greedy(d_pass, d_fail, oracle, EngineConfig(tau=0.3))
+    result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.3))
     assert result.final_score == 0.3
