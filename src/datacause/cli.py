@@ -165,7 +165,10 @@ def _explain(args, report: dict, human: list[str] | None) -> None:
     oracle = _make_oracle(args.oracle, args.oracle_timeout, args.seed)
     remap = None
     if args.remap:
-        remap = json.loads(Path(args.remap).read_text(encoding="utf-8"))
+        try:
+            remap = json.loads(Path(args.remap).read_text(encoding="utf-8"))
+        except ValueError as exc:  # invalid JSON or UTF-8
+            raise ValidationError(f"{args.remap}: not a JSON remap file: {exc}") from None
     config = EngineConfig(
         tau=args.tau, seed=args.seed,
         max_interventions=args.max_interventions,

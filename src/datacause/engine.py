@@ -67,6 +67,13 @@ class EngineConfig:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
         if self.max_interventions < 1:
             raise ValidationError("max_interventions must be positive")
+        if self.remap_overrides is not None and not (
+                isinstance(self.remap_overrides, dict) and all(
+                    isinstance(attribute, str) and isinstance(mapping, dict)
+                    and all(isinstance(k, str) and isinstance(v, str) for k, v in mapping.items())
+                    for attribute, mapping in self.remap_overrides.items())):
+            raise ValidationError("remap_overrides must map each attribute to an object "
+                                  f"of string replacements, got {self.remap_overrides!r}")
 
 
 @dataclass(frozen=True)

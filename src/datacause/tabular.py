@@ -30,6 +30,33 @@ class ColumnType(str, Enum):
 MISSING_LITERALS = ("NULL", "null", "NA")
 
 
+class _Cells(tuple):
+    """One normalized column, with its ``ctype`` and the sha256 ``digest`` of
+    its cells.
+
+    Only :meth:`Dataset.__post_init__` builds these, so a column that already
+    is one holds checked cells and datasets can share it.
+    """
+
+    ctype: ColumnType
+    digest: bytes
+
+
+def _normalize(name: str, ctype: ColumnType, col: Iterable[Cell]) -> _Cells:
+    if ctype is ColumnType.NUMERICAL:
+        # + 0.0 folds -0.0 into 0.0, which it equals
+        cells = [None if v is None else float(v) + 0.0 for v in col]
+        if not all(map(math.isfinite, filter(None, cells))):  # drops missing cells and 0.0
+            raise ColumnTypeError(f"non-finite value in numerical column {name!r}")
+    else:
+        cells = [None if v is None else str(v) for v in col]
+    out = _Cells(cells)
+    out.ctype = ctype
+    blob = json.dumps(cells, separators=(",", ":"), ensure_ascii=False)
+    out.digest = hashlib.sha256(blob.encode("utf-8")).digest()
+    return out
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Ordered, typed, immutable table.
@@ -37,7 +64,9 @@ class Dataset:
     ``columns[i]`` holds the cells of ``attributes[i]``; a ``None`` cell is
     missing. Numerical cells are finite floats, all other cells are strings.
     The content fingerprint is computed eagerly so datasets with equal
-    schema, values and missing mask always share it.
+    schema, values and missing mask always share it. A column taken over
+    unchanged from another dataset of the same column type is neither
+    normalized nor hashed again.
     """
 
     attributes: tuple[str, ...]
@@ -60,30 +89,18 @@ class Dataset:
         lengths = {len(col) for col in self.columns}
         if len(lengths) > 1:
             raise SchemaError(f"columns have unequal lengths: {sorted(lengths)}")
-        normalized = []
-        for name, ctype, col in zip(self.attributes, self.types, self.columns):
-            cells = []
-            for value in col:
-                if value is None:
-                    cells.append(None)
-                elif ctype is ColumnType.NUMERICAL:
-                    value = float(value) + 0.0  # folds -0.0 into 0.0, which it equals
-                    if not math.isfinite(value):
-                        raise ColumnTypeError(f"non-finite value in numerical column {name!r}")
-                    cells.append(value)
-                else:
-                    cells.append(str(value))
-            normalized.append(tuple(cells))
-        object.__setattr__(self, "columns", tuple(normalized))
+        object.__setattr__(self, "columns", tuple(
+            col if isinstance(col, _Cells) and col.ctype is ctype else _normalize(name, ctype, col)
+            for name, ctype, col in zip(self.attributes, self.types, self.columns)))
         object.__setattr__(self, "fingerprint", self._compute_fingerprint())
 
     def _compute_fingerprint(self) -> str:
-        payload = {
-            "schema": [[n, t.value] for n, t in zip(self.attributes, self.types)],
-            "columns": [list(col) for col in self.columns],
-        }
-        blob = json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        schema = json.dumps([[n, t.value] for n, t in zip(self.attributes, self.types)],
+                            separators=(",", ":"), ensure_ascii=False)
+        digest = hashlib.sha256(schema.encode("utf-8"))
+        for col in self.columns:
+            digest.update(col.digest)  # fixed length, so the concatenation is unambiguous
+        return digest.hexdigest()
 
     @property
     def row_count(self) -> int:
@@ -203,20 +220,15 @@ def load_csv(path) -> Dataset:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset as UTF-8 CSV; missing cells become empty cells."""
+    columns = [
+        ["" if v is None else repr(v) for v in col] if ctype is ColumnType.NUMERICAL
+        else ["" if v is None else v for v in col]
+        for col, ctype in zip(dataset.columns, dataset.types)
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.attributes)
-        for i in range(dataset.row_count):
-            row = []
-            for col, ctype in zip(dataset.columns, dataset.types):
-                v = col[i]
-                if v is None:
-                    row.append("")
-                elif ctype is ColumnType.NUMERICAL:
-                    row.append(repr(v))
-                else:
-                    row.append(v)
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 # --- predicates -----------------------------------------------------------
@@ -265,29 +277,24 @@ def _check_term(dataset: Dataset, term: Term) -> None:
         raise ColumnTypeError(f"{term.label()}: numerical column compared against {term.value!r}")
 
 
-def _term_holds(value: Cell, term: Term, ctype: ColumnType) -> bool:
-    if value is None:
-        return False
+def _rows_where(column: Sequence[Cell], term: Term, ctype: ColumnType) -> set[int]:
+    """Indices of the cells of ``column`` satisfying ``term``; missing never does."""
     if term.comparator == "eq":
-        if ctype is ColumnType.NUMERICAL:
-            return value == float(term.value)
-        return value == str(term.value)
+        target = float(term.value) if ctype is ColumnType.NUMERICAL else str(term.value)
+        return {i for i, v in enumerate(column) if v == target}
+    bound = float(term.value)
     if term.comparator == "le":
-        return value <= float(term.value)
-    return value >= float(term.value)
+        return {i for i, v in enumerate(column) if v is not None and v <= bound}
+    return {i for i, v in enumerate(column) if v is not None and v >= bound}
 
 
 def select_where(dataset: Dataset, predicate: Predicate) -> set[int]:
     """Indices of rows satisfying every term; missing tested cells never satisfy."""
     for term in predicate.terms:
         _check_term(dataset, term)
-    cols = {t.attribute: dataset.column(t.attribute) for t in predicate.terms}
-    ctypes = {t.attribute: dataset.type_of(t.attribute) for t in predicate.terms}
-    out = set()
-    for i in range(dataset.row_count):
-        if all(_term_holds(cols[t.attribute][i], t, ctypes[t.attribute]) for t in predicate.terms):
-            out.add(i)
-    return out
+    return set.intersection(*(
+        _rows_where(dataset.column(t.attribute), t, dataset.type_of(t.attribute))
+        for t in predicate.terms))
 
 
 def population_stddev(values: Iterable[float]) -> float:

@@ -365,3 +365,35 @@ def test_explain_remap_override_flag(capsys, sentiment_dir, tmp_path):
         "--remap", str(remap_path),
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("content", [
+    "{not json", b"\xff\xfe", '["x"]', '{"target": "1.0"}', '{"target": {"0.0": 1}}',
+], ids=["invalid-json", "not-utf8", "not-an-object", "value-not-an-object",
+        "replacement-not-a-string"])
+@pytest.mark.parametrize("human", [False, True], ids=["json", "human"])
+def test_explain_invalid_remap_file_exit_65(capsys, sentiment_dir, tmp_path, content, human):
+    oracle = json.loads((sentiment_dir / "oracle.json").read_text())
+    remap_path = tmp_path / "remap.json"
+    if isinstance(content, bytes):
+        remap_path.write_bytes(content)
+    else:
+        remap_path.write_text(content)
+    code = main([
+        "explain",
+        "--pass", str(sentiment_dir / "pass.csv"),
+        "--fail", str(sentiment_dir / "fail.csv"),
+        "--oracle", oracle["oracle"],
+        "--tau", str(oracle["tau"]),
+        "--remap", str(remap_path),
+        *(["--human"] if human else []),
+    ])
+    out = capsys.readouterr().out
+    assert code == 65
+    if human:
+        assert out.startswith("error: ") and "remap" in out
+    else:
+        report = json.loads(out)
+        assert report["exit_status"] == 65
+        assert "remap" in report["error"]
+        assert "explanation" not in report

@@ -634,3 +634,9 @@ def test_tau_boundary_is_inclusive():
         lambda d: 0.9 if any(v is None for v in d.column("c")) else 0.3)
     result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.3))
     assert result.final_score == 0.3
+
+
+@pytest.mark.parametrize("remap", [["x"], {"target": "1"}, {"target": {"0": 1}}, {1: {"0": "1"}}])
+def test_malformed_remap_overrides_rejected(remap):
+    with pytest.raises(ValidationError):
+        EngineConfig(tau=0.2, remap_overrides=remap)

@@ -1,0 +1,82 @@
+"""Property tests of the tabular invariants (need ``hypothesis``)."""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from datacause.tabular import ColumnType, Predicate, Term, from_columns, select_where  # noqa: E402
+
+NUMBERS = [None, 0.0, -0.0, 1, 1.0, 2.5, -3.0]
+STRINGS = [None, "a", "b", "", "0.0"]
+
+
+def _cells(ctype: ColumnType, n: int):
+    pool = NUMBERS if ctype is ColumnType.NUMERICAL else STRINGS
+    return st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+
+
+@st.composite
+def specs(draw):
+    """(name, type, cells) triples of one to three columns of equal length."""
+    n = draw(st.integers(0, 12))
+    types = draw(st.lists(st.sampled_from(list(ColumnType)), min_size=1, max_size=3))
+    return [(f"c{i}", t, draw(_cells(t, n))) for i, t in enumerate(types)]
+
+
+def _row_reference(dataset, predicate) -> set[int]:
+    def holds(value, term):
+        if value is None:
+            return False
+        if term.comparator == "eq":
+            numerical = dataset.type_of(term.attribute) is ColumnType.NUMERICAL
+            return value == (float(term.value) if numerical else str(term.value))
+        return value <= term.value if term.comparator == "le" else value >= term.value
+
+    return {i for i in range(dataset.row_count)
+            if all(holds(dataset.column(t.attribute)[i], t) for t in predicate.terms)}
+
+
+_TERMS = st.one_of(
+    st.builds(Term, st.sampled_from(["x", "y"]), st.sampled_from(["eq", "le", "ge"]),
+              st.sampled_from([0.0, 1, 2.5, -3.0, 10.0])),
+    st.builds(Term, st.just("c"), st.just("eq"), st.sampled_from(["a", "b", "", "z"])),
+)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_select_where_matches_a_row_wise_reference(data):
+    n = data.draw(st.integers(0, 15))
+    dataset = from_columns([
+        ("x", ColumnType.NUMERICAL, data.draw(_cells(ColumnType.NUMERICAL, n))),
+        ("y", ColumnType.NUMERICAL, data.draw(_cells(ColumnType.NUMERICAL, n))),
+        ("c", ColumnType.CATEGORICAL, data.draw(_cells(ColumnType.CATEGORICAL, n))),
+    ])
+    predicate = Predicate(tuple(data.draw(st.lists(_TERMS, min_size=1, max_size=2))))
+    assert select_where(dataset, predicate) == _row_reference(dataset, predicate)
+
+
+@settings(deadline=None)
+@given(specs(), specs())
+def test_fingerprint_equal_exactly_when_content_is(spec_a, spec_b):
+    a, b = from_columns(spec_a), from_columns(spec_b)
+    assert (a.fingerprint == b.fingerprint) == (a == b)
+
+
+@settings(deadline=None)
+@given(specs(), st.data())
+def test_fingerprint_of_replaced_columns_equals_fresh_build(spec, data):
+    base = from_columns(spec)
+    derived, fresh_spec = base, []
+    for name, ctype, cells in spec:
+        if data.draw(st.booleans()):
+            cells = data.draw(_cells(ctype, len(cells)))
+            derived = derived.with_column(name, cells)
+        fresh_spec.append((name, ctype, cells))
+    fresh = from_columns(fresh_spec)
+    assert derived == fresh
+    assert derived.fingerprint == fresh.fingerprint
+    assert (derived.fingerprint == base.fingerprint) == (derived == base)

@@ -175,3 +175,45 @@ def test_all_missing_column_is_numerical():
     d = from_columns([("a", ColumnType.NUMERICAL, [None, None])])
     assert d.column("a") == (None, None)
     assert d.non_missing("a") == []
+
+
+# --- copy-on-write columns ----------------------------------------------------
+
+
+def test_with_column_shares_untouched_columns(people_fail):
+    replaced = people_fail.with_column("age", [0.0] * 10)
+    age = people_fail.index_of("age")
+    for i, (before, after) in enumerate(zip(people_fail.columns, replaced.columns)):
+        assert (after is before) == (i != age)
+
+
+def test_replaced_numerical_column_still_rejects_non_finite(people_fail):
+    with pytest.raises(ColumnTypeError):
+        people_fail.with_column("age", [1.0] * 9 + [float("nan")])
+
+
+def test_column_reused_under_another_type_is_normalized_again():
+    numbers = from_columns([("a", ColumnType.NUMERICAL, [1, None, -0.0])]).column("a")
+    as_text = Dataset(("a",), (ColumnType.TEXT,), (numbers,))
+    assert as_text.column("a") == ("1.0", None, "0.0")
+    assert as_text.fingerprint == from_columns(
+        [("a", ColumnType.TEXT, ["1.0", None, "0.0"])]).fingerprint
+    text = from_columns([("a", ColumnType.TEXT, ["1", "inf"])]).column("a")
+    with pytest.raises(ColumnTypeError):
+        Dataset(("a",), (ColumnType.NUMERICAL,), (text,))
+
+
+_BASE = [("x", ColumnType.NUMERICAL, [1.0, -0.0, None]),
+         ("c", ColumnType.CATEGORICAL, ["a", None, "b"])]
+
+
+@pytest.mark.parametrize("derive, content", [
+    (lambda d: d.with_column("x", [-0.0, None, 3]), [[0.0, None, 3.0], ["a", None, "b"]]),
+    (lambda d: d.take_rows([2, 1]), [[None, 0.0], ["b", None]]),
+    (lambda d: d.append_rows([(-0.0, None)]), [[1.0, 0.0, None, 0.0], ["a", None, "b", None]]),
+], ids=["with_column", "take_rows", "append_rows"])
+def test_derived_dataset_fingerprints_as_built_fresh(derive, content):
+    derived = derive(from_columns(_BASE))
+    fresh = from_columns([(name, ctype, cells) for (name, ctype, _), cells in zip(_BASE, content)])
+    assert derived == fresh
+    assert derived.fingerprint == fresh.fingerprint
