@@ -112,10 +112,13 @@ class Explanation:
 
     triplets: tuple[PvtTriplet, ...]
     final_score: float
-    repaired_fingerprint: str
     interventions: int
     log: InterventionLog
     repaired: Dataset
+
+    @property
+    def repaired_fingerprint(self) -> str:
+        return self.repaired.fingerprint
 
     def triplet_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.triplets)
@@ -310,7 +313,6 @@ def _finalize(run: _Run, members: list[PvtTriplet], d_fail: Dataset,
     return Explanation(
         triplets=tuple(x_star),
         final_score=final_score,
-        repaired_fingerprint=repaired.fingerprint,
         interventions=run.oracle.intervention_count(),
         log=run.log,
         repaired=repaired,

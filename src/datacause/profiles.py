@@ -124,7 +124,7 @@ class RowCountBound(Profile):
 
     def _score(self, dataset):
         if self.column_type is not None:
-            _require_type(dataset, self.attribute, self.column_type, self)
+            _require_type(dataset, self.attribute, self.column_type, self.label())
         return _thresholded(self.offending(dataset), self.threshold, dataset.row_count)
 
 
@@ -281,9 +281,11 @@ class ChiSquareBound(DependenceBound):
         return _snap_unit(1.0 - math.exp(-max(0.0, stat - self.limit)))
 
     def _p_value(self, dataset):
-        stat = chi_square_statistic(dataset, self.left, self.right)
-        dof = chi_square_dof(dataset, self.left, self.right)
-        return chi_square_p_value(stat, dof) if dof >= 1 else 1.0
+        table = _categorical_table(dataset, self.left, self.right)
+        rows, cols = len({lv for lv, _ in table}), len({rv for _, rv in table})
+        if rows < 2 or cols < 2:
+            return 1.0
+        return chi_square_p_value(chi_square_from_counts(table), (rows - 1) * (cols - 1))
 
 
 @dataclass(frozen=True)
@@ -347,12 +349,21 @@ def _thresholded(count: int, threshold: float, n: int) -> float:
     return _snap_unit((count - threshold * n) / (n * (1.0 - threshold)))
 
 
-def _require_type(dataset: Dataset, attribute: str, ctype: ColumnType, profile: Profile) -> None:
+def _require_type(dataset: Dataset, attribute: str, ctype: ColumnType, what: str) -> None:
     actual = dataset.type_of(attribute)
     if actual is not ctype:
         raise ColumnTypeError(
-            f"{profile.label()} expects a {ctype.value} column, "
-            f"{attribute!r} is {actual.value}")
+            f"{what} expects a {ctype.value} column, {attribute!r} is {actual.value}")
+
+
+def _unit_scale(values: Sequence[float]) -> float:
+    """Power of two that brings the largest magnitude in ``values`` into [0.5, 1).
+
+    Scaling by it is exact, so moments of the scaled values carry the bits of
+    the originals' wherever those neither overflow nor underflow; the scaled
+    sums and squares cannot overflow, and a nonzero variance cannot underflow.
+    """
+    return math.ldexp(1.0, min(1023, -math.frexp(max(map(abs, values)))[1]))
 
 
 def outlier_flags(values: Sequence[float | None], k: float) -> list[bool]:
@@ -360,11 +371,13 @@ def outlier_flags(values: Sequence[float | None], k: float) -> list[bool]:
     present = [v for v in values if v is not None]
     if not present:
         return [False] * len(values)
+    unit = _unit_scale(present)
+    present = [v * unit for v in present]
     mean = sum(present) / len(present)
     sd = population_stddev(present)
     if sd == 0.0:
         return [False] * len(values)
-    return [v is not None and abs(v - mean) > k * sd for v in values]
+    return [v is not None and abs(v * unit - mean) > k * sd for v in values]
 
 
 def violation(dataset: Dataset, profile: Profile) -> float:
@@ -413,32 +426,25 @@ def chi_square_from_counts(table: dict[tuple[str, str], int]) -> float:
     return stat
 
 
+def _categorical_table(dataset: Dataset, a_j: str, a_k: str) -> dict[tuple[str, str], int]:
+    for a in (a_j, a_k):
+        _require_type(dataset, a, ColumnType.CATEGORICAL, "chi-square")
+    return contingency_table(dataset, a_j, a_k)
+
+
 def chi_square_statistic(dataset: Dataset, a_j: str, a_k: str) -> float:
     """Pearson chi-square over the observed contingency table.
 
     Rows missing either attribute are excluded; fewer than two distinct
     values on either side degenerates to 0.
     """
-    for a in (a_j, a_k):
-        if dataset.type_of(a) is not ColumnType.CATEGORICAL:
-            raise ColumnTypeError(f"chi-square needs categorical columns, {a!r} is "
-                                  f"{dataset.type_of(a).value}")
-    return chi_square_from_counts(contingency_table(dataset, a_j, a_k))
-
-
-def chi_square_dof(dataset: Dataset, a_j: str, a_k: str) -> int:
-    table = contingency_table(dataset, a_j, a_k)
-    rows = {lv for lv, _ in table}
-    cols = {rv for _, rv in table}
-    return max(0, (len(rows) - 1)) * max(0, (len(cols) - 1))
+    return chi_square_from_counts(_categorical_table(dataset, a_j, a_k))
 
 
 def pearson_correlation(dataset: Dataset, a_j: str, a_k: str) -> float:
     """Pearson correlation over pairwise-complete rows, 0 on zero variance."""
     for a in (a_j, a_k):
-        if dataset.type_of(a) is not ColumnType.NUMERICAL:
-            raise ColumnTypeError(f"correlation needs numerical columns, {a!r} is "
-                                  f"{dataset.type_of(a).value}")
+        _require_type(dataset, a, ColumnType.NUMERICAL, "correlation")
     xs, ys = [], []
     for x, y in zip(dataset.column(a_j), dataset.column(a_k)):
         if x is not None and y is not None:
@@ -448,6 +454,9 @@ def pearson_correlation(dataset: Dataset, a_j: str, a_k: str) -> float:
         raise DegenerateInputError(
             f"correlation of {a_j!r} and {a_k!r} needs at least 2 complete pairs")
     n = len(xs)
+    ux, uy = _unit_scale(xs), _unit_scale(ys)
+    xs = [x * ux for x in xs]
+    ys = [y * uy for y in ys]
     mx = sum(xs) / n
     my = sum(ys) / n
     vx = sum((x - mx) ** 2 for x in xs)
@@ -463,126 +472,59 @@ def pearson_correlation(dataset: Dataset, a_j: str, a_k: str) -> float:
     return r
 
 
-# --- tail probabilities (regularized incomplete gamma / beta) ---------------
-
-_ITMAX = 400
-_EPS = 3e-14
-_FPMIN = 1e-300
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    ap = a
-    total = 1.0 / a
-    delta = total
-    for _ in range(_ITMAX):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_continued_fraction(a: float, x: float) -> float:
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) for a > 0, x >= 0."""
-    if x < 0.0 or a <= 0.0:
-        raise DomainError("regularized_gamma_q needs x >= 0 and a > 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_continued_fraction(a, x)
+# --- tail probabilities (closed forms for integer degrees of freedom) ------
 
 
 def chi_square_p_value(chi2: float, dof: int) -> float:
-    """Upper-tail probability of the chi-square distribution."""
-    if chi2 < 0.0:
-        raise DomainError("chi-square statistic must be non-negative")
+    """Upper-tail probability of the chi-square distribution.
+
+    Abramowitz & Stegun 26.4.4-5: with h = chi2/2 and s = (dof mod 2)/2,
+    Q = erfc(sqrt(h))*[dof odd] + sum over j < dof//2 of h^(s+j) e^-h / Gamma(s+j+1).
+    """
+    if not isinstance(dof, int):
+        raise DomainError(f"degrees of freedom must be an int, got {dof!r}")
+    if not 0.0 <= chi2 < math.inf:
+        raise DomainError("chi-square statistic must be finite and non-negative")
     if dof < 1:
         raise DomainError("degrees of freedom must be positive")
-    return min(1.0, max(0.0, regularized_gamma_q(dof / 2.0, chi2 / 2.0)))
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _ITMAX + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
-
-
-def regularized_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError("regularized_beta needs x in [0, 1]")
-    if x in (0.0, 1.0):
-        return x
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log(1.0 - x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+    if chi2 == 0.0:
+        return 1.0
+    h = chi2 / 2.0
+    s = (dof % 2) / 2.0
+    log_h = math.log(h)
+    # each term in log space, so that e^-h cannot underflow for large h
+    tail = sum(math.exp((s + j) * log_h - h - math.lgamma(s + j + 1.0)) for j in range(dof // 2))
+    if dof % 2:
+        tail += math.erfc(math.sqrt(h))
+    return min(1.0, tail)
 
 
 def pearson_p_value(r: float, n_pairs: int) -> float:
-    """Two-sided p-value of a Pearson correlation under the null of independence."""
+    """Two-sided p-value of a Pearson correlation under the null of independence.
+
+    This is 1 - A(t|dof) of the Student t with dof = n_pairs - 2, from the
+    finite series of Abramowitz & Stegun 26.7.3-4, where sin(theta) = |r|
+    and cos(theta)^2 = 1 - r^2.
+    """
+    if not isinstance(n_pairs, int) or math.isnan(r):
+        raise DomainError(f"needs a correlation and an int pair count, got {r!r}, {n_pairs!r}")
     dof = n_pairs - 2
     if dof < 1:
         return 1.0
     if abs(r) >= 1.0:
         return 0.0
-    t_sq = r * r * dof / (1.0 - r * r)
-    return min(1.0, max(0.0, regularized_beta(dof / 2.0, 0.5, dof / (dof + t_sq))))
+    sin, cos_sq = abs(r), 1.0 - r * r
+    s = (dof % 2) / 2.0
+    series, term = 0.0, 1.0
+    for k in range(dof // 2):
+        series += term
+        term *= cos_sq * (k + s + 0.5) / (k + s + 1.0)
+    if dof % 2:
+        cos = math.sqrt(cos_sq)
+        a = (math.atan2(sin, cos) + sin * cos * series) * 2.0 / math.pi
+    else:
+        a = sin * series
+    return max(0.0, 1.0 - a)  # a >= 0; rounding can take it just past 1 as |r| nears 1
 
 
 # --- discovery --------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ScenarioSpecError
 from .oracle import CallableOracle, MalfunctionOracle
-from .profiles import chi_square_from_counts
+from .profiles import chi_square_from_counts, contingency_table
 from .tabular import ColumnType, Dataset, from_columns
 
 FAMILIES = ("domain-remap", "dependence-bias", "skew-timeout", "interaction-pair")
@@ -147,21 +147,11 @@ def _missing_fraction(dataset: Dataset, attribute: str) -> float:
 
 
 def _cramers_v(dataset: Dataset, a: str, b: str) -> float:
-    table: dict[tuple[str, str], int] = {}
-    for x, y in zip(dataset.column(a), dataset.column(b)):
-        if x is None or y is None:
-            continue
-        key = (str(x), str(y))
-        table[key] = table.get(key, 0) + 1
-    n = sum(table.values())
-    if n == 0:
+    table = contingency_table(dataset, a, b)
+    span = min(len({k[0] for k in table}), len({k[1] for k in table})) - 1
+    if span < 1:  # also an empty table
         return 0.0
-    rows = len({k[0] for k in table})
-    cols = len({k[1] for k in table})
-    span = min(rows, cols) - 1
-    if span < 1:
-        return 0.0
-    return math.sqrt(chi_square_from_counts(table) / (n * span))
+    return math.sqrt(chi_square_from_counts(table) / (sum(table.values()) * span))
 
 
 def _value_fraction(dataset: Dataset, attribute: str, value: str) -> float:

@@ -44,8 +44,10 @@ class _Cells(tuple):
 
 def _normalize(name: str, ctype: ColumnType, col: Iterable[Cell]) -> _Cells:
     if ctype is ColumnType.NUMERICAL:
-        # + 0.0 folds -0.0 into 0.0, which it equals
-        cells = [None if v is None else float(v) + 0.0 for v in col]
+        try:  # + 0.0 folds -0.0 into 0.0, which it equals
+            cells = [None if v is None else float(v) + 0.0 for v in col]
+        except (TypeError, ValueError):
+            raise ColumnTypeError(f"non-numeric value in numerical column {name!r}") from None
         if not all(map(math.isfinite, filter(None, cells))):  # drops missing cells and 0.0
             raise ColumnTypeError(f"non-finite value in numerical column {name!r}")
     else:
@@ -273,7 +275,7 @@ def _check_term(dataset: Dataset, term: Term) -> None:
     ctype = dataset.type_of(term.attribute)
     if term.comparator in ("le", "ge") and ctype is not ColumnType.NUMERICAL:
         raise ColumnTypeError(f"{term.label()}: ordered comparison needs a numerical column")
-    if term.comparator == "eq" and ctype is ColumnType.NUMERICAL and not isinstance(term.value, (int, float)):
+    if ctype is ColumnType.NUMERICAL and not isinstance(term.value, (int, float)):
         raise ColumnTypeError(f"{term.label()}: numerical column compared against {term.value!r}")
 
 

@@ -12,7 +12,7 @@ import random
 import zlib
 from dataclasses import dataclass
 
-from .errors import TransformFailure
+from .errors import TransformFailure, ValidationError
 from .profiles import (
     Profile,
     chi_square_from_counts,
@@ -444,7 +444,7 @@ def _variant(triplet: PvtTriplet):
     try:
         return REPAIRS[triplet.transform_id]
     except KeyError:
-        raise ValueError(f"unknown transform id {triplet.transform_id!r}") from None
+        raise ValidationError(f"unknown transform id {triplet.transform_id!r}") from None
 
 
 # --- public operations ------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 
@@ -20,6 +21,7 @@ from datacause.profiles import (
     chi_square_statistic,
     discover_profiles,
     enumerate_selectivity_predicates,
+    outlier_flags,
     pearson_correlation,
     pearson_p_value,
     text_signature,
@@ -269,10 +271,19 @@ def test_p_value_reference_points():
 
 
 def test_p_value_matches_numerical_integration():
-    for dof in (1, 2, 5, 10):
+    for dof in (1, 2, 3, 4, 5, 7, 10, 20, 51):
         for x in (0.5, 1.0, 4.0, 9.0, 20.0):
             assert chi_square_p_value(x, dof) == pytest.approx(
                 chi_square_upper_tail_by_integration(x, dof), abs=1e-6)
+
+
+def test_p_value_at_large_dof_matches_wilson_hilferty():
+    # the cube root of chi2/dof is close to normal; at dof = 39601 the
+    # approximation is good to about 1e-9 at the median
+    dof = 39601
+    x = 39601.0
+    z = ((x / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+    assert chi_square_p_value(x, dof) == pytest.approx(1.0 - NormalDist().cdf(z), abs=1e-5)
 
 
 def test_p_value_domain_errors():
@@ -280,6 +291,15 @@ def test_p_value_domain_errors():
         chi_square_p_value(-1.0, 1)
     with pytest.raises(DomainError):
         chi_square_p_value(1.0, 0)
+    for dof in (2.5, 2.0, "2"):
+        with pytest.raises(DomainError):
+            chi_square_p_value(1.0, dof)
+    for chi2 in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            chi_square_p_value(chi2, 3)
+    for r, n_pairs in ((0.5, 10.5), (0.5, 10.0), (math.nan, 10)):
+        with pytest.raises(DomainError):
+            pearson_p_value(r, n_pairs)
 
 
 def test_pearson_p_value_reference():
@@ -287,6 +307,27 @@ def test_pearson_p_value_reference():
     assert pearson_p_value(0.6319, 10) == pytest.approx(0.05, abs=2e-3)
     assert pearson_p_value(0.0, 30) == pytest.approx(1.0)
     assert pearson_p_value(1.0, 10) == 0.0
+
+
+def student_t_two_sided_by_integration(t: float, dof: int) -> float:
+    """1 - 2 * (Simpson integral of the Student t density over [0, |t|])."""
+    norm = math.exp(math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2)) / math.sqrt(dof * math.pi)
+    steps = 2000
+    h = abs(t) / steps
+    total = 0.0
+    for i in range(steps + 1):
+        weight = 1 if i in (0, steps) else (4 if i % 2 else 2)
+        total += weight * norm * (1.0 + (i * h) ** 2 / dof) ** (-(dof + 1) / 2)
+    return 1.0 - 2.0 * total * h / 3.0
+
+
+def test_pearson_p_value_matches_numerical_integration():
+    for n_pairs in range(3, 11):
+        dof = n_pairs - 2
+        for r in (0.05, 0.3, -0.5, 0.8, 0.95):
+            t = r * math.sqrt(dof / (1.0 - r * r))
+            assert pearson_p_value(r, n_pairs) == pytest.approx(
+                student_t_two_sided_by_integration(t, dof), abs=1e-8)
 
 
 # --- correlation ------------------------------------------------------------------
@@ -301,6 +342,22 @@ def test_pcc_affine():
     ])
     assert pearson_correlation(d, "x", "y") == 1.0
     assert pearson_correlation(d, "x", "z") == -1.0
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -300, 2.0 ** -560])
+def test_pcc_and_outliers_at_extreme_magnitudes(scale):
+    # squares overflow at 2**600; at 2**-300 the product of the variances
+    # underflows, at 2**-560 the variances themselves. Scaling by a power of
+    # two is exact, so every statistic must come out as on the plain values.
+    xs = [1.0, 2.0, 5.0, 7.0, 11.0, 40.0]
+    ys = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0]
+    plain = from_columns([("x", ColumnType.NUMERICAL, xs), ("y", ColumnType.NUMERICAL, ys)])
+    scaled = from_columns([("x", ColumnType.NUMERICAL, [v * scale for v in xs]),
+                           ("y", ColumnType.NUMERICAL, [v * scale for v in ys])])
+    assert pearson_correlation(scaled, "x", "y") == pearson_correlation(plain, "x", "y")
+    assert outlier_flags(scaled.column("x"), 1.5) == outlier_flags(xs, 1.5)
+    assert [p.label() for p in discover_profiles(scaled)] == \
+        [p.label() for p in discover_profiles(plain)]
 
 
 def test_pcc_zero_variance():

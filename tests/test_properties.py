@@ -1,4 +1,4 @@
-"""Property tests of the tabular invariants (need ``hypothesis``)."""
+"""Property tests of the tabular and profile invariants (need ``hypothesis``)."""
 
 from __future__ import annotations
 
@@ -7,6 +7,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from datacause.errors import DegenerateInputError  # noqa: E402
+from datacause.profiles import (  # noqa: E402
+    DependenceBound,
+    discover_profiles,
+    enumerate_selectivity_predicates,
+    violation,
+)
 from datacause.tabular import ColumnType, Predicate, Term, from_columns, select_where  # noqa: E402
 
 NUMBERS = [None, 0.0, -0.0, 1, 1.0, 2.5, -3.0]
@@ -80,3 +87,42 @@ def test_fingerprint_of_replaced_columns_equals_fresh_build(spec, data):
     assert derived == fresh
     assert derived.fingerprint == fresh.fingerprint
     assert (derived.fingerprint == base.fingerprint) == (derived == base)
+
+
+_PROFILE_CELLS = {
+    ColumnType.NUMERICAL: st.one_of(st.sampled_from([None, 0.0, 1.0, 2.5, -3.0, 40.0]),
+                                    st.floats(allow_nan=False, allow_infinity=False)),
+    ColumnType.CATEGORICAL: st.sampled_from([None, "a", "b", "c"]),
+    ColumnType.TEXT: st.one_of(st.none(), st.sampled_from(["", "ab", "a1", "12-3"]),
+                               st.text(max_size=6)),
+}
+
+
+@st.composite
+def dataset_pairs(draw):
+    """Two non-empty datasets sharing a schema of one to four columns."""
+    types = draw(st.lists(st.sampled_from(list(ColumnType)), min_size=1, max_size=4))
+
+    def dataset():
+        n = draw(st.integers(1, 10))
+        return from_columns([
+            (f"c{i}", t, draw(st.lists(_PROFILE_CELLS[t], min_size=n, max_size=n)))
+            for i, t in enumerate(types)])
+
+    return dataset(), dataset()
+
+
+@settings(deadline=None)
+@given(dataset_pairs())
+def test_discovered_profiles_hold_on_source_and_score_in_unit_interval(pair):
+    source, other = pair
+    profiles = discover_profiles(source, enumerate_selectivity_predicates(source, other))
+    for profile in profiles:
+        assert violation(source, profile) == 0.0, profile.label()
+        try:
+            score = violation(other, profile)
+        except DegenerateInputError:  # a correlation needs two complete pairs
+            continue
+        assert 0.0 <= score <= 1.0, profile.label()
+        if isinstance(profile, DependenceBound):
+            assert 0.0 <= profile._p_value(other) <= 1.0, profile.label()

@@ -159,6 +159,18 @@ def test_ordered_comparator_needs_numerical(people_fail):
         select_where(people_fail, Predicate((Term("gender", "le", 1.0),)))
 
 
+@pytest.mark.parametrize("cell", ["x", [1]])
+def test_non_numeric_cell_in_numerical_column_raises_column_type_error(cell):
+    with pytest.raises(ColumnTypeError, match="'a'"):
+        from_columns([("a", ColumnType.NUMERICAL, [1.0, cell])])
+
+
+@pytest.mark.parametrize("comparator", ["le", "ge"])
+def test_ordered_term_with_non_numeric_value_is_rejected(people_fail, comparator):
+    with pytest.raises(ColumnTypeError):
+        select_where(people_fail, Predicate((Term("age", comparator, "abc"),)))
+
+
 def test_predicate_arity_limits():
     from datacause.errors import PredicateError
     with pytest.raises(PredicateError):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import random_dataset
-from datacause.errors import TransformFailure
+from datacause.errors import TransformFailure, ValidationError
 from datacause.profiles import (
     ChiSquareBound,
     CorrelationBound,
@@ -371,3 +371,10 @@ def test_remap_override_outside_domain_rejected():
     profile = DomainCategorical("target", frozenset({"-1", "1"}))
     with pytest.raises(TransformFailure):
         transform(d, triplet(profile), remap_overrides={"target": {"0": "99"}})
+
+
+@pytest.mark.parametrize("operation", [transform, coverage])
+def test_unknown_transform_id_raises_validation_error(people_fail, operation):
+    unknown = PvtTriplet(MissingRate("zip_code", 0.0), "no_such_repair")
+    with pytest.raises(ValidationError, match="no_such_repair"):
+        operation(people_fail, unknown)
