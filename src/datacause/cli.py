@@ -261,8 +261,9 @@ def _cmd_synth(args) -> int:
         }, indent=2, sort_keys=True))
         return EXIT_OK
     except (ScenarioSpecError, ValueError, OSError) as exc:
-        print(json.dumps({"command": "synth", "error": str(exc),
-                          "exit_status": EXIT_DATA}, indent=2, sort_keys=True))
+        print(json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "command": "synth",
+                          "error": str(exc), "exit_status": EXIT_DATA},
+                         indent=2, sort_keys=True))
         return EXIT_DATA
 
 
@@ -286,7 +287,8 @@ def main(argv=None) -> int:
                                args, _diff)
         return _cmd_synth(args)
     except DatacauseError as exc:
-        print(json.dumps({"error": str(exc), "exit_status": EXIT_SOFTWARE},
+        print(json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "command": args.command,
+                          "error": str(exc), "exit_status": EXIT_SOFTWARE},
                          indent=2, sort_keys=True))
         return EXIT_SOFTWARE
 

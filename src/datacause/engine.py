@@ -10,6 +10,7 @@ member pushes the oracle back above the threshold.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -214,10 +215,7 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
         if profile.significant(d_fail):
             discriminative.append(profile)
 
-    degrees: dict[str, int] = {}
-    for profile in discriminative:
-        for attribute in profile.attributes():
-            degrees[attribute] = degrees.get(attribute, 0) + 1
+    degrees = Counter(a for profile in discriminative for a in profile.attributes())
 
     def perturb_target(profile: Profile) -> str | None:
         if not isinstance(profile, DependenceBound):
@@ -225,7 +223,7 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
         # rewrite the endpoint entangled with more discriminative profiles;
         # ties go to the lexicographically first attribute
         a, b = profile.attributes()
-        return min((a, b), key=lambda x: (-degrees.get(x, 0), x))
+        return min((a, b), key=lambda x: (-degrees[x], x))
 
     triplets: list[PvtTriplet] = []
     for profile in discriminative:
@@ -343,10 +341,7 @@ def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
             raise NoExplanationFound(
                 f"candidates exhausted with score {score:.4g} above tau "
                 f"{config.tau:.4g}", log=run.log)
-        degrees: dict[str, int] = {}
-        for t in remaining.values():
-            for attribute in t.profile.attributes():
-                degrees[attribute] = degrees.get(attribute, 0) + 1
+        degrees = Counter(a for t in remaining.values() for a in t.profile.attributes())
         top = max(degrees.values())
         hot = {a for a, d in degrees.items() if d == top}
         pool = sorted((t for t in remaining.values()

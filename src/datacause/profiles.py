@@ -8,8 +8,10 @@ another dataset breaks it. Violation scores always land in [0, 1].
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import combinations, product
 from typing import Sequence
 
 from .errors import (
@@ -23,8 +25,8 @@ from .tabular import (
     Dataset,
     Predicate,
     Term,
-    population_stddev,
     select_where,
+    unit_scale,
 )
 
 _ZERO_SNAP = 1e-12  # absorbs float roundoff so satisfied profiles score exactly 0.0
@@ -356,25 +358,15 @@ def _require_type(dataset: Dataset, attribute: str, ctype: ColumnType, what: str
             f"{what} expects a {ctype.value} column, {attribute!r} is {actual.value}")
 
 
-def _unit_scale(values: Sequence[float]) -> float:
-    """Power of two that brings the largest magnitude in ``values`` into [0.5, 1).
-
-    Scaling by it is exact, so moments of the scaled values carry the bits of
-    the originals' wherever those neither overflow nor underflow; the scaled
-    sums and squares cannot overflow, and a nonzero variance cannot underflow.
-    """
-    return math.ldexp(1.0, min(1023, -math.frexp(max(map(abs, values)))[1]))
-
-
 def outlier_flags(values: Sequence[float | None], k: float) -> list[bool]:
     """Flag non-missing values more than k population stddevs from the mean."""
     present = [v for v in values if v is not None]
     if not present:
         return [False] * len(values)
-    unit = _unit_scale(present)
+    unit = unit_scale(present)
     present = [v * unit for v in present]
     mean = sum(present) / len(present)
-    sd = population_stddev(present)
+    sd = math.sqrt(sum((v - mean) ** 2 for v in present) / len(present))
     if sd == 0.0:
         return [False] * len(values)
     return [v is not None and abs(v * unit - mean) > k * sd for v in values]
@@ -396,25 +388,18 @@ def violation(dataset: Dataset, profile: Profile) -> float:
 
 def contingency_table(dataset: Dataset, a_j: str, a_k: str) -> dict[tuple[str, str], int]:
     """Joint counts over rows where both attributes are present."""
-    left = dataset.column(a_j)
-    right = dataset.column(a_k)
-    table: dict[tuple[str, str], int] = {}
-    for lv, rv in zip(left, right):
-        if lv is None or rv is None:
-            continue
-        table[(lv, rv)] = table.get((lv, rv), 0) + 1
-    return table
+    return Counter((lv, rv) for lv, rv in zip(dataset.column(a_j), dataset.column(a_k))
+                   if lv is not None and rv is not None)
 
 
 def chi_square_from_counts(table: dict[tuple[str, str], int]) -> float:
     n = sum(table.values())
     if n == 0:
         return 0.0
-    row_totals: dict[str, int] = {}
-    col_totals: dict[str, int] = {}
+    row_totals, col_totals = Counter(), Counter()
     for (lv, rv), c in table.items():
-        row_totals[lv] = row_totals.get(lv, 0) + c
-        col_totals[rv] = col_totals.get(rv, 0) + c
+        row_totals[lv] += c
+        col_totals[rv] += c
     if len(row_totals) < 2 or len(col_totals) < 2:
         return 0.0
     stat = 0.0
@@ -454,7 +439,7 @@ def pearson_correlation(dataset: Dataset, a_j: str, a_k: str) -> float:
         raise DegenerateInputError(
             f"correlation of {a_j!r} and {a_k!r} needs at least 2 complete pairs")
     n = len(xs)
-    ux, uy = _unit_scale(xs), _unit_scale(ys)
+    ux, uy = unit_scale(xs), unit_scale(ys)
     xs = [x * ux for x in xs]
     ys = [y * uy for y in ys]
     mx = sum(xs) / n
@@ -591,36 +576,24 @@ def enumerate_selectivity_predicates(d_pass: Dataset, d_fail: Dataset) -> list[P
         raise SchemaError("selectivity enumeration needs a shared schema")
     if d_pass.row_count == 0 or d_fail.row_count == 0:
         return []
-    categorical = [a for a, t in d_pass.schema if t is ColumnType.CATEGORICAL]
+    n_pass, n_fail = d_pass.row_count, d_fail.row_count
+
+    def tally(group: tuple[str, ...]) -> list[Counter]:
+        """Per dataset, the number of rows taking each value combination of ``group``."""
+        return [Counter(zip(*(d.column(a) for a in group))) for d in (d_pass, d_fail)]
+
+    singles = {(a,): tally((a,)) for a, t in sorted(d_pass.schema)
+               if t is ColumnType.CATEGORICAL}
     eligible: dict[str, list[str]] = {}
-    for attribute in categorical:
-        values = set(d_pass.non_missing(attribute)) & set(d_fail.non_missing(attribute))
-        keep = []
-        for v in sorted(values):
-            f_pass = sum(1 for c in d_pass.column(attribute) if c == v) / d_pass.row_count
-            f_fail = sum(1 for c in d_fail.column(attribute) if c == v) / d_fail.row_count
-            if f_pass >= MIN_SUPPORT and f_fail >= MIN_SUPPORT:
-                keep.append(v)
+    for (a,), (c_pass, c_fail) in singles.items():
+        keep = sorted(v for (v,), c in c_pass.items() if v is not None
+                      and c / n_pass >= MIN_SUPPORT and c_fail[(v,)] / n_fail >= MIN_SUPPORT)
         if keep:
-            eligible[attribute] = keep
-
-    def gap(predicate: Predicate) -> float:
-        f_pass = len(select_where(d_pass, predicate)) / d_pass.row_count
-        f_fail = len(select_where(d_fail, predicate)) / d_fail.row_count
-        return abs(f_pass - f_fail)
-
+            eligible[a] = keep
     out: list[Predicate] = []
-    for attribute in sorted(eligible):
-        for value in eligible[attribute]:
-            predicate = Predicate((Term(attribute, "eq", value),))
-            if gap(predicate) >= SELECTIVITY_GAP:
-                out.append(predicate)
-    attrs = sorted(eligible)
-    for i, a1 in enumerate(attrs):
-        for a2 in attrs[i + 1:]:
-            for v1 in eligible[a1]:
-                for v2 in eligible[a2]:
-                    predicate = Predicate((Term(a1, "eq", v1), Term(a2, "eq", v2)))
-                    if gap(predicate) >= SELECTIVITY_GAP:
-                        out.append(predicate)
+    for group in [(a,) for a in eligible] + list(combinations(eligible, 2)):
+        c_pass, c_fail = singles.get(group) or tally(group)
+        for values in product(*(eligible[a] for a in group)):
+            if abs(c_pass[values] / n_pass - c_fail[values] / n_fail) >= SELECTIVITY_GAP:
+                out.append(Predicate(tuple(Term(a, "eq", v) for a, v in zip(group, values))))
     return out

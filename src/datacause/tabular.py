@@ -299,7 +299,31 @@ def select_where(dataset: Dataset, predicate: Predicate) -> set[int]:
         for t in predicate.terms))
 
 
+def unit_scale(values: Sequence[float]) -> float:
+    """Power of two that brings the largest magnitude in ``values`` into [0.5, 1).
+
+    Scaling by it is exact, so moments of the scaled values carry the bits of
+    the originals' wherever those neither overflow nor underflow; the scaled
+    sums and squares cannot overflow, and a nonzero variance cannot underflow.
+    """
+    return math.ldexp(1.0, min(1023, -math.frexp(max(map(abs, values)))[1]))
+
+
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean; where the plain sum overflows, it is taken on the
+    values scaled by :func:`unit_scale`, so a finite input has a finite mean."""
+    m = sum(values) / len(values)
+    if math.isinf(m):
+        unit = unit_scale(values)
+        m = sum(v * unit for v in values) / len(values) / unit
+    return m
+
+
 def population_stddev(values: Iterable[float]) -> float:
+    """Population standard deviation, taken on the values scaled by
+    :func:`unit_scale` so that no square can overflow."""
     vals = list(values)
+    unit = unit_scale(vals)
+    vals = [v * unit for v in vals]
     m = sum(vals) / len(vals)
-    return math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals))
+    return math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals)) / unit

@@ -8,11 +8,13 @@ the best violation it achieved. Seeded kinds are deterministic per
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import TransformFailure, ValidationError
+from .errors import ColumnTypeError, TransformFailure, ValidationError
 from .profiles import (
     Profile,
     chi_square_from_counts,
@@ -22,7 +24,7 @@ from .profiles import (
     text_signature,
     violation,
 )
-from .tabular import ColumnType, Dataset, population_stddev, select_where
+from .tabular import ColumnType, Dataset, mean, population_stddev, select_where
 
 POSTCONDITION_TOL = 1e-9
 
@@ -55,9 +57,7 @@ def _derive_seed(seed: int, *parts: str) -> int:
 
 
 def _mode(values) -> str:
-    counts: dict[str, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
+    counts = Counter(values)
     return min(counts, key=lambda v: (-counts[v], v))
 
 
@@ -72,10 +72,7 @@ def _remap(dataset: Dataset, triplet: PvtTriplet, remap_overrides=None, **_) -> 
     profile = triplet.profile
     overrides = (remap_overrides or {}).get(profile.attribute)
     col = dataset.column(profile.attribute)
-    counts: dict[str, int] = {}
-    for v in col:
-        if v is not None:
-            counts[v] = counts.get(v, 0) + 1
+    counts = Counter(v for v in col if v is not None)
     illegal = sorted((v for v in counts if v not in profile.values),
                      key=lambda v: (-counts[v], v))
     if not illegal:
@@ -90,7 +87,7 @@ def _remap(dataset: Dataset, triplet: PvtTriplet, remap_overrides=None, **_) -> 
             mapping[bad] = good
     # frequency-rank alignment fills whatever the overrides left open
     remaining = [v for v in illegal if v not in mapping]
-    legal = sorted(profile.values, key=lambda v: (-counts.get(v, 0), v))
+    legal = sorted(profile.values, key=lambda v: (-counts[v], v))
     mapping.update({bad: legal[i % len(legal)] for i, bad in enumerate(remaining)})
     return dataset.with_column(
         profile.attribute,
@@ -112,6 +109,10 @@ def _linear_map(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
             return min(max(v, profile.lower), profile.upper)
     else:
         scale = (profile.upper - profile.lower) / (hi - lo)
+        if math.isinf(hi - lo) or not math.isfinite(scale):
+            raise TransformFailure(
+                f"mapping [{lo:.6g}, {hi:.6g}] onto [{profile.lower:.6g}, "
+                f"{profile.upper:.6g}] overflows", best_violation=violation(dataset, profile))
 
         def move(v):
             mapped = profile.lower + (v - lo) * scale
@@ -191,12 +192,11 @@ def _replace_outliers(dataset: Dataset, triplet: PvtTriplet, max_iterations: int
         if violation(current, profile) <= POSTCONDITION_TOL:
             return current
         col = current.column(profile.attribute)
-        present = [v for v in col if v is not None]
-        mean = sum(present) / len(present)
+        fill = mean([v for v in col if v is not None])
         flags = outlier_flags(col, profile.k)
         current = current.with_column(
             profile.attribute,
-            [mean if flag else v for v, flag in zip(col, flags)])
+            [fill if flag else v for v, flag in zip(col, flags)])
     raise TransformFailure(
         f"outlier fraction still above {profile.threshold} after {max_iterations} passes",
         best_violation=violation(current, profile))
@@ -209,7 +209,7 @@ def _impute_missing(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
     col = dataset.column(profile.attribute)
     present = [v for v in col if v is not None]
     if dataset.type_of(profile.attribute) is ColumnType.NUMERICAL:
-        fill = sum(present) / len(present) if present else 0.0
+        fill = mean(present) if present else 0.0
     else:
         fill = _mode(present) if present else "unknown"
     return dataset.with_column(profile.attribute,
@@ -254,9 +254,7 @@ def _balanced_reassignment(groups: dict[str, list[int]], values: list[str],
     """Permute ``values`` across the grouped rows so cell counts sit as close
     to the independence expectation as integrality allows."""
     n = len(values)
-    value_counts: dict[str, int] = {}
-    for v in values:
-        value_counts[v] = value_counts.get(v, 0) + 1
+    value_counts = Counter(values)
     cells: dict[tuple[str, str], int] = {}
     row_left = {g: len(rows) for g, rows in groups.items()}
     col_left = dict(value_counts)
@@ -297,12 +295,13 @@ def _balanced_reassignment(groups: dict[str, list[int]], values: list[str],
 def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iterations: int,
                       **_) -> Dataset:
     profile = triplet.profile
-    if violation(dataset, profile) <= POSTCONDITION_TOL:
+    best = violation(dataset, profile)
+    if best <= POSTCONDITION_TOL:
         return dataset
     target = triplet.perturb or profile.attributes()[1]
     anchor = profile.left if target == profile.right else profile.right
     n = dataset.row_count
-    best = (violation(dataset, profile), dataset)
+    source = dataset.column(target)
 
     def stat_of(candidate: Dataset) -> float:
         return chi_square_from_counts(contingency_table(candidate, anchor, target))
@@ -313,17 +312,15 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iter
             rng = random.Random(_derive_seed(seed, "chi2", profile.label(), str(attempt)))
             k = max(2, min(n, round(fraction * n)))
             picked = rng.sample(range(n), k)
-            cells = [dataset.column(target)[i] for i in picked]
+            cells = [source[i] for i in picked]
             rng.shuffle(cells)
-            column = list(dataset.column(target))
+            column = list(source)
             for i, v in zip(picked, cells):
                 column[i] = v
             candidate = dataset.with_column(target, column)
             if stat_of(candidate) <= profile.limit + 1e-12:
                 return candidate
-            v = violation(candidate, profile)
-            if v < best[0]:
-                best = (v, candidate)
+            best = min(best, violation(candidate, profile))
             fraction = min(1.0, fraction * 2)
     # deterministic fallback: rearrange the column into the most balanced
     # permutation against the anchor attribute
@@ -331,7 +328,7 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iter
     groups: dict[str, list[int]] = {}
     values: list[str] = []
     rows: list[int] = []
-    for i, (a, b) in enumerate(zip(dataset.column(anchor), dataset.column(target))):
+    for i, (a, b) in enumerate(zip(dataset.column(anchor), source)):
         if a is None or b is None:
             continue
         groups.setdefault(a, []).append(i)
@@ -339,45 +336,44 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iter
         rows.append(i)
     if values:
         assignment = _balanced_reassignment(groups, values, rng)
-        column = list(dataset.column(target))
+        column = list(source)
         for i in rows:
             column[i] = assignment[i]
         candidate = dataset.with_column(target, column)
         if stat_of(candidate) <= profile.limit + 1e-12:
             return candidate
-        v = violation(candidate, profile)
-        if v < best[0]:
-            best = (v, candidate)
+        best = min(best, violation(candidate, profile))
     raise TransformFailure(
         f"could not push chi-square below {profile.limit:.6g} on "
-        f"({profile.left},{profile.right})", best_violation=best[0])
+        f"({profile.left},{profile.right})", best_violation=best)
 
 
 def _decorrelate_pcc(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iterations: int,
                      **_) -> Dataset:
     profile = triplet.profile
-    if violation(dataset, profile) <= POSTCONDITION_TOL:
+    best = violation(dataset, profile)
+    if best <= POSTCONDITION_TOL:
         return dataset
     target = triplet.perturb or profile.attributes()[1]
     col = dataset.column(target)
     present = [v for v in col if v is not None]
     sd = population_stddev(present) if present else 0.0
     scale = 0.1 * sd if sd > 0 else 0.1
-    best = (violation(dataset, profile), dataset)
     for attempt in range(max_iterations):
         rng = random.Random(_derive_seed(seed, "pcc", profile.label(), str(attempt)))
         noisy = [v if v is None else v + rng.uniform(-scale, scale) for v in col]
-        candidate = dataset.with_column(target, noisy)
+        try:
+            candidate = dataset.with_column(target, noisy)
+        except ColumnTypeError:  # the noise took a cell past the float range
+            break
         r = pearson_correlation(candidate, profile.left, profile.right)
         if abs(r) <= abs(profile.limit) + 1e-12:
             return candidate
-        v = violation(candidate, profile)
-        if v < best[0]:
-            best = (v, candidate)
+        best = min(best, violation(candidate, profile))
         scale *= 2.0
     raise TransformFailure(
         f"could not push |correlation| below {abs(profile.limit):.6g} on "
-        f"({profile.left},{profile.right})", best_violation=best[0])
+        f"({profile.left},{profile.right})", best_violation=best)
 
 
 # --- coverage formulas -----------------------------------------------------

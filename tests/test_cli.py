@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import datacause.cli
 from datacause.cli import main
+from datacause.errors import DatacauseError
 from datacause.synth import PlantedCause, ScenarioSpec, generate
 from datacause.tabular import load_csv, save_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPORT_SCHEMA = Path(__file__).parents[1] / "docs" / "report_schema.json"
 
 
 @pytest.fixture
@@ -253,6 +256,21 @@ def test_human_rendering(capsys):
     assert "discriminative triplet(s)" in out
 
 
+def test_explain_human_rendering(capsys, sentiment_dir):
+    oracle = json.loads((sentiment_dir / "oracle.json").read_text())
+    argv = ["explain", "--pass", str(sentiment_dir / "pass.csv"),
+            "--fail", str(sentiment_dir / "fail.csv"),
+            "--oracle", oracle["oracle"], "--tau", str(oracle["tau"])]
+    _, report = run(capsys, argv)
+    assert main([*argv, "--human"]) == 0
+    explanation = report["explanation"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"explanation ({len(explanation['triplets'])} repair(s), "
+        f"{explanation['interventions']} interventions, final score "
+        f"{explanation['final_score']:.4g}):",
+        *(f"  - {t['id']}" for t in explanation["triplets"])]
+
+
 @pytest.mark.parametrize("command", ["profile", "diff"])
 def test_human_rendering_shows_errors(capsys, tmp_path, command):
     bad = tmp_path / "dup.csv"
@@ -397,3 +415,50 @@ def test_explain_invalid_remap_file_exit_65(capsys, sentiment_dir, tmp_path, con
         assert report["exit_status"] == 65
         assert "remap" in report["error"]
         assert "explanation" not in report
+
+
+# --- report schema --------------------------------------------------------------
+
+
+def _schema_cases(scenario, tmp_path):
+    oracle = json.loads((scenario / "oracle.json").read_text())
+    pass_csv, fail_csv = str(scenario / "pass.csv"), str(scenario / "fail.csv")
+    missing = str(tmp_path / "missing.csv")
+    spec = scenario.parent / "spec.json"
+    explain = ["explain", "--oracle", oracle["oracle"], "--tau", str(oracle["tau"])]
+    return {
+        "explain": (0, [*explain, "--pass", pass_csv, "--fail", fail_csv]),
+        "explain-error": (65, [*explain, "--pass", pass_csv, "--fail", missing]),
+        "profile": (0, ["profile", "--data", fail_csv]),
+        "profile-error": (65, ["profile", "--data", missing]),
+        "diff": (0, ["diff", "--pass", pass_csv, "--fail", fail_csv, "--graph"]),
+        "diff-error": (65, ["diff", "--pass", missing, "--fail", fail_csv]),
+        "synth": (0, ["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]),
+        "synth-error": (65, ["synth", "--spec", missing, "--out-dir", str(tmp_path / "o")]),
+    }
+
+
+@pytest.mark.parametrize("case", ["explain", "explain-error", "profile", "profile-error",
+                                  "diff", "diff-error", "synth", "synth-error"])
+def test_reports_match_the_report_schema(capsys, sentiment_dir, tmp_path, case):
+    jsonschema = pytest.importorskip("jsonschema")
+    expected, argv = _schema_cases(sentiment_dir, tmp_path)[case]
+    code, report = run(capsys, argv)
+    assert code == report["exit_status"] == expected
+    jsonschema.validate(report, json.loads(REPORT_SCHEMA.read_text()))
+    assert report["command"] == argv[0]
+
+
+def test_unexpected_error_report_matches_the_report_schema(capsys, sentiment_dir, tmp_path,
+                                                           monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+
+    def fail(*args, **kwargs):
+        raise DatacauseError("unexpected")
+
+    monkeypatch.setattr(datacause.cli, "explain", fail)
+    code, report = run(capsys, _schema_cases(sentiment_dir, tmp_path)["explain"][1])
+    assert code == report["exit_status"] == 70
+    jsonschema.validate(report, json.loads(REPORT_SCHEMA.read_text()))
+    assert report["command"] == "explain"
+    assert report["error"] == "unexpected"

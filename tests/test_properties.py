@@ -7,14 +7,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from datacause.errors import DegenerateInputError  # noqa: E402
+from datacause.errors import DegenerateInputError, TransformFailure  # noqa: E402
 from datacause.profiles import (  # noqa: E402
+    MIN_SUPPORT,
+    SELECTIVITY_GAP,
     DependenceBound,
+    contingency_table,
     discover_profiles,
     enumerate_selectivity_predicates,
     violation,
 )
 from datacause.tabular import ColumnType, Predicate, Term, from_columns, select_where  # noqa: E402
+from datacause.transforms import POSTCONDITION_TOL, coverage, make_triplets, transform  # noqa: E402
 
 NUMBERS = [None, 0.0, -0.0, 1, 1.0, 2.5, -3.0]
 STRINGS = [None, "a", "b", "", "0.0"]
@@ -126,3 +130,87 @@ def test_discovered_profiles_hold_on_source_and_score_in_unit_interval(pair):
         assert 0.0 <= score <= 1.0, profile.label()
         if isinstance(profile, DependenceBound):
             assert 0.0 <= profile._p_value(other) <= 1.0, profile.label()
+
+
+@settings(deadline=None)
+@given(dataset_pairs(), st.booleans())
+def test_every_repair_meets_its_postcondition_or_raises_transform_failure(pair, flip):
+    source, other = pair
+    for profile in discover_profiles(source, enumerate_selectivity_predicates(source, other)):
+        try:
+            violation(other, profile)
+        except DegenerateInputError:  # a correlation needs two complete pairs
+            continue
+        perturb = profile.attributes()[flip] if isinstance(profile, DependenceBound) else None
+        for t in make_triplets(profile, perturb):
+            try:
+                repaired = transform(other, t)
+            except TransformFailure:
+                pass
+            else:
+                assert repaired.row_count > 0, t.id
+                assert violation(repaired, profile) <= POSTCONDITION_TOL, t.id
+            try:
+                assert 0.0 <= coverage(other, t) <= 1.0, t.id
+            except TransformFailure:
+                pass
+
+
+@st.composite
+def categorical_pairs(draw):
+    """Two non-empty datasets over the same one to three categorical columns,
+    with missing cells, drawing on shared or partly disjoint values."""
+    names = draw(st.permutations([f"c{i}" for i in range(draw(st.integers(1, 3)))]))
+    shared = draw(st.booleans())
+
+    def dataset(pool):
+        n = draw(st.integers(1, 40))
+        cells = st.sampled_from([None, *pool])
+        return from_columns([(a, ColumnType.CATEGORICAL, draw(st.lists(cells, min_size=n,
+                                                                         max_size=n)))
+                             for a in names])
+
+    return dataset("abc"), dataset("abc" if shared else "cde")
+
+
+def _enumeration_reference(d_pass, d_fail):
+    """Selectivity predicates counted row by row: support by column scans,
+    gaps from :func:`select_where`."""
+    eligible = {}
+    for a in [a for a, t in d_pass.schema if t is ColumnType.CATEGORICAL]:
+        shared = set(d_pass.non_missing(a)) & set(d_fail.non_missing(a))
+        keep = [v for v in sorted(shared)
+                if all(sum(c == v for c in d.column(a)) / d.row_count >= MIN_SUPPORT
+                       for d in (d_pass, d_fail))]
+        if keep:
+            eligible[a] = keep
+    attrs = sorted(eligible)
+    candidates = [Predicate((Term(a, "eq", v),)) for a in attrs for v in eligible[a]]
+    candidates += [Predicate((Term(a1, "eq", v1), Term(a2, "eq", v2)))
+                   for i, a1 in enumerate(attrs) for a2 in attrs[i + 1:]
+                   for v1 in eligible[a1] for v2 in eligible[a2]]
+    return [p for p in candidates
+            if abs(len(select_where(d_pass, p)) / d_pass.row_count
+                   - len(select_where(d_fail, p)) / d_fail.row_count) >= SELECTIVITY_GAP]
+
+
+@settings(deadline=None)
+@given(categorical_pairs())
+def test_selectivity_enumeration_matches_a_row_wise_reference(pair):
+    d_pass, d_fail = pair
+    assert enumerate_selectivity_predicates(d_pass, d_fail) == \
+        _enumeration_reference(d_pass, d_fail)
+
+
+@settings(deadline=None)
+@given(categorical_pairs(), st.data())
+def test_contingency_table_matches_a_row_wise_reference(pair, data):
+    dataset = pair[0]
+    a = data.draw(st.sampled_from(dataset.attributes))
+    b = data.draw(st.sampled_from(dataset.attributes))
+    expected = {}
+    for i in range(dataset.row_count):
+        key = (dataset.column(a)[i], dataset.column(b)[i])
+        if None not in key:
+            expected[key] = expected.get(key, 0) + 1
+    assert list(contingency_table(dataset, a, b).items()) == list(expected.items())

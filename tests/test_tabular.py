@@ -13,6 +13,8 @@ from datacause.tabular import (
     from_columns,
     infer_types,
     load_csv,
+    mean,
+    population_stddev,
     save_csv,
     select_where,
 )
@@ -229,3 +231,10 @@ def test_derived_dataset_fingerprints_as_built_fresh(derive, content):
     fresh = from_columns([(name, ctype, cells) for (name, ctype, _), cells in zip(_BASE, content)])
     assert derived == fresh
     assert derived.fingerprint == fresh.fingerprint
+
+
+def test_mean_and_stddev_stay_finite_near_the_float_limit():
+    assert mean([1.7e308, 1.7e308, 1.7e308]) == pytest.approx(1.7e308)
+    assert population_stddev([1.7e308, -1.7e308]) == 1.7e308
+    assert mean([1.0, 2.0, 4.0]) == 7.0 / 3.0
+    assert population_stddev([1.0, 3.0]) == 1.0

@@ -71,6 +71,17 @@ def test_linear_map_moves_all_values():
     assert fixed.column("x") == (-1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("cells, mapped, share", [
+    ([5.0, None, 5.0], (1.0, None, 1.0), 2 / 3),
+    ([0.5, 0.5], (0.5, 0.5), 0.0),
+], ids=["outside", "inside"])
+def test_linear_map_clips_a_single_level_into_the_bounds(cells, mapped, share):
+    d = from_columns([("x", ColumnType.NUMERICAL, cells)])
+    t = triplet(DomainNumerical("x", 0.0, 1.0), "linear_map")
+    assert transform(d, t).column("x") == mapped
+    assert coverage(d, t) == share
+
+
 def test_winsorize_touches_only_outliers():
     d = from_columns([("x", ColumnType.NUMERICAL, [-5.0, 0.5, 0.7, 9.0])])
     profile = DomainNumerical("x", 0.0, 1.0)
@@ -84,6 +95,35 @@ def test_already_satisfied_returns_identical_dataset():
     for variant in ("linear_map", "winsorize"):
         out = transform(d, triplet(profile, variant))
         assert out.fingerprint == d.fingerprint
+
+
+@pytest.mark.parametrize("tid", ["pearson_dependence(x,y)#add_noise",
+                                 "domain_numerical(x)#linear_map"])
+def test_repairs_near_the_float_limit_raise_transform_failure(tid):
+    source = from_columns([("x", ColumnType.NUMERICAL, [1.0, 2, 3, 4, 5, 6]),
+                           ("y", ColumnType.NUMERICAL, [2.0, 1, 4, 3, 6, 5])])
+    extreme = from_columns([(a, ColumnType.NUMERICAL, [1.7e308, -1.7e308] * 3)
+                            for a in ("x", "y")])
+    (t,) = [t for p in discover_profiles(source) for t in make_triplets(p) if t.id == tid]
+    with pytest.raises(TransformFailure) as err:
+        transform(extreme, t)
+    assert 0.0 < err.value.best_violation <= violation(extreme, t.profile)
+    if t.transform_id == "add_noise":
+        with pytest.raises(TransformFailure):
+            coverage(extreme, t)
+
+
+def test_linear_map_whose_scale_overflows_raises_transform_failure():
+    d = from_columns([("x", ColumnType.NUMERICAL, [0.0, 1e-116])])
+    with pytest.raises(TransformFailure, match="overflows"):
+        transform(d, triplet(DomainNumerical("x", 0.0, 2.4e193), "linear_map"))
+
+
+@pytest.mark.parametrize("profile", [OutlierBound("x", 1.5, 0.0), MissingRate("x", 0.0)],
+                         ids=["replace_with_mean", "impute"])
+def test_mean_filling_repairs_near_the_float_limit_meet_their_postcondition(profile):
+    d = from_columns([("x", ColumnType.NUMERICAL, [1.7e308] * 5 + [-1.7e308, None])])
+    assert violation(transform(d, triplet(profile)), profile) == 0.0
 
 
 # --- outliers ---------------------------------------------------------------------
@@ -110,6 +150,27 @@ def test_impute_mean_and_mode():
     assert fixed_num.column("num") == (1.0, 2.0, 3.0, 2.0)
     fixed_cat = transform(d, triplet(MissingRate("cat", 0.0)))
     assert fixed_cat.column("cat") == ("a", "a", "a", "b")
+
+
+# --- text shape -----------------------------------------------------------------------
+
+
+def test_fit_text_without_pattern_pads_and_truncates():
+    d = from_columns([("t", ColumnType.TEXT, ["a", "abcdef", "abc", None])])
+    profile = DomainText("t", None, 3, 4)
+    fixed = transform(d, triplet(profile))
+    assert fixed.column("t") == ("a00", "abcd", "abc", None)
+
+
+@pytest.mark.parametrize("profile, value", [
+    (DomainText("t", ("other",), 2, 2), "-"),  # no run can grow to the least length
+    (DomainText("t", ("letters", "other", "letters"), 1, 2), "ab-cd"),  # nor shrink enough
+], ids=["too-short", "too-long"])
+def test_fit_text_raises_when_the_pattern_cannot_meet_the_length(profile, value):
+    d = from_columns([("t", ColumnType.TEXT, [value])])
+    with pytest.raises(TransformFailure) as err:
+        transform(d, triplet(profile))
+    assert err.value.best_violation == violation(d, profile) == 1.0
 
 
 # --- selectivity ----------------------------------------------------------------------
