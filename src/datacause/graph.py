@@ -10,6 +10,9 @@ from .errors import BisectionSizeError, SchemaError
 from .tabular import Dataset
 from .transforms import PvtTriplet
 
+#: seeded local searches :func:`best_bisection` runs; attempt 0 uses the seed
+BISECTION_RESTARTS = 3
+
 
 @dataclass(frozen=True)
 class PvtAttributeGraph:
@@ -103,12 +106,9 @@ def get_min_bisection(
     cut = _cut_size(adjacency, half1, half2)
     if history is not None:
         history.append(cut)
-    max_sweeps = 10 * len(nodes) ** 2
-    sweeps = 0
     improved = True
-    while improved and sweeps < max_sweeps:
+    while improved:  # each improving sweep lowers the integer cut, so this ends
         improved = False
-        sweeps += 1
         for u in sorted(half1):
             for v in sorted(half2):
                 # gain of swapping u and v across the cut
@@ -137,14 +137,14 @@ def best_bisection(
     graph: PvtDependencyGraph,
     nodes: Sequence[str],
     seed: int,
-    restarts: int = 3,
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Best of several seeded local searches (smallest final cut wins)."""
+    """Best of ``BISECTION_RESTARTS`` seeded local searches (smallest final
+    cut wins)."""
     best = None
     best_cut = None
     nodes = sorted(set(nodes))
     adjacency = _adjacency(graph, nodes)
-    for attempt in range(max(1, restarts)):
+    for attempt in range(BISECTION_RESTARTS):
         halves = get_min_bisection(graph, nodes, seed + 7919 * attempt)
         cut = _cut_size(adjacency, set(halves[0]), set(halves[1]))
         if best_cut is None or cut < best_cut:

@@ -76,10 +76,9 @@ class MalfunctionOracle:
 class CallableOracle(MalfunctionOracle):
     """In-process oracle over a plain scoring function."""
 
-    def __init__(self, fn: Callable[[Dataset], float], name: str = "callable"):
+    def __init__(self, fn: Callable[[Dataset], float]):
         super().__init__()
         self._fn = fn
-        self.name = name
 
     def _invoke(self, dataset: Dataset) -> float:
         return self._fn(dataset)

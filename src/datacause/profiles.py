@@ -279,7 +279,10 @@ class ChiSquareBound(DependenceBound):
     repairs = ("shuffle",)
 
     def _score(self, dataset):
-        stat = chi_square_statistic(dataset, self.left, self.right)
+        return self.violation_at(chi_square_statistic(dataset, self.left, self.right))
+
+    def violation_at(self, stat: float) -> float:
+        """The violation of a dataset whose chi-square statistic is ``stat``."""
         return _snap_unit(1.0 - math.exp(-max(0.0, stat - self.limit)))
 
     def _p_value(self, dataset):
@@ -298,7 +301,10 @@ class CorrelationBound(DependenceBound):
     repairs = ("add_noise",)
 
     def _score(self, dataset):
-        r = pearson_correlation(dataset, self.left, self.right)
+        return self.violation_at(pearson_correlation(dataset, self.left, self.right))
+
+    def violation_at(self, r: float) -> float:
+        """The violation of a dataset whose Pearson correlation is ``r``."""
         a = abs(self.limit)
         if a >= 1.0:
             return 0.0

@@ -193,7 +193,7 @@ def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOrac
                 return 1.0 - max(credits)
             return 1.0 - sum(credits) / len(credits)
 
-        return CallableOracle(score, name="domain-remap")
+        return CallableOracle(score)
 
     if family == "dependence-bias":
         target = params.get("target", "target")
@@ -210,7 +210,7 @@ def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOrac
             excess = max(0.0, (frac - skew_limit) / (1.0 - skew_limit))
             return max(dep, excess)
 
-        return CallableOracle(score, name="dependence-bias")
+        return CallableOracle(score)
 
     if family == "skew-timeout":
         attribute = params.get("attribute", "plate_type")
@@ -221,7 +221,7 @@ def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOrac
             frac = _value_fraction(dataset, attribute, value)
             return max(0.0, (frac - limit) / (1.0 - limit))
 
-        return CallableOracle(score, name="skew-timeout")
+        return CallableOracle(score)
 
     if family == "interaction-pair":
         attrs = [a for a in params.get("attributes", "").split(",") if a]
@@ -232,7 +232,7 @@ def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOrac
             broken = any(_missing_fraction(dataset, a) > 0 for a in attrs)
             return 1.0 if broken else 0.0
 
-        return CallableOracle(score, name="interaction-pair")
+        return CallableOracle(score)
 
     if family == "missing-flag":
         attribute = params.get("attribute", "")
@@ -242,7 +242,7 @@ def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOrac
         def score(dataset: Dataset) -> float:
             return 1.0 if _missing_fraction(dataset, attribute) > 0 else 0.0
 
-        return CallableOracle(score, name="missing-flag")
+        return CallableOracle(score)
 
     raise ScenarioSpecError(f"unknown builtin oracle family {family!r}")
 

@@ -127,9 +127,6 @@ class Dataset:
     def non_missing(self, attribute: str) -> list:
         return [v for v in self.column(attribute) if v is not None]
 
-    def row(self, i: int) -> tuple[Cell, ...]:
-        return tuple(col[i] for col in self.columns)
-
     def with_column(self, attribute: str, cells: Sequence[Cell]) -> "Dataset":
         """New dataset with one column replaced (same schema)."""
         idx = self.index_of(attribute)
@@ -141,15 +138,6 @@ class Dataset:
         """New dataset keeping exactly the given row indices, in the given order."""
         cols = tuple(tuple(col[i] for i in indices) for col in self.columns)
         return Dataset(self.attributes, self.types, cols)
-
-    def append_rows(self, rows: Sequence[Sequence[Cell]]) -> "Dataset":
-        cols = [list(col) for col in self.columns]
-        for r in rows:
-            if len(r) != len(cols):
-                raise SchemaError("appended row arity does not match schema")
-            for col, value in zip(cols, r):
-                col.append(value)
-        return Dataset(self.attributes, self.types, tuple(tuple(c) for c in cols))
 
     def same_schema(self, other: "Dataset") -> bool:
         return self.attributes == other.attributes and self.types == other.types

@@ -27,6 +27,8 @@ from .profiles import (
 from .tabular import ColumnType, Dataset, mean, population_stddev, select_where
 
 POSTCONDITION_TOL = 1e-9
+#: passes or seeded attempts an iterative repair makes before it gives up
+MAX_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -184,11 +186,10 @@ def _fit_text(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
          for v in dataset.column(profile.attribute)])
 
 
-def _replace_outliers(dataset: Dataset, triplet: PvtTriplet, max_iterations: int,
-                      **_) -> Dataset:
+def _replace_outliers(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
     profile = triplet.profile
     current = dataset
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if violation(current, profile) <= POSTCONDITION_TOL:
             return current
         col = current.column(profile.attribute)
@@ -198,7 +199,7 @@ def _replace_outliers(dataset: Dataset, triplet: PvtTriplet, max_iterations: int
             profile.attribute,
             [fill if flag else v for v, flag in zip(col, flags)])
     raise TransformFailure(
-        f"outlier fraction still above {profile.threshold} after {max_iterations} passes",
+        f"outlier fraction still above {profile.threshold} after {MAX_ITERATIONS} passes",
         best_violation=violation(current, profile))
 
 
@@ -216,37 +217,42 @@ def _impute_missing(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
                                [fill if v is None else v for v in col])
 
 
-def _resample_selectivity(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> Dataset:
-    profile = triplet.profile
+def _resample_plan(dataset: Dataset, profile: Profile) -> tuple[list[int], int]:
+    """The sorted satisfying rows and how many of them to duplicate
+    (positive) or drop (negative) so the fraction lands exactly on
+    floor(threshold * rows); 0 leaves the dataset as it is."""
     if profile.threshold >= 1.0:
-        return dataset
+        return [], 0
     satisfying = sorted(select_where(dataset, profile.predicate))
     n = dataset.row_count
     count = len(satisfying)
-    rng = random.Random(_derive_seed(seed, "selectivity", profile.label()))
-    if count == int(profile.threshold * n):
-        return dataset
-    if count == 0:
-        # nothing violates the bound and there is nothing to duplicate
-        return dataset
+    if count == int(profile.threshold * n) or count == 0:
+        # on target, or nothing violates the bound and nothing can be duplicated
+        return satisfying, 0
+    size = 0
     if count > profile.threshold * n:
-        # remove satisfying rows until the fraction of the shrunk dataset
-        # lands exactly on floor(threshold * rows)
-        removed = 0
-        while count - removed > int(profile.threshold * (n - removed)) and removed < count:
-            removed += 1
-        if removed == n:
+        while count + size > int(profile.threshold * (n + size)) and -size < count:
+            size -= 1
+        if -size == n:
             raise TransformFailure(
                 f"meeting {profile.label()} would delete every row",
                 best_violation=violation(dataset, profile))
-        drop = set(rng.sample(satisfying, removed))
-        keep = [i for i in range(n) if i not in drop]
-        return dataset.take_rows(keep)
-    added = 0
-    while count + added != int(profile.threshold * (n + added)):
-        added += 1
-    extra = rng.choices(satisfying, k=added)
-    return dataset.append_rows([dataset.row(i) for i in extra])
+    else:
+        while count + size != int(profile.threshold * (n + size)):
+            size += 1
+    return satisfying, size
+
+
+def _resample_selectivity(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> Dataset:
+    satisfying, size = _resample_plan(dataset, triplet.profile)
+    if size == 0:
+        return dataset
+    rng = random.Random(_derive_seed(seed, "selectivity", triplet.profile.label()))
+    n = dataset.row_count
+    if size < 0:
+        drop = set(rng.sample(satisfying, -size))
+        return dataset.take_rows([i for i in range(n) if i not in drop])
+    return dataset.take_rows([*range(n), *rng.choices(satisfying, k=size)])
 
 
 def _balanced_reassignment(groups: dict[str, list[int]], values: list[str],
@@ -292,8 +298,7 @@ def _balanced_reassignment(groups: dict[str, list[int]], values: list[str],
     return assignment
 
 
-def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iterations: int,
-                      **_) -> Dataset:
+def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> Dataset:
     profile = triplet.profile
     best = violation(dataset, profile)
     if best <= POSTCONDITION_TOL:
@@ -308,7 +313,7 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iter
 
     if profile.limit > 1e-12:
         fraction = 0.125
-        for attempt in range(max_iterations):
+        for attempt in range(MAX_ITERATIONS):
             rng = random.Random(_derive_seed(seed, "chi2", profile.label(), str(attempt)))
             k = max(2, min(n, round(fraction * n)))
             picked = rng.sample(range(n), k)
@@ -318,9 +323,10 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iter
             for i, v in zip(picked, cells):
                 column[i] = v
             candidate = dataset.with_column(target, column)
-            if stat_of(candidate) <= profile.limit + 1e-12:
+            stat = stat_of(candidate)
+            if stat <= profile.limit + 1e-12:
                 return candidate
-            best = min(best, violation(candidate, profile))
+            best = min(best, profile.violation_at(stat))
             fraction = min(1.0, fraction * 2)
     # deterministic fallback: rearrange the column into the most balanced
     # permutation against the anchor attribute
@@ -340,16 +346,16 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iter
         for i in rows:
             column[i] = assignment[i]
         candidate = dataset.with_column(target, column)
-        if stat_of(candidate) <= profile.limit + 1e-12:
+        stat = stat_of(candidate)
+        if stat <= profile.limit + 1e-12:
             return candidate
-        best = min(best, violation(candidate, profile))
+        best = min(best, profile.violation_at(stat))
     raise TransformFailure(
         f"could not push chi-square below {profile.limit:.6g} on "
         f"({profile.left},{profile.right})", best_violation=best)
 
 
-def _decorrelate_pcc(dataset: Dataset, triplet: PvtTriplet, seed: int, max_iterations: int,
-                     **_) -> Dataset:
+def _decorrelate_pcc(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> Dataset:
     profile = triplet.profile
     best = violation(dataset, profile)
     if best <= POSTCONDITION_TOL:
@@ -359,7 +365,7 @@ def _decorrelate_pcc(dataset: Dataset, triplet: PvtTriplet, seed: int, max_itera
     present = [v for v in col if v is not None]
     sd = population_stddev(present) if present else 0.0
     scale = 0.1 * sd if sd > 0 else 0.1
-    for attempt in range(max_iterations):
+    for attempt in range(MAX_ITERATIONS):
         rng = random.Random(_derive_seed(seed, "pcc", profile.label(), str(attempt)))
         noisy = [v if v is None else v + rng.uniform(-scale, scale) for v in col]
         try:
@@ -369,7 +375,7 @@ def _decorrelate_pcc(dataset: Dataset, triplet: PvtTriplet, seed: int, max_itera
         r = pearson_correlation(candidate, profile.left, profile.right)
         if abs(r) <= abs(profile.limit) + 1e-12:
             return candidate
-        best = min(best, violation(candidate, profile))
+        best = min(best, profile.violation_at(r))
         scale *= 2.0
     raise TransformFailure(
         f"could not push |correlation| below {abs(profile.limit):.6g} on "
@@ -402,10 +408,9 @@ def _linear_map_coverage(dataset: Dataset, triplet: PvtTriplet, **_) -> float:
     return len(present) / n
 
 
-def _resample_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> float:
-    n = dataset.row_count
-    result = _resample_selectivity(dataset, triplet, seed=seed)
-    return min(1.0, abs(result.row_count - n) / n)
+def _resample_coverage(dataset: Dataset, triplet: PvtTriplet, **_) -> float:
+    _, size = _resample_plan(dataset, triplet.profile)
+    return min(1.0, abs(size) / dataset.row_count)
 
 
 def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> float:
@@ -447,7 +452,6 @@ def _variant(triplet: PvtTriplet):
 
 
 def transform(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
-              max_iterations: int = 40,
               remap_overrides: dict[str, dict[str, str]] | None = None) -> Dataset:
     """Apply the triplet's transformation; the result no longer violates
     the profile, or :class:`TransformFailure` is raised.
@@ -457,8 +461,7 @@ def transform(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
     knowledge beats the default frequency-rank alignment.
     """
     repair, _ = _variant(triplet)
-    result = repair(dataset, triplet, seed=seed, max_iterations=max_iterations,
-                    remap_overrides=remap_overrides)
+    result = repair(dataset, triplet, seed=seed, remap_overrides=remap_overrides)
     residual = violation(result, triplet.profile)
     if residual > POSTCONDITION_TOL:
         raise TransformFailure(
@@ -469,8 +472,8 @@ def transform(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
 def coverage(dataset: Dataset, triplet: PvtTriplet, seed: int = 0) -> float:
     """Fraction of rows the transformation would modify or resample.
 
-    Counted analytically where possible; seeded kinds run a dry transform
-    with the given seed.
+    Counted from the data; only the two dependence repairs run a dry
+    transform with the given seed.
     """
     _, rows_touched = _variant(triplet)
     return rows_touched(dataset, triplet, seed=seed)

@@ -194,7 +194,7 @@ def test_best_bisection_beats_or_matches_single_run():
     edges = [(a, b) for a, b in itertools.combinations(nodes, 2) if rng.random() < 0.5]
     graph = graph_of(edges, nodes=nodes)
     single = get_min_bisection(graph, nodes, seed=11)
-    multi = best_bisection(graph, nodes, seed=11, restarts=4)
+    multi = best_bisection(graph, nodes, seed=11)
     assert cut_of(graph, *multi) <= cut_of(graph, *single)
 
 

@@ -12,13 +12,21 @@ from datacause.profiles import (  # noqa: E402
     MIN_SUPPORT,
     SELECTIVITY_GAP,
     DependenceBound,
+    SelectivityBound,
     contingency_table,
     discover_profiles,
     enumerate_selectivity_predicates,
     violation,
 )
 from datacause.tabular import ColumnType, Predicate, Term, from_columns, select_where  # noqa: E402
-from datacause.transforms import POSTCONDITION_TOL, coverage, make_triplets, transform  # noqa: E402
+from datacause.transforms import (  # noqa: E402
+    POSTCONDITION_TOL,
+    PvtTriplet,
+    compose,
+    coverage,
+    make_triplets,
+    transform,
+)
 
 NUMBERS = [None, 0.0, -0.0, 1, 1.0, 2.5, -3.0]
 STRINGS = [None, "a", "b", "", "0.0"]
@@ -214,3 +222,56 @@ def test_contingency_table_matches_a_row_wise_reference(pair, data):
         if None not in key:
             expected[key] = expected.get(key, 0) + 1
     assert list(contingency_table(dataset, a, b).items()) == list(expected.items())
+
+
+@settings(deadline=None)
+@given(dataset_pairs(), st.booleans())
+def test_compose_of_no_repair_is_the_identity_and_of_one_is_transform(pair, flip):
+    source, other = pair
+    assert compose([], other).dataset is other
+    assert compose([], other).warnings == ()
+    for profile in discover_profiles(source, enumerate_selectivity_predicates(source, other)):
+        try:
+            violation(other, profile)
+        except DegenerateInputError:  # a correlation needs two complete pairs
+            continue
+        perturb = profile.attributes()[flip] if isinstance(profile, DependenceBound) else None
+        for t in make_triplets(profile, perturb):
+            try:
+                expected = transform(other, t)
+            except TransformFailure as err:
+                with pytest.raises(TransformFailure) as again:
+                    compose([t], other)
+                assert (str(again.value), again.value.best_violation) == \
+                    (str(err), err.best_violation), t.id
+            else:
+                composed = compose([t], other)
+                assert composed.dataset == expected, t.id
+                assert composed.dataset.fingerprint == expected.fingerprint, t.id
+                assert composed.warnings == (), t.id
+
+
+@settings(deadline=None, max_examples=70)
+@given(categorical_pairs(), st.data())
+def test_resample_coverage_counts_the_rows_the_repair_adds_or_drops(pair, data):
+    dataset = pair[0]
+    n = dataset.row_count
+    terms = data.draw(st.lists(st.builds(Term, st.sampled_from(dataset.attributes), st.just("eq"),
+                                         st.sampled_from("abcdz")), min_size=1, max_size=2))
+    predicate = Predicate(tuple(terms))
+    count = len(select_where(dataset, predicate))
+    threshold = data.draw(st.one_of(st.sampled_from([0.0, count / n, 1.0, 1.5, 0.3, 0.9]),
+                                    st.integers(0, n).map(lambda k: k / n)))
+    profile = SelectivityBound(predicate=predicate, threshold=threshold)
+    triplet = PvtTriplet(profile, "resample")
+    try:
+        repaired = transform(dataset, triplet, seed=data.draw(st.integers(0, 3)))
+    except TransformFailure as err:
+        with pytest.raises(TransformFailure) as again:
+            coverage(dataset, triplet)
+        assert (str(again.value), again.value.best_violation) == (str(err), err.best_violation)
+    else:
+        assert coverage(dataset, triplet) == min(1.0, abs(repaired.row_count - n) / n)
+        assert violation(repaired, profile) <= POSTCONDITION_TOL
+        if repaired is not dataset:  # a resample lands exactly on floor(threshold * rows)
+            assert len(select_where(repaired, predicate)) == int(threshold * repaired.row_count)

@@ -271,7 +271,7 @@ def test_pcc_unreachable_limit_raises_with_best():
     ])
     profile = CorrelationBound("x", "y", 0.0)
     with pytest.raises(TransformFailure) as err:
-        transform(d, triplet(profile), seed=1, max_iterations=6)
+        transform(d, triplet(profile), seed=1)
     assert 0.0 < err.value.best_violation <= 1.0
 
 
