@@ -49,6 +49,7 @@ from .transforms import (
 ALGORITHMS = ("greedy", "group_test", "group_test_random")
 PARAM_TOLERANCE = 1e-9
 MAX_REFITS = 10  # failed conjunctions the decision tree learns from before giving up
+MAX_TREE_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,11 @@ class EngineConfig:
     remap_overrides: dict | None = None
 
     def __post_init__(self):
+        for name, types, kind in (("tau", (int, float), "a number"), ("seed", int, "an integer"),
+                                  ("max_interventions", int, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValidationError(f"{name} must be {kind}, got {value!r}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValidationError(f"tau must lie in [0, 1], got {self.tau}")
         if self.algorithm not in ALGORITHMS:
@@ -187,6 +193,19 @@ class _Run:
         return compose(triplets, dataset, seed=self.config.seed,
                        remap_overrides=self.config.remap_overrides)
 
+    def attempt(self, triplets: list[PvtTriplet], dataset: Dataset, pre_score: float,
+                failure: str) -> tuple[float | None, Dataset | None]:
+        """Score ``triplets`` composed on ``dataset``: one intervention. A failed
+        composition is noted as ``failure: reason`` and gives (None, None)."""
+        try:
+            composed = self.compose(triplets, dataset)
+        except TransformFailure as exc:
+            self.log.notes.append(f"{failure}: {exc}")
+            return None, None
+        score = self.query(composed.dataset, tuple(t.id for t in triplets), pre_score,
+                           warnings=composed.warnings)
+        return score, composed.dataset
+
 
 # --- discriminative triplets -------------------------------------------------
 
@@ -282,15 +301,10 @@ def make_minimal(x_star, d_fail: Dataset, oracle: MalfunctionOracle,
         changed = False
         for i in range(len(current)):
             trial = current[:i] + current[i + 1:]
-            try:
-                composed = run.compose(trial, d_fail)
-            except TransformFailure as exc:
-                run.log.notes.append(
-                    f"minimality probe without {current[i].id} failed to compose: {exc}")
-                continue
-            score = run.query(composed.dataset, tuple(t.id for t in trial),
-                              baseline, warnings=composed.warnings)
-            if score <= config.tau:
+            score, _ = run.attempt(
+                trial, d_fail, baseline,
+                f"minimality probe without {current[i].id} failed to compose")
+            if score is not None and score <= config.tau:
                 current = trial
                 changed = True
                 break
@@ -349,13 +363,8 @@ def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
                       key=lambda t: t.sort_key)
         chosen = max(pool, key=lambda t: benefit[t.id])
         del remaining[chosen.id]
-        try:
-            candidate = run.transform(current, chosen)
-        except TransformFailure as exc:
-            run.log.notes.append(f"{chosen.id} untestable: {exc}")
-            continue
-        new_score = run.query(candidate, (chosen.id,), score)
-        if new_score >= score:
+        new_score, candidate = run.attempt([chosen], current, score, f"{chosen.id} untestable")
+        if new_score is None or new_score >= score:
             continue
         current = candidate
         score = new_score
@@ -407,14 +416,9 @@ def _group_test(run: _Run, xs: list[PvtTriplet], dataset: Dataset,
     base_score = run.query(dataset, (), 1.0)
 
     def try_group(group: list[PvtTriplet]) -> float:
-        try:
-            composed = run.compose(group, dataset)
-        except TransformFailure as exc:
-            run.log.notes.append(
-                f"group {[t.id for t in group]} failed to compose: {exc}")
-            return base_score
-        return run.query(composed.dataset, tuple(t.id for t in group),
-                         base_score, warnings=composed.warnings)
+        score, _ = run.attempt(group, dataset, base_score,
+                               f"group {[t.id for t in group]} failed to compose")
+        return base_score if score is None else score
 
     score1 = try_group(half1)
     score2 = None
@@ -482,60 +486,36 @@ def explain(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
 # --- decision-tree extension ---------------------------------------------------
 
 
-@dataclass
-class _TreeNode:
-    feature: int | None = None
-    left: "_TreeNode | None" = None   # feature satisfied
-    right: "_TreeNode | None" = None  # feature violated
-    label: bool | None = None         # leaf: pure pass / pure fail majority
-    pure: bool = False
-
-
 def _gini(labels: list[bool]) -> float:
-    if not labels:
-        return 0.0
     p = sum(labels) / len(labels)
     return 2.0 * p * (1.0 - p)
 
 
-def _fit_tree(rows: list[tuple[tuple[bool, ...], bool]], features: list[int],
-              depth: int, max_depth: int) -> _TreeNode:
+def _pass_paths(rows: list[tuple[tuple[bool, ...], bool]], features: list[int],
+                depth: int = 0, required: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """The features each pure passing leaf of a Gini tree over ``rows``
+    requires satisfied, satisfied branch first. No node is empty, so a
+    leaf is pure and passing iff all its labels pass."""
     labels = [label for _, label in rows]
-    if len(set(labels)) <= 1 or depth >= max_depth or not features:
-        majority = sum(labels) * 2 >= len(labels)
-        return _TreeNode(label=majority, pure=len(set(labels)) <= 1)
-    parent = _gini(labels)
     best_gain, best_feature = 0.0, None
-    for f in features:
-        left = [label for sat, label in rows if sat[f]]
-        right = [label for sat, label in rows if not sat[f]]
-        if not left or not right:
-            continue
-        child = (len(left) * _gini(left) + len(right) * _gini(right)) / len(rows)
-        gain = parent - child
-        if gain > best_gain + 1e-12:
-            best_gain, best_feature = gain, f
+    if len(set(labels)) > 1 and depth < MAX_TREE_DEPTH:
+        parent = _gini(labels)
+        for f in features:
+            left = [label for sat, label in rows if sat[f]]
+            right = [label for sat, label in rows if not sat[f]]
+            if not left or not right:
+                continue
+            child = (len(left) * _gini(left) + len(right) * _gini(right)) / len(rows)
+            gain = parent - child
+            if gain > best_gain + 1e-12:
+                best_gain, best_feature = gain, f
     if best_feature is None:
-        majority = sum(labels) * 2 >= len(labels)
-        return _TreeNode(label=majority, pure=len(set(labels)) <= 1)
+        return [required] if all(labels) else []
     rest = [f for f in features if f != best_feature]
-    left_rows = [r for r in rows if r[0][best_feature]]
-    right_rows = [r for r in rows if not r[0][best_feature]]
-    return _TreeNode(
-        feature=best_feature,
-        left=_fit_tree(left_rows, rest, depth + 1, max_depth),
-        right=_fit_tree(right_rows, rest, depth + 1, max_depth),
-    )
-
-
-def _pure_pass_paths(node: _TreeNode, required: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
-    if node.feature is None:
-        if node.pure and node.label:
-            return [required]
-        return []
-    paths = _pure_pass_paths(node.left, required + (node.feature,))
-    paths += _pure_pass_paths(node.right, required)
-    return paths
+    return (_pass_paths([r for r in rows if r[0][best_feature]], rest, depth + 1,
+                        required + (best_feature,))
+            + _pass_paths([r for r in rows if not r[0][best_feature]], rest, depth + 1,
+                          required))
 
 
 def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
@@ -591,19 +571,17 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
         (_safe_benefit(t, d_fail, config, run.log) for t in variants[p.label()]),
         default=0.0) for p in profiles}
 
+    def transforms_d_fail(option: PvtTriplet) -> bool:
+        try:
+            run.transform(d_fail, option)
+        except TransformFailure:
+            return False
+        return True
+
     def repair_set(conj: tuple[int, ...]) -> list[PvtTriplet] | None:
         chosen = []
         for f in conj:
-            options = variants[profiles[f].label()]
-            picked = None
-            probe = d_fail
-            for option in options:
-                try:
-                    run.transform(probe, option)
-                    picked = option
-                    break
-                except TransformFailure:
-                    continue
+            picked = next(filter(transforms_d_fail, variants[profiles[f].label()]), None)
             if picked is None:
                 return None
             chosen.append(picked)
@@ -613,8 +591,7 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
     tested: set[tuple[int, ...]] = set()
     refits = 0
     while True:
-        tree = _fit_tree(rows, list(range(len(profiles))), 0, max_depth=8)
-        paths = [tuple(sorted(p)) for p in _pure_pass_paths(tree) if p]
+        paths = [tuple(sorted(p)) for p in _pass_paths(rows, list(range(len(profiles)))) if p]
         paths = [p for p in dict.fromkeys(paths) if p not in tested]
         paths.sort(key=lambda conj: (-sum(benefit_cache[profiles[f].label()] for f in conj),
                                      conj))
@@ -626,16 +603,13 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
                 run.log.notes.append(
                     f"conjunction {[profiles[f].label() for f in conj]} untransformable")
                 continue
-            try:
-                composed = run.compose(triplets, d_fail)
-            except TransformFailure as exc:
-                run.log.notes.append(f"conjunction failed to compose: {exc}")
+            score, repaired = run.attempt(triplets, d_fail, fail_score,
+                                          "conjunction failed to compose")
+            if score is None:
                 continue
-            score = run.query(composed.dataset, tuple(t.id for t in triplets),
-                              fail_score, warnings=composed.warnings)
             if score <= config.tau:
-                return _finalize(run, triplets, d_fail, composed.dataset, fail_score)
-            rows.append((features_of(composed.dataset), False))
+                return _finalize(run, triplets, d_fail, repaired, fail_score)
+            rows.append((features_of(repaired), False))
             refits += 1
             progressed = True
             if refits > MAX_REFITS:

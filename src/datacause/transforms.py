@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -238,8 +239,15 @@ def _resample_plan(dataset: Dataset, profile: Profile) -> tuple[list[int], int]:
                 f"meeting {profile.label()} would delete every row",
                 best_violation=violation(dataset, profile))
     else:
-        while count + size != int(profile.threshold * (n + size)):
-            size += 1
+        # the gap int(threshold * (n + s)) - s - count never rises and falls by
+        # at most 1 per duplicated row, so its first zero is its first value <= 0
+        def reached(s: int) -> bool:
+            return int(profile.threshold * (n + s)) - s - count <= 0
+
+        size = 1
+        while not reached(size):
+            size *= 2
+        size = bisect_left(range(size + 1), True, lo=size // 2, key=reached)
     return satisfying, size
 
 

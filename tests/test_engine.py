@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import datacause.engine as engine
 from datacause.engine import (
     EngineConfig,
     benefit_score,
@@ -10,7 +11,12 @@ from datacause.engine import (
     explain,
     make_minimal,
 )
-from datacause.errors import NoExplanationFound, SchemaError, ValidationError
+from datacause.errors import (
+    NoExplanationFound,
+    SchemaError,
+    TransformFailure,
+    ValidationError,
+)
 from datacause.graph import build_dependency_graph, build_pvt_attribute_graph
 from datacause.oracle import CallableOracle
 from datacause.profiles import (
@@ -441,6 +447,15 @@ def test_decision_tree_single_separating_profile():
     assert result.triplets[0].profile.kind is ProfileKind.DOMAIN_CATEGORICAL
 
 
+def test_pass_paths_reads_pure_passing_leaves_satisfied_branch_first():
+    # root splits on feature 0; its violated side splits on feature 1
+    rows = [((True, False), True), ((False, True), True), ((False, False), False)]
+    assert engine._pass_paths(rows, [0, 1]) == [(0,), (1,)]
+    # a leaf that no feature can split is mixed, so it yields no path
+    mixed = [((True,), True), ((True,), False), ((False,), False)]
+    assert engine._pass_paths(mixed, [0]) == []
+
+
 def test_decision_tree_all_pass_is_error():
     d_pass, d_fail, oracle = interaction_scenario(seed=1)
     with pytest.raises(ValidationError):
@@ -640,3 +655,110 @@ def test_tau_boundary_is_inclusive():
 def test_malformed_remap_overrides_rejected(remap):
     with pytest.raises(ValidationError):
         EngineConfig(tau=0.2, remap_overrides=remap)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tau": -0.1}, {"tau": 1.5}, {"tau": 0.2, "algorithm": "bisect"},
+    {"tau": 0.2, "max_interventions": 0},
+    {"tau": "0.2"}, {"tau": None}, {"tau": True},
+    {"tau": 0.2, "seed": "x"}, {"tau": 0.2, "seed": 1.0}, {"tau": 0.2, "seed": False},
+    {"tau": 0.2, "max_interventions": "5"}, {"tau": 0.2, "max_interventions": 5.0},
+    {"tau": 0.2, "max_interventions": True},
+])
+def test_config_out_of_range_or_of_the_wrong_type_rejected(kwargs):
+    with pytest.raises(ValidationError):
+        EngineConfig(**kwargs)
+
+
+def test_config_accepts_an_integer_tau():
+    assert EngineConfig(tau=1, seed=3, max_interventions=5).tau == 1
+
+
+# --- failed compositions -------------------------------------------------------------
+
+
+def fail_compose_of(monkeypatch, predicate):
+    """Make ``engine.compose`` raise for every triplet list ``predicate`` accepts."""
+    real = engine.compose
+
+    def compose_or_fail(triplets, dataset, **kwargs):
+        triplets = list(triplets)
+        if predicate(triplets):
+            raise TransformFailure("forced failure", best_violation=1.0)
+        return real(triplets, dataset, **kwargs)
+
+    monkeypatch.setattr(engine, "compose", compose_or_fail)
+
+
+def test_minimality_probe_that_fails_to_compose_is_noted(monkeypatch):
+    d_fail = from_columns([
+        ("c", ColumnType.CATEGORICAL, ["ok"] * 18 + [None, None]),
+        ("d", ColumnType.CATEGORICAL, ["x"] * 12 + ["y"] * 8),
+    ])
+    oracle = CallableOracle(
+        lambda d: 1.0 if any(v is None for v in d.column("c")) else 0.0)
+    oracle.evaluate(d_fail, baseline=True)
+    needed = make_triplets(MissingRate("c", 0.0))[0]
+    redundant = make_triplets(
+        SelectivityBound(Predicate((Term("d", "eq", "x"),)), 0.4))[0]
+    fail_compose_of(monkeypatch, lambda ts: [t.id for t in ts] == [redundant.id])
+    log = engine.InterventionLog()
+    result = make_minimal([needed, redundant], d_fail, oracle, EngineConfig(tau=0.2), log=log)
+    assert [t.id for t in result] == [needed.id]
+    assert log.notes == [
+        f"minimality probe without {needed.id} failed to compose: forced failure"]
+    assert [e.triplet_ids for e in log.entries] == [(needed.id,)]
+
+
+def test_decision_tree_notes_an_untransformable_conjunction(monkeypatch):
+    d_pass, d_fail, oracle = interaction_scenario(seed=0)
+    real = engine.transform
+
+    def transform_or_fail(dataset, triplet, **kwargs):
+        if triplet.profile.attributes() == ("p1",):
+            raise TransformFailure("forced failure", best_violation=1.0)
+        return real(dataset, triplet, **kwargs)
+
+    monkeypatch.setattr(engine, "transform", transform_or_fail)
+    with pytest.raises(NoExplanationFound, match="decision tree found no passing conjunction") \
+            as err:
+        decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail, oracle,
+                              EngineConfig(tau=0.2))
+    assert err.value.log.notes == ["conjunction ['missing_rate(p1)'] untransformable"]
+    assert err.value.log.entries == []
+
+
+def test_decision_tree_notes_a_conjunction_that_fails_to_compose(monkeypatch):
+    d_pass, d_fail, oracle = interaction_scenario(seed=0)
+    fail_compose_of(monkeypatch, lambda ts: len(ts) == 2 and all(
+        t.profile.kind is ProfileKind.MISSING for t in ts))
+    with pytest.raises(NoExplanationFound, match="decision tree found no passing conjunction") \
+            as err:
+        decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail, oracle,
+                              EngineConfig(tau=0.2))
+    assert err.value.log.notes == ["conjunction failed to compose: forced failure"]
+    assert len(err.value.log.entries) == oracle.intervention_count() == 4
+
+
+def test_decision_tree_gives_up_after_max_refits():
+    d_pass, d_fail, oracle = generate(sentiment_spec(seed=0, decoys=20))
+    with pytest.raises(NoExplanationFound,
+                       match=f"decision tree exhausted {engine.MAX_REFITS} refits") as err:
+        decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail, oracle,
+                              EngineConfig(tau=0.2))
+    assert len(err.value.log.entries) == engine.MAX_REFITS + 1
+
+
+def test_decision_tree_input_checks():
+    d_pass, d_fail, oracle = interaction_scenario(seed=1)
+    config = EngineConfig(tau=0.2)
+    with pytest.raises(ValidationError, match="at least two labeled"):
+        decision_tree_explain([(d_fail, False)], d_fail, oracle, config)
+    with pytest.raises(ValidationError, match="at least one passing"):
+        decision_tree_explain([(d_fail, False), (d_fail, False)], d_fail, oracle, config)
+    with pytest.raises(ValidationError, match="already scores within tau"):
+        decision_tree_explain([(d_pass, True), (d_fail, False)], d_pass, oracle, config)
+    same_pass, same_fail, same_oracle = profile_identical_pair()
+    with pytest.raises(NoExplanationFound, match="no discriminative profiles"):
+        decision_tree_explain([(same_pass, True), (same_fail, False)], same_fail,
+                              same_oracle, config)

@@ -22,6 +22,7 @@ from datacause.tabular import ColumnType, Predicate, Term, from_columns, select_
 from datacause.transforms import (
     POSTCONDITION_TOL,
     PvtTriplet,
+    _resample_plan,
     compose,
     coverage,
     make_triplets,
@@ -214,6 +215,17 @@ def test_selectivity_refuses_to_delete_every_row():
     with pytest.raises(TransformFailure) as err:
         transform(d, triplet(sel_profile(0.0)), seed=1)
     assert err.value.best_violation == 1.0
+
+
+def test_selectivity_growth_near_threshold_one_is_counted_without_stepping():
+    # 100 of 2 000 rows satisfy and the bound wants all but 1 in 2 000: the
+    # repair must duplicate 3 796 001 rows to land on floor(threshold * rows)
+    d = sel_dataset(hot=100, cold=1900)
+    profile = sel_profile(1999 / 2000)
+    _, size = _resample_plan(d, profile)
+    assert size == 3_796_001
+    assert 100 + size == int(profile.threshold * (2000 + size))
+    assert coverage(d, triplet(profile)) == 1.0
 
 
 # --- dependence -----------------------------------------------------------------------
