@@ -260,7 +260,7 @@ def _cmd_synth(args) -> int:
             "exit_status": EXIT_OK,
         }, indent=2, sort_keys=True))
         return EXIT_OK
-    except (ScenarioSpecError, ValueError, OSError) as exc:
+    except (*_DATA_ERRORS, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
         print(json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "command": "synth",
                           "error": str(exc), "exit_status": EXIT_DATA},
                          indent=2, sort_keys=True))

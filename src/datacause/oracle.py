@@ -20,8 +20,12 @@ from .errors import (
     OracleFailureError,
     OracleProtocolError,
     OracleTimeoutError,
+    ValidationError,
 )
 from .tabular import Dataset, save_csv
+
+#: the longest scorer timeout in seconds: one day, well inside what ``subprocess.run`` takes
+MAX_ORACLE_TIMEOUT = 86_400
 
 
 class MalfunctionOracle:
@@ -94,6 +98,10 @@ class ExternalOracleSpec:
     workdir: str | None = None
 
     def __post_init__(self):
+        if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)) \
+                or not 0 < self.timeout <= MAX_ORACLE_TIMEOUT:
+            raise ValidationError(f"oracle timeout must lie in (0, {MAX_ORACLE_TIMEOUT}] "
+                                  f"seconds, got {self.timeout!r}")
         holes = sum(part.count("{dataset}") for part in self.command)
         if holes != 1:
             raise OracleProtocolError(

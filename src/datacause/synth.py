@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ScenarioSpecError
 from .oracle import CallableOracle, MalfunctionOracle
@@ -31,6 +31,11 @@ class PlantedCause:
     def __post_init__(self):
         if self.kind not in CAUSE_KINDS:
             raise ScenarioSpecError(f"unknown cause kind {self.kind!r}")
+        # "," and "&" separate the names and parameters of a builtin: oracle string
+        if not isinstance(self.attribute, str) or not self.attribute \
+                or "," in self.attribute or "&" in self.attribute:
+            raise ScenarioSpecError("a cause attribute must be a non-empty name without "
+                                    f"',' or '&', got {self.attribute!r}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,17 @@ class ScenarioSpec:
     tau: float = 0.2
 
     def __post_init__(self):
+        for name, types, kind in (("n_rows", int, "an integer"),
+                                  ("n_attributes", int, "an integer"),
+                                  ("seed", int, "an integer"), ("decoys", int, "an integer"),
+                                  ("tau", (int, float), "a number")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ScenarioSpecError(f"{name} must be {kind}, got {value!r}")
+        if not isinstance(self.planted_causes, (tuple, list)) or not all(
+                isinstance(c, PlantedCause) for c in self.planted_causes):
+            raise ScenarioSpecError("planted_causes must hold PlantedCause values, "
+                                    f"got {self.planted_causes!r}")
         if self.oracle_family not in FAMILIES:
             raise ScenarioSpecError(f"unknown oracle family {self.oracle_family!r}")
         if self.cause_logic not in ("conjunctive", "disjunctive"):
@@ -53,40 +69,23 @@ class ScenarioSpec:
             raise ScenarioSpecError("at least one planted cause required")
         if self.n_rows < 40 or self.n_rows % 4:
             raise ScenarioSpecError("n_rows must be >= 40 and divisible by 4")
+        if self.n_attributes < 0:
+            raise ScenarioSpecError("n_attributes must be >= 0")
         if self.decoys < 0 or self.decoys + 4 > self.n_rows // 2:
             raise ScenarioSpecError("too many decoys for the row count")
         if not 0.0 <= self.tau <= 1.0:
             raise ScenarioSpecError("tau must lie in [0, 1]")
 
     def to_json_dict(self) -> dict:
-        return {
-            "oracle_family": self.oracle_family,
-            "planted_causes": [{"kind": c.kind, "attribute": c.attribute}
-                               for c in self.planted_causes],
-            "n_rows": self.n_rows,
-            "n_attributes": self.n_attributes,
-            "seed": self.seed,
-            "cause_logic": self.cause_logic,
-            "decoys": self.decoys,
-            "tau": self.tau,
-        }
+        return {**asdict(self), "planted_causes": list(map(asdict, self.planted_causes))}
 
     @staticmethod
     def from_json_dict(data: dict) -> "ScenarioSpec":
         try:
             causes = tuple(PlantedCause(c["kind"], c["attribute"])
                            for c in data["planted_causes"])
-            return ScenarioSpec(
-                oracle_family=data["oracle_family"],
-                planted_causes=causes,
-                n_rows=int(data.get("n_rows", 200)),
-                n_attributes=int(data.get("n_attributes", 0)),
-                seed=int(data.get("seed", 0)),
-                cause_logic=data.get("cause_logic", "conjunctive"),
-                decoys=int(data.get("decoys", 0)),
-                tau=float(data.get("tau", 0.2)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return ScenarioSpec(**{**data, "planted_causes": causes})
+        except (KeyError, TypeError) as exc:
             raise ScenarioSpecError(f"malformed scenario spec: {exc}") from exc
 
 
@@ -94,10 +93,6 @@ class ScenarioSpec:
 
 
 def _as_number(cell) -> float | None:
-    if cell is None:
-        return None
-    if isinstance(cell, float):
-        return cell
     try:
         return float(cell)
     except (TypeError, ValueError):
@@ -108,9 +103,9 @@ def _letters(rng: random.Random, length: int) -> str:
     return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
 
 
-def _fixed_width_token(index: int, width: int = 10) -> str:
+def _fixed_width_token(index: int) -> str:
     out = []
-    for _ in range(width):
+    for _ in range(10):
         out.append(string.ascii_lowercase[index % 26])
         index //= 26
     return "".join(out)
@@ -161,21 +156,41 @@ def _value_fraction(dataset: Dataset, attribute: str, value: str) -> float:
     return sum(1 for v in col if v is not None and str(v) == value) / len(col)
 
 
+def _excess(fraction: float, limit: float) -> float:
+    """How far ``fraction`` runs over ``limit``, as a share of the room above it."""
+    return max(0.0, (fraction - limit) / (1.0 - limit))
+
+
+def _float_param(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise ScenarioSpecError(
+            f"builtin oracle parameter {key}: not a number: {text!r}") from None
+
+
+def _limit_param(params: dict[str, str], key: str, default: str) -> float:
+    """A share limit; :func:`_excess` divides by the room above it."""
+    limit = _float_param(key, params.get(key, default))
+    if not 0.0 <= limit < 1.0:
+        raise ScenarioSpecError(
+            f"builtin oracle parameter {key} must lie in [0, 1), got {limit!r}")
+    return limit
+
+
 def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOracle:
     """Construct one of the closed-form scorers by name.
 
     Reachable from the CLI as ``builtin:<family>?key=value&...``.
     """
     if family == "domain-remap":
-        allowed = {float(v) for v in params.get("allowed", "-1,1").split(",")}
+        allowed = {_float_param("allowed", v) for v in params.get("allowed", "-1,1").split(",")}
         logic = params.get("logic", "conjunctive")
-        domain_attrs = [a for a in params.get("domain", "").split(",") if a]
-        missing_attrs = [a for a in params.get("missing", "").split(",") if a]
         units: dict[str, list[str]] = {}
-        for a in domain_attrs:
-            units.setdefault(a, []).append("domain")
-        for a in missing_attrs:
-            units.setdefault(a, []).append("missing")
+        for kind in ("domain", "missing"):
+            for a in params.get(kind, "").split(","):
+                if a:
+                    units.setdefault(a, []).append(kind)
         if not units:
             raise ScenarioSpecError("domain-remap oracle needs at least one cause attribute")
 
@@ -200,26 +215,25 @@ def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOrac
         protected = params.get("protected", "c1")
         skew = params.get("skew", "")
         skew_value = params.get("skew_value", "hi")
-        skew_limit = float(params.get("skew_limit", "0.2"))
+        skew_limit = _limit_param(params, "skew_limit", "0.2")
 
         def score(dataset: Dataset) -> float:
             dep = min(1.0, _cramers_v(dataset, target, protected))
             if not skew:
                 return dep
             frac = _value_fraction(dataset, skew, skew_value)
-            excess = max(0.0, (frac - skew_limit) / (1.0 - skew_limit))
-            return max(dep, excess)
+            return max(dep, _excess(frac, skew_limit))
 
         return CallableOracle(score)
 
     if family == "skew-timeout":
         attribute = params.get("attribute", "plate_type")
         value = params.get("value", "black")
-        limit = float(params.get("limit", "0.3"))
+        limit = _limit_param(params, "limit", "0.3")
 
         def score(dataset: Dataset) -> float:
             frac = _value_fraction(dataset, attribute, value)
-            return max(0.0, (frac - limit) / (1.0 - limit))
+            return _excess(frac, limit)
 
         return CallableOracle(score)
 
@@ -257,13 +271,11 @@ def builtin_oracle(argument: str) -> MalfunctionOracle:
 def oracle_argument(spec: ScenarioSpec) -> str:
     """The ``--oracle`` string reconstructing this scenario's builtin scorer."""
     if spec.oracle_family == "domain-remap":
-        domain = ",".join(c.attribute for c in spec.planted_causes if c.kind == "domain")
-        missing = ",".join(c.attribute for c in spec.planted_causes if c.kind == "missing")
         parts = [f"logic={spec.cause_logic}"]
-        if domain:
-            parts.append(f"domain={domain}")
-        if missing:
-            parts.append(f"missing={missing}")
+        for kind in ("domain", "missing"):
+            names = ",".join(c.attribute for c in spec.planted_causes if c.kind == kind)
+            if names:
+                parts.append(f"{kind}={names}")
         return "builtin:domain-remap?" + "&".join(parts)
     if spec.oracle_family == "dependence-bias":
         has_skew = any(c.kind == "selectivity" for c in spec.planted_causes)
@@ -278,6 +290,28 @@ def oracle_argument(spec: ScenarioSpec) -> str:
 
 
 # --- generators ---------------------------------------------------------------
+#
+# A family generator returns the scenario's columns in schema order as
+# (passing column, failing column) pairs; a column is (name, type, cells).
+
+
+def _pair(name: str, ctype: ColumnType, passing, failing):
+    return (name, ctype, passing), (name, ctype, failing)
+
+
+def _datasets(pairs) -> tuple[Dataset, Dataset]:
+    passing, failing = zip(*pairs)
+    return from_columns(passing), from_columns(failing)
+
+
+def _alternating(n_rows: int, even, odd) -> list:
+    return [even if i % 2 == 0 else odd for i in range(n_rows)]
+
+
+def _hot_head(n_rows: int, share: float, hot: str, cold: str) -> list[str]:
+    """``hot`` in the first ``share`` of the rows, ``cold`` in the rest."""
+    cut = round(share * n_rows)
+    return [hot] * cut + [cold] * (n_rows - cut)
 
 
 def _filler_columns(rng: random.Random, n_rows: int, count: int):
@@ -292,7 +326,7 @@ def _decoy_text_column(rng: random.Random, name: str, n_rows: int, masked: int):
     """Same-shape text column in both datasets; the failing copy hides cells."""
     cells = [_fixed_width_token(rng.randrange(26 ** 9)) for _ in range(n_rows)]
     failing = _mask_cells(rng, cells, masked)
-    return (name, ColumnType.TEXT, cells), (name, ColumnType.TEXT, failing)
+    return _pair(name, ColumnType.TEXT, cells, failing)
 
 
 def _note_columns(rng: random.Random, name: str, n_rows: int, short_fraction: float = 0.6):
@@ -303,17 +337,16 @@ def _note_columns(rng: random.Random, name: str, n_rows: int, short_fraction: fl
             failing.append(_letters(rng, rng.randint(5, 25)))
         else:
             failing.append(_letters(rng, rng.randint(35, 115)))
-    return (name, ColumnType.TEXT, passing), (name, ColumnType.TEXT, failing)
+    return _pair(name, ColumnType.TEXT, passing, failing)
 
 
 def _two_point_column(name: str, n_rows: int, masked: int, rng: random.Random):
-    cells = [0.0 if i % 2 == 0 else 100.0 for i in range(n_rows)]
-    failing = _mask_cells(rng, cells, masked, protected={0, 1})
-    return (name, ColumnType.NUMERICAL, cells), (name, ColumnType.NUMERICAL, failing)
+    cells = _alternating(n_rows, 0.0, 100.0)
+    return _pair(name, ColumnType.NUMERICAL, cells,
+                 _mask_cells(rng, cells, masked, protected={0, 1}))
 
 
-def _generate_domain_remap(spec: ScenarioSpec):
-    rng = random.Random(spec.seed * 1_000_003 + 17)
+def _domain_remap_pairs(spec: ScenarioSpec, rng: random.Random):
     n = spec.n_rows
     units: dict[str, list[str]] = {}
     for cause in spec.planted_causes:
@@ -321,36 +354,22 @@ def _generate_domain_remap(spec: ScenarioSpec):
             raise ScenarioSpecError(
                 f"domain-remap supports domain/missing causes, got {cause.kind!r}")
         units.setdefault(cause.attribute, []).append(cause.kind)
-    pass_cols = []
-    fail_cols = []
+    pairs = []
     for attribute in sorted(units):
         kinds = units[attribute]
-        good = ["-1" if i % 2 == 0 else "1" for i in range(n)]
-        bad = ["0" if v == "-1" else "4" for v in good]
-        if "domain" not in kinds:
-            bad = list(good)
+        good = _alternating(n, "-1", "1")
+        bad = _alternating(n, "0", "4") if "domain" in kinds else good
         if "missing" in kinds:
             bad = _mask_cells(rng, bad, max(2, n // 10))
-        pass_cols.append((attribute, ColumnType.CATEGORICAL, good))
-        fail_cols.append((attribute, ColumnType.CATEGORICAL, bad))
-    note_pass, note_fail = _note_columns(rng, "review_note", n)
-    pass_cols.append(note_pass)
-    fail_cols.append(note_fail)
-    flag_pass, flag_fail = _two_point_column("extra_flag", n, max(2, n // 10), rng)
-    pass_cols.append(flag_pass)
-    fail_cols.append(flag_fail)
+        pairs.append(_pair(attribute, ColumnType.CATEGORICAL, good, bad))
+    pairs.append(_note_columns(rng, "review_note", n))
+    pairs.append(_two_point_column("extra_flag", n, max(2, n // 10), rng))
     for d in range(spec.decoys):
-        pass_col, fail_col = _decoy_text_column(rng, f"noise_{d:03d}", n, 2 + d)
-        pass_cols.append(pass_col)
-        fail_cols.append(fail_col)
-    for col in _filler_columns(rng, n, spec.n_attributes):
-        pass_cols.append(col)
-        fail_cols.append(col)
-    return from_columns(pass_cols), from_columns(fail_cols)
+        pairs.append(_decoy_text_column(rng, f"noise_{d:03d}", n, 2 + d))
+    return pairs
 
 
-def _generate_dependence_bias(spec: ScenarioSpec):
-    rng = random.Random(spec.seed * 1_000_003 + 29)
+def _dependence_bias_pairs(spec: ScenarioSpec, rng: random.Random):
     n = spec.n_rows
     dependence = [c for c in spec.planted_causes if c.kind == "dependence"]
     skew = [c for c in spec.planted_causes if c.kind == "selectivity"]
@@ -359,7 +378,7 @@ def _generate_dependence_bias(spec: ScenarioSpec):
             "dependence-bias needs exactly one dependence cause and optionally "
             "one selectivity cause")
     target = dependence[0].attribute
-    protected = ["u" if i % 2 == 0 else "v" for i in range(n)]
+    protected = _alternating(n, "u", "v")
     features = {"c1": protected}
     for j in range(2, 7):
         features[f"c{j}"] = [v if rng.random() >= 0.1 else ("u" if v == "v" else "v")
@@ -380,83 +399,61 @@ def _generate_dependence_bias(spec: ScenarioSpec):
         rng.shuffle(shuffled)
         for pos, i in enumerate(shuffled):
             pass_target[i] = "pos" if pos < len(rows) // 2 else "neg"
-    pass_cols = [(target, ColumnType.CATEGORICAL, pass_target)]
-    fail_cols = [(target, ColumnType.CATEGORICAL, fail_target)]
-    for name in sorted(features):
-        pass_cols.append((name, ColumnType.CATEGORICAL, features[name]))
-        fail_cols.append((name, ColumnType.CATEGORICAL, features[name]))
+    pairs = [_pair(target, ColumnType.CATEGORICAL, pass_target, fail_target)]
+    for name, cells in features.items():
+        pairs.append(_pair(name, ColumnType.CATEGORICAL, cells, cells))
     if skew:
         if skew[0].attribute != "usage_class":
             raise ScenarioSpecError("the selectivity cause attribute is 'usage_class'")
-        hot_pass = round(0.2 * n)
-        hot_fail = round(0.6 * n)
-        pass_cols.append(("usage_class", ColumnType.CATEGORICAL,
-                          ["hi" if i < hot_pass else "lo" for i in range(n)]))
-        fail_cols.append(("usage_class", ColumnType.CATEGORICAL,
-                          ["hi" if i < hot_fail else "lo" for i in range(n)]))
-    for col in _filler_columns(rng, n, spec.n_attributes):
-        pass_cols.append(col)
-        fail_cols.append(col)
-    return from_columns(pass_cols), from_columns(fail_cols)
+        pairs.append(_pair("usage_class", ColumnType.CATEGORICAL,
+                           _hot_head(n, 0.2, "hi", "lo"), _hot_head(n, 0.6, "hi", "lo")))
+    return pairs
 
 
-def _generate_skew_timeout(spec: ScenarioSpec):
-    rng = random.Random(spec.seed * 1_000_003 + 43)
+def _skew_timeout_pairs(spec: ScenarioSpec, rng: random.Random):
     n = spec.n_rows
     if len(spec.planted_causes) != 1 or spec.planted_causes[0].kind != "selectivity":
         raise ScenarioSpecError("skew-timeout plants exactly one selectivity cause")
     attribute = spec.planted_causes[0].attribute
-    hot_pass = round(0.2 * n)
-    hot_fail = round(0.7 * n)
-    pass_plate = ["black" if i < hot_pass else "white" for i in range(n)]
-    fail_plate = ["black" if i < hot_fail else "white" for i in range(n)]
-    note_pass, note_fail = _note_columns(rng, "capture_note", n, short_fraction=0.5)
-    gain_pass, gain_fail = _two_point_column("sensor_gain", n, max(2, n // 10), rng)
-    pass_cols = [(attribute, ColumnType.CATEGORICAL, pass_plate), note_pass, gain_pass]
-    fail_cols = [(attribute, ColumnType.CATEGORICAL, fail_plate), note_fail, gain_fail]
-    for col in _filler_columns(rng, n, spec.n_attributes):
-        pass_cols.append(col)
-        fail_cols.append(col)
-    return from_columns(pass_cols), from_columns(fail_cols)
+    return [_pair(attribute, ColumnType.CATEGORICAL,
+                  _hot_head(n, 0.2, "black", "white"), _hot_head(n, 0.7, "black", "white")),
+            _note_columns(rng, "capture_note", n, short_fraction=0.5),
+            _two_point_column("sensor_gain", n, max(2, n // 10), rng)]
 
 
-def _generate_interaction_pair(spec: ScenarioSpec):
-    rng = random.Random(spec.seed * 1_000_003 + 59)
+def _interaction_pair_pairs(spec: ScenarioSpec, rng: random.Random):
     n = spec.n_rows
     if len(spec.planted_causes) != 2 or any(c.kind != "missing" for c in spec.planted_causes):
         raise ScenarioSpecError("interaction-pair plants exactly two missing causes")
     if spec.cause_logic != "conjunctive":
         raise ScenarioSpecError("interaction-pair is conjunctive by construction")
-    pass_cols = []
-    fail_cols = []
+    pairs = []
     for cause in sorted(spec.planted_causes, key=lambda c: c.attribute):
-        cells = ["u" if i % 2 == 0 else "v" for i in range(n)]
-        fail_cols.append((cause.attribute, ColumnType.CATEGORICAL,
-                          _mask_cells(rng, cells, max(2, n // 10))))
-        pass_cols.append((cause.attribute, ColumnType.CATEGORICAL, cells))
+        cells = _alternating(n, "u", "v")
+        pairs.append(_pair(cause.attribute, ColumnType.CATEGORICAL, cells,
+                           _mask_cells(rng, cells, max(2, n // 10))))
     for d in range(max(2, spec.decoys)):
-        note_pass, note_fail = _note_columns(rng, f"zz_note_{d}", n)
-        pass_cols.append(note_pass)
-        fail_cols.append(note_fail)
-    for col in _filler_columns(rng, n, spec.n_attributes):
-        pass_cols.append(col)
-        fail_cols.append(col)
-    return from_columns(pass_cols), from_columns(fail_cols)
+        pairs.append(_note_columns(rng, f"zz_note_{d}", n))
+    return pairs
 
 
+#: family -> (seed salt, column-pair generator)
 _GENERATORS = {
-    "domain-remap": _generate_domain_remap,
-    "dependence-bias": _generate_dependence_bias,
-    "skew-timeout": _generate_skew_timeout,
-    "interaction-pair": _generate_interaction_pair,
+    "domain-remap": (17, _domain_remap_pairs),
+    "dependence-bias": (29, _dependence_bias_pairs),
+    "skew-timeout": (43, _skew_timeout_pairs),
+    "interaction-pair": (59, _interaction_pair_pairs),
 }
 
 
 def generate(spec: ScenarioSpec) -> tuple[Dataset, Dataset, MalfunctionOracle]:
     """Build (passing dataset, failing dataset, oracle) for a scenario; the
     oracle is the one :func:`oracle_argument` names."""
-    d_pass, d_fail = _GENERATORS[spec.oracle_family](spec)
-    return d_pass, d_fail, builtin_oracle(oracle_argument(spec))
+    salt, family_pairs = _GENERATORS[spec.oracle_family]
+    rng = random.Random(spec.seed * 1_000_003 + salt)
+    pairs = family_pairs(spec, rng)
+    pairs += [(col, col) for col in _filler_columns(rng, spec.n_rows, spec.n_attributes)]
+    return (*_datasets(pairs), builtin_oracle(oracle_argument(spec)))
 
 
 def ground_truth(spec: ScenarioSpec) -> dict:
@@ -467,8 +464,7 @@ def ground_truth(spec: ScenarioSpec) -> dict:
     unit_list = [{"attribute": a, "cause_kinds": sorted(kinds)}
                  for a, kinds in sorted(units.items())]
     if spec.cause_logic == "disjunctive":
-        admissible = [[{"attribute": u["attribute"], "cause_kinds": u["cause_kinds"]}]
-                      for u in unit_list]
+        admissible = [[dict(u)] for u in unit_list]
     else:
         admissible = [unit_list]
     return {
@@ -508,23 +504,17 @@ def generate_paired(scenario: PairedCauseScenario) -> tuple[Dataset, Dataset, Ma
         n_rows=scenario.n_rows,
         seed=scenario.seed,
         cause_logic=scenario.logic,
-        decoys=0,
         tau=scenario.tau,
     )
     rng = random.Random(scenario.seed * 977 + 5)
     d_pass, d_fail, oracle = generate(spec)
+    pairs = [_pair(a, t, d_pass.column(a), d_fail.column(a)) for a, t in d_pass.schema]
+    n = scenario.n_rows
+    masked = max(2, n // 12)
     for j in range(scenario.junk_attributes):
-        n = scenario.n_rows
-        note_pass, note_fail = _note_columns(rng, f"junk_{j}", n)
-        masked = max(2, n // 12)
-        fail_cells = _mask_cells(rng, list(note_fail[2]), masked)
-        cols_pass = [(a, t, list(d_pass.column(a))) for a, t in d_pass.schema]
-        cols_fail = [(a, t, list(d_fail.column(a))) for a, t in d_fail.schema]
-        cols_pass.append(note_pass)
-        cols_fail.append((note_fail[0], note_fail[1], fail_cells))
-        d_pass = from_columns(cols_pass)
-        d_fail = from_columns(cols_fail)
-    return d_pass, d_fail, oracle
+        (name, ctype, note_pass), (_, _, note_fail) = _note_columns(rng, f"junk_{j}", n)
+        pairs.append(_pair(name, ctype, note_pass, _mask_cells(rng, note_fail, masked)))
+    return (*_datasets(pairs), oracle)
 
 
 # --- adversarial ranking --------------------------------------------------------
@@ -544,14 +534,12 @@ def adversarial_rank_scenario(seed: int) -> tuple[Dataset, Dataset, MalfunctionO
     """
     rng = random.Random(seed * 7_777_777 + 101)
     n = ADVERSARIAL_ROWS
-    pass_cols = []
-    fail_cols = []
+    pairs = []
     token = rng.randrange(26 ** 6)
     for j in range(ADVERSARIAL_COLUMNS):
         name = f"col_{j:02d}"
         cells = [_fixed_width_token(token + j * n + i) for i in range(n)]
         masked = 1 if j == 0 else j + 1
-        pass_cols.append((name, ColumnType.TEXT, cells))
-        fail_cols.append((name, ColumnType.TEXT, _mask_cells(rng, cells, masked)))
+        pairs.append(_pair(name, ColumnType.TEXT, cells, _mask_cells(rng, cells, masked)))
     oracle = build_builtin_oracle("missing-flag", {"attribute": "col_00"})
-    return from_columns(pass_cols), from_columns(fail_cols), oracle
+    return (*_datasets(pairs), oracle)

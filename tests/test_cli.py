@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 import stat
 import sys
 import textwrap
@@ -189,6 +190,39 @@ def test_explain_repair_emptying_the_dataset_exits_2(capsys, tmp_path):
     assert any("would delete every row" in note for note in report["log"]["notes"])
 
 
+@pytest.mark.parametrize("oracle", [
+    "builtin:skew-timeout?attribute=target&value=1&limit=abc",
+    "builtin:skew-timeout?attribute=target&value=1&limit=1",
+    "builtin:dependence-bias?target=target&protected=target&skew=target&skew_limit=1",
+    "builtin:domain-remap?domain=target&allowed=x",
+])
+def test_explain_bad_builtin_oracle_parameter_exit_65(capsys, sentiment_dir, oracle):
+    code, report = run(capsys, [
+        "explain",
+        "--pass", str(sentiment_dir / "pass.csv"),
+        "--fail", str(sentiment_dir / "fail.csv"),
+        "--oracle", oracle,
+        "--tau", "0.2",
+    ])
+    assert code == 65
+    assert report["exit_status"] == 65
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "3e6", "0", "-1"])
+def test_explain_oracle_timeout_outside_its_range_exit_65(capsys, sentiment_dir, timeout):
+    scorer = shlex.join([sys.executable, "-c", "print(0.0)"])
+    code, report = run(capsys, [
+        "explain",
+        "--pass", str(sentiment_dir / "pass.csv"),
+        "--fail", str(sentiment_dir / "fail.csv"),
+        "--oracle", scorer,
+        "--tau", "0.2",
+        f"--oracle-timeout={timeout}",
+    ])
+    assert code == 65
+    assert "oracle timeout" in report["error"]
+
+
 def test_bad_flags_exit_64(capsys):
     assert main(["explain", "--pass", "x.csv"]) == 64
     assert main(["nonsense"]) == 64
@@ -352,6 +386,26 @@ def test_synth_invalid_spec_exit_65(tmp_path, capsys):
     spec_path.write_text(json.dumps({"oracle_family": "domain-remap",
                                      "planted_causes": [], "n_rows": 120}))
     assert main(["synth", "--spec", str(spec_path), "--out-dir", str(tmp_path / "o")]) == 65
+
+
+@pytest.mark.parametrize("field, value", [
+    ("attribute", 5), ("attribute", ""), ("attribute", "a,b"), ("attribute", "a&b"),
+    ("attribute", "review_note"), ("n_rows", 40.9), ("n_attributes", -2),
+], ids=repr)
+def test_synth_bad_spec_field_exit_65(tmp_path, capsys, field, value):
+    spec = {"oracle_family": "domain-remap",
+            "planted_causes": [{"kind": "domain", "attribute": "target"}], "n_rows": 40}
+    if field == "attribute":
+        spec["planted_causes"][0]["attribute"] = value
+    else:
+        spec[field] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, report = run(capsys, ["synth", "--spec", str(spec_path),
+                                "--out-dir", str(tmp_path / "o")])
+    assert code == 65
+    assert report["exit_status"] == 65
+    assert not (tmp_path / "o").exists()
 
 
 def test_diff_empty_datasets(capsys, tmp_path):

@@ -7,10 +7,13 @@ import textwrap
 
 import pytest
 
+from datacause import oracle as oracle_module
 from datacause.errors import (
     OracleFailureError,
     OracleProtocolError,
     OracleTimeoutError,
+    ScenarioSpecError,
+    ValidationError,
 )
 from datacause.oracle import CallableOracle, ExternalOracleSpec, SubprocessOracle
 from datacause.synth import build_builtin_oracle
@@ -123,6 +126,43 @@ def test_subprocess_seed_env(tmp_path):
         """)
     oracle = SubprocessOracle(spec, seed=123)
     assert oracle.evaluate(dataset_with_target(["1"])) == 0.25
+
+
+@pytest.mark.parametrize("family, params", [
+    ("skew-timeout", {"limit": "abc"}),
+    ("skew-timeout", {"limit": "1"}),
+    ("skew-timeout", {"limit": "-0.1"}),
+    ("skew-timeout", {"limit": "nan"}),
+    ("dependence-bias", {"skew": "usage_class", "skew_limit": "1"}),
+    ("dependence-bias", {"skew_limit": "x"}),
+    ("domain-remap", {"domain": "target", "allowed": "x"}),
+    ("domain-remap", {"domain": "target", "allowed": "-1,"}),
+], ids=repr)
+def test_builtin_parameters_that_are_no_number_or_out_of_range_rejected(family, params):
+    with pytest.raises(ScenarioSpecError):
+        build_builtin_oracle(family, params)
+
+
+def test_builtin_limit_zero_is_accepted():
+    oracle = build_builtin_oracle("skew-timeout", {"attribute": "target", "value": "a",
+                                                   "limit": "0"})
+    assert oracle.evaluate(dataset_with_target(["a", "b"])) == 0.5
+
+
+@pytest.mark.parametrize("timeout", [0, -1, 0.0, float("nan"), float("inf"), 3e6,
+                                     True, "30", None], ids=repr)
+def test_external_spec_timeout_out_of_range_or_of_the_wrong_type_rejected(timeout):
+    with pytest.raises(ValidationError):
+        ExternalOracleSpec(("scorer", "{dataset}"), timeout=timeout)
+
+
+def test_external_spec_timeout_bounds():
+    limit = oracle_module.MAX_ORACLE_TIMEOUT
+    assert limit == 86_400
+    for timeout in (1, 0.001, limit):
+        assert ExternalOracleSpec(("scorer", "{dataset}"), timeout=timeout).timeout == timeout
+    with pytest.raises(ValidationError):
+        ExternalOracleSpec(("scorer", "{dataset}"), timeout=limit * 1.5)
 
 
 def test_subprocess_timeout(tmp_path):

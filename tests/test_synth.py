@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from datacause.engine import benefit_score, discriminative_pvts
@@ -163,6 +166,39 @@ def test_spec_validation_errors():
                       planted_causes=(PlantedCause("missing", "p1"),)))
 
 
+@pytest.mark.parametrize("fields", [
+    {"n_rows": "200"}, {"n_rows": 200.0}, {"n_rows": True},
+    {"n_attributes": "2"}, {"n_attributes": -2}, {"n_attributes": 1.5},
+    {"seed": "0"}, {"seed": 1.0}, {"seed": False},
+    {"decoys": None}, {"decoys": "3"},
+    {"tau": "0.2"}, {"tau": None}, {"tau": True},
+    {"planted_causes": ("domain", "target")}, {"planted_causes": 5},
+], ids=repr)
+def test_spec_fields_of_the_wrong_type_rejected(fields):
+    with pytest.raises(ScenarioSpecError):
+        spec(**fields)
+
+
+@pytest.mark.parametrize("attribute", [5, None, "", "a,b", "a&b"])
+def test_cause_attribute_must_be_a_name_the_oracle_string_can_carry(attribute):
+    with pytest.raises(ScenarioSpecError):
+        PlantedCause("domain", attribute)
+
+
+def test_spec_accepts_integer_tau_and_no_filler():
+    assert spec(tau=0, n_attributes=0).tau == 0
+    assert spec(tau=1).tau == 1
+
+
+@pytest.mark.parametrize("fields", [{"n_rows": 40.9}, {"n_attributes": -2}, {"seed": "1"},
+                                    {"tau": "0.2"}, {"decoys": 1.0}, {"n_row": 120}], ids=repr)
+def test_spec_json_numbers_are_not_coerced_nor_unknown_keys_ignored(fields):
+    data = {"oracle_family": "domain-remap",
+            "planted_causes": [{"kind": "domain", "attribute": "target"}], **fields}
+    with pytest.raises(ScenarioSpecError):
+        ScenarioSpec.from_json_dict(data)
+
+
 def test_spec_json_round_trip():
     s = spec(decoys=3, cause_logic="disjunctive",
              planted_causes=(PlantedCause("domain", "t1"),
@@ -215,3 +251,75 @@ def test_adversarial_rank_scenario_properties():
     position, total = rank_of_cause(d_pass, d_fail)
     assert total == ADVERSARIAL_COLUMNS
     assert position == total >= 50
+
+
+# --- pinned cells ----------------------------------------------------------------
+
+
+def _cells_digest(dataset) -> str:
+    """sha256 of the schema and every cell, independent of ``Dataset.fingerprint``."""
+    payload = json.dumps([list(dataset.attributes), [t.value for t in dataset.types],
+                          [list(col) for col in dataset.columns]])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: name -> builder of (passing, failing, oracle)
+PINNED_SCENARIOS = {
+    "domain-remap": lambda: generate(spec(
+        planted_causes=(PlantedCause("domain", "t1"), PlantedCause("missing", "t1"),
+                        PlantedCause("missing", "t2")),
+        n_rows=120, seed=1, decoys=3, n_attributes=2, cause_logic="disjunctive")),
+    "dependence-bias": lambda: generate(spec(
+        oracle_family="dependence-bias", planted_causes=(PlantedCause("dependence", "target"),),
+        n_rows=120, seed=1, decoys=3, n_attributes=2, tau=0.3)),
+    "dependence-bias+skew": lambda: generate(spec(
+        oracle_family="dependence-bias",
+        planted_causes=(PlantedCause("dependence", "target"),
+                        PlantedCause("selectivity", "usage_class")),
+        n_rows=120, seed=2, n_attributes=1, tau=0.3)),
+    "skew-timeout": lambda: generate(spec(
+        oracle_family="skew-timeout", planted_causes=(PlantedCause("selectivity", "plate_type"),),
+        n_rows=120, seed=1, decoys=3, n_attributes=2)),
+    "interaction-pair": lambda: generate(spec(
+        oracle_family="interaction-pair",
+        planted_causes=(PlantedCause("missing", "p1"), PlantedCause("missing", "p2")),
+        n_rows=80, seed=1, decoys=3, n_attributes=2)),
+    "paired": lambda: generate_paired(PairedCauseScenario(units=2, junk_attributes=3, seed=1)),
+    "adversarial": lambda: adversarial_rank_scenario(seed=1),
+}
+
+#: name -> (passing digest, failing digest, passing score, failing score)
+PINNED_CELLS = {
+    "adversarial": ("74797f35d400021d5ef04e8c879e89db50f4fd2808d95b972b01374afd9ac90c",
+                    "d76ad7c08b1e6645e2622ae27494b0d3fb11f6be9d7a3d977ad5c95ebbb0101c",
+                    0.0, 1.0),
+    "dependence-bias": ("6189129ad0c37ef4999365becf571206bd6243afda1a52f1065533e653e248b5",
+                        "e54731698993aae2c00a50dea825c4134f6b8b2b31178a46edd0a02f8f0439b7",
+                        0.0, 0.7),
+    "dependence-bias+skew": ("c961a38edd813937d04d157e62adb1f14f4272833d1e69e51c4d99188169f511",
+                             "34dd6273c3bbf938e760c62703f1a415eb5c211a6af7a23795a6a410818fc3b3",
+                             0.0, 0.7),
+    "domain-remap": ("313a70dc412455e7df76ccb60acd4fd97c69a0882bac034bec42fdbbc6f351c5",
+                     "8728e102f928ade8d2fbd674aa229b91ce8ce8c26078ac606ac79e002f23f2d3",
+                     0.0, 1.0),
+    "interaction-pair": ("c2cf3309037efe841838497b9e7a155d43738049fe91466ef394ff438d243c58",
+                         "594ce43c1d4d0f760d83376c056fff3604f8919a5d8879ff90b5f38507bd7386",
+                         0.0, 1.0),
+    "paired": ("b53801fa5b311e0fd48fa1a6f57e0528b12057a55027e6e1a71ab12363a6b3c5",
+               "b54f98a26133fbfa9216bed70fb9bdce0dd75d8c4a813371ff673f194abc059b",
+               0.0, 1.0),
+    "skew-timeout": ("8792b304ed3b016ba25c622e47c5aa038145bc762d72bb4d924bbbae3e10b5a0",
+                     "f461ea94de0e05c470a685499cd6c10786c020567a2b3664b3c8c6ff0e5f61ab",
+                     0.0, 4 / 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
+def test_generated_cells_are_pinned(name):
+    d_pass, d_fail, oracle = PINNED_SCENARIOS[name]()
+    got = (_cells_digest(d_pass), _cells_digest(d_fail),
+           oracle.evaluate(d_pass), oracle.evaluate(d_fail))
+    pass_digest, fail_digest, pass_score, fail_score = PINNED_CELLS[name]
+    assert got[:2] == (pass_digest, fail_digest)
+    assert got[2:] == (pytest.approx(pass_score, abs=1e-12),
+                       pytest.approx(fail_score, abs=1e-12))
