@@ -25,13 +25,7 @@ from .errors import (
     TransformFailure,
     ValidationError,
 )
-from .graph import (
-    PvtAttributeGraph,
-    PvtDependencyGraph,
-    build_dependency_graph,
-    build_pvt_attribute_graph,
-    get_min_bisection,
-)
+from .graph import PvtDependencyGraph, build_dependency_graph, get_min_bisection
 from .oracle import CallableOracle, ExternalOracleSpec, MalfunctionOracle, SubprocessOracle
 from .profiles import (
     Profile,

@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .graph import attribute_graph_to_dot, build_pvt_attribute_graph
+from .graph import attribute_degrees, attribute_graph_to_dot
 from .oracle import ExternalOracleSpec, MalfunctionOracle, SubprocessOracle
 from .profiles import discover_profiles, violation
 from .synth import ScenarioSpec, builtin_oracle, generate, ground_truth
@@ -208,7 +208,6 @@ def _diff(args, report: dict, human: list[str] | None) -> None:
         triplets = []
     else:
         triplets = discriminative_pvts(d_pass, d_fail)
-    graph = build_pvt_attribute_graph(triplets, d_fail)
     rows = []
     for t in triplets:
         v = violation(d_fail, t.profile)
@@ -224,12 +223,10 @@ def _diff(args, report: dict, human: list[str] | None) -> None:
             "coverage": c,
             "benefit": None if c is None else v * c,
         })
-    degrees = {a: graph.attribute_degree(a) for a in d_fail.attributes
-               if graph.attribute_degree(a)}
     report["discriminative"] = rows
-    report["attribute_degrees"] = degrees
+    report["attribute_degrees"] = dict(attribute_degrees(t.profile for t in triplets))
     if args.graph:
-        report["dot"] = attribute_graph_to_dot(graph)
+        report["dot"] = attribute_graph_to_dot(triplets, d_fail.attributes)
     if human is not None:
         human.append(f"{len(rows)} discriminative triplet(s)")
         for row in rows:
@@ -295,3 +292,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

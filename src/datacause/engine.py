@@ -10,7 +10,6 @@ member pushes the oracle back above the threshold.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -23,9 +22,9 @@ from .errors import (
 )
 from .graph import (
     PvtDependencyGraph,
+    attribute_degrees,
     best_bisection,
     build_dependency_graph,
-    build_pvt_attribute_graph,
     random_balanced_split,
 )
 from .oracle import MalfunctionOracle
@@ -234,7 +233,7 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
         if profile.significant(d_fail):
             discriminative.append(profile)
 
-    degrees = Counter(a for profile in discriminative for a in profile.attributes())
+    degrees = attribute_degrees(discriminative)
 
     def perturb_target(profile: Profile) -> str | None:
         if not isinstance(profile, DependenceBound):
@@ -355,7 +354,7 @@ def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
             raise NoExplanationFound(
                 f"candidates exhausted with score {score:.4g} above tau "
                 f"{config.tau:.4g}", log=run.log)
-        degrees = Counter(a for t in remaining.values() for a in t.profile.attributes())
+        degrees = attribute_degrees(t.profile for t in remaining.values())
         top = max(degrees.values())
         hot = {a for a, d in degrees.items() if d == top}
         pool = sorted((t for t in remaining.values()
@@ -442,7 +441,7 @@ def _group_testing(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
     """Group testing over the candidates, then one check that the repairs it
     collected pass together."""
     config = run.config
-    g_pd = build_dependency_graph(build_pvt_attribute_graph(candidates, d_fail))
+    g_pd = build_dependency_graph(candidates)
     _, found = _group_test(run, candidates, d_fail, g_pd,
                            random_partition=config.algorithm == "group_test_random")
     unique = sorted({t.id: t for t in found}.values(), key=lambda t: t.sort_key)

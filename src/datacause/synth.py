@@ -21,6 +21,7 @@ from .tabular import ColumnType, Dataset, from_columns
 
 FAMILIES = ("domain-remap", "dependence-bias", "skew-timeout", "interaction-pair")
 CAUSE_KINDS = ("domain", "missing", "dependence", "selectivity")
+CAUSE_LOGICS = ("conjunctive", "disjunctive")
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class ScenarioSpec:
                                     f"got {self.planted_causes!r}")
         if self.oracle_family not in FAMILIES:
             raise ScenarioSpecError(f"unknown oracle family {self.oracle_family!r}")
-        if self.cause_logic not in ("conjunctive", "disjunctive"):
+        if self.cause_logic not in CAUSE_LOGICS:
             raise ScenarioSpecError(f"unknown cause logic {self.cause_logic!r}")
         if not self.planted_causes:
             raise ScenarioSpecError("at least one planted cause required")
@@ -124,16 +125,10 @@ def _mask_cells(rng: random.Random, cells: list, count: int,
 
 
 def _bad_value_fraction(dataset: Dataset, attribute: str, allowed: set[float]) -> float:
-    col = dataset.column(attribute)
-    present = [v for v in col if v is not None]
+    present = [v for v in dataset.column(attribute) if v is not None]
     if not present:
         return 1.0
-    bad = 0
-    for v in present:
-        num = _as_number(v)
-        if num is None or num not in allowed:
-            bad += 1
-    return bad / len(present)
+    return sum(_as_number(v) not in allowed for v in present) / len(present)
 
 
 def _missing_fraction(dataset: Dataset, attribute: str) -> float:
@@ -178,14 +173,30 @@ def _limit_param(params: dict[str, str], key: str, default: str) -> float:
     return limit
 
 
+#: the parameters each builtin scorer reads
+_BUILTIN_PARAMETERS = {
+    "domain-remap": {"allowed", "logic", "domain", "missing"},
+    "dependence-bias": {"target", "protected", "skew", "skew_value", "skew_limit"},
+    "skew-timeout": {"attribute", "value", "limit"},
+    "interaction-pair": {"attributes"}, "missing-flag": {"attribute"},
+}
+
+
 def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOracle:
     """Construct one of the closed-form scorers by name.
 
     Reachable from the CLI as ``builtin:<family>?key=value&...``.
     """
+    if family not in _BUILTIN_PARAMETERS:
+        raise ScenarioSpecError(f"unknown builtin oracle family {family!r}")
+    unknown = sorted(set(params) - _BUILTIN_PARAMETERS[family])
+    if unknown:
+        raise ScenarioSpecError(f"unknown {family} oracle parameter(s): {', '.join(unknown)}")
     if family == "domain-remap":
         allowed = {_float_param("allowed", v) for v in params.get("allowed", "-1,1").split(",")}
         logic = params.get("logic", "conjunctive")
+        if logic not in CAUSE_LOGICS:
+            raise ScenarioSpecError(f"unknown domain-remap logic {logic!r}")
         units: dict[str, list[str]] = {}
         for kind in ("domain", "missing"):
             for a in params.get(kind, "").split(","):
@@ -248,17 +259,15 @@ def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOrac
 
         return CallableOracle(score)
 
-    if family == "missing-flag":
-        attribute = params.get("attribute", "")
-        if not attribute:
-            raise ScenarioSpecError("missing-flag oracle needs an attribute")
+    # missing-flag
+    attribute = params.get("attribute", "")
+    if not attribute:
+        raise ScenarioSpecError("missing-flag oracle needs an attribute")
 
-        def score(dataset: Dataset) -> float:
-            return 1.0 if _missing_fraction(dataset, attribute) > 0 else 0.0
+    def score(dataset: Dataset) -> float:
+        return 1.0 if _missing_fraction(dataset, attribute) > 0 else 0.0
 
-        return CallableOracle(score)
-
-    raise ScenarioSpecError(f"unknown builtin oracle family {family!r}")
+    return CallableOracle(score)
 
 
 def builtin_oracle(argument: str) -> MalfunctionOracle:

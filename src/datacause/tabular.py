@@ -144,10 +144,10 @@ class Dataset:
 
 
 def from_columns(spec: Sequence[tuple[str, ColumnType, Sequence[Cell]]]) -> Dataset:
-    """Build a dataset from (name, type, cells) triples."""
+    """Build a dataset from (name, type, cells) triples; columns of a dataset are reused."""
     names = tuple(s[0] for s in spec)
     types = tuple(s[1] for s in spec)
-    cols = tuple(tuple(s[2]) for s in spec)
+    cols = tuple(s[2] if isinstance(s[2], _Cells) else tuple(s[2]) for s in spec)
     return Dataset(names, types, cols)
 
 
@@ -185,25 +185,28 @@ def load_csv(path) -> Dataset:
     """Load an RFC-4180 CSV file with a mandatory header row.
 
     Empty cells and ``MISSING_LITERALS`` become missing. Types are inferred
-    per :func:`infer_types`.
+    per :func:`infer_types`. Non-UTF-8 input raises :class:`CsvParseError`.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file, header row required") from None
-        if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: duplicate header")
-        raw: list[list[str | None]] = [[] for _ in header]
-        for row_index, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"{path}: row {row_index} has {len(row)} cells, expected {len(header)}",
-                    row_index=row_index,
-                )
-            for col, cell in zip(raw, row):
-                col.append(None if cell == "" or cell in MISSING_LITERALS else cell)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvParseError(f"{path}: empty file, header row required") from None
+            if len(set(header)) != len(header):
+                raise SchemaError(f"{path}: duplicate header")
+            raw: list[list[str | None]] = [[] for _ in header]
+            for row_index, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise CsvParseError(
+                        f"{path}: row {row_index} has {len(row)} cells, expected {len(header)}",
+                        row_index=row_index,
+                    )
+                for col, cell in zip(raw, row):
+                    col.append(None if cell == "" or cell in MISSING_LITERALS else cell)
+    except UnicodeDecodeError:
+        raise CsvParseError(f"{path}: not valid UTF-8") from None
     types = infer_types(raw)
     return Dataset(tuple(header), tuple(types), tuple(tuple(col) for col in raw))
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
 import stat
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -195,6 +197,9 @@ def test_explain_repair_emptying_the_dataset_exits_2(capsys, tmp_path):
     "builtin:skew-timeout?attribute=target&value=1&limit=1",
     "builtin:dependence-bias?target=target&protected=target&skew=target&skew_limit=1",
     "builtin:domain-remap?domain=target&allowed=x",
+    "builtin:domain-remap?domain=target&logic=disjunctve",
+    "builtin:domain-remap?domain=target&logci=disjunctive",
+    "builtin:skew-timeout?attribute=target&value=1&limt=0.9",
 ])
 def test_explain_bad_builtin_oracle_parameter_exit_65(capsys, sentiment_dir, oracle):
     code, report = run(capsys, [
@@ -226,6 +231,21 @@ def test_explain_oracle_timeout_outside_its_range_exit_65(capsys, sentiment_dir,
 def test_bad_flags_exit_64(capsys):
     assert main(["explain", "--pass", "x.csv"]) == 64
     assert main(["nonsense"]) == 64
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(datacause.cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "datacause.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    version = cli("--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == datacause.__version__
+    assert cli("--no-such-flag").returncode == 64
 
 
 # --- profile / diff -------------------------------------------------------------
@@ -314,6 +334,27 @@ def test_human_rendering_shows_errors(capsys, tmp_path, command):
     code = main([command, *inputs[command], "--human"])
     assert code == 65
     assert capsys.readouterr().out == f"error: {bad}: duplicate header\n"
+
+
+@pytest.mark.parametrize("command", ["profile", "diff", "explain"])
+@pytest.mark.parametrize("human", [False, True], ids=["json", "human"])
+def test_csv_that_is_not_utf8_exit_65(capsys, tmp_path, command, human):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"a,b\n\xff,1\n")
+    good = str(FIXTURES / "people_fail.csv")
+    inputs = {"profile": ["--data", str(bad)],
+              "diff": ["--pass", good, "--fail", str(bad)],
+              "explain": ["--pass", good, "--fail", str(bad),
+                          "--oracle", "builtin:missing-flag?attribute=a", "--tau", "0.2"]}
+    code = main([command, *inputs[command], *(["--human"] if human else [])])
+    out = capsys.readouterr().out
+    assert code == 65
+    if human:
+        assert out == f"error: {bad}: not valid UTF-8\n"
+    else:
+        report = json.loads(out)
+        assert report["exit_status"] == 65
+        assert report["error"] == f"{bad}: not valid UTF-8"
 
 
 # --- synth -----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from datacause.errors import (
     TransformFailure,
     ValidationError,
 )
-from datacause.graph import build_dependency_graph, build_pvt_attribute_graph
+from datacause.graph import attribute_degrees, build_dependency_graph
 from datacause.oracle import CallableOracle
 from datacause.profiles import (
     ChiSquareBound,
@@ -109,8 +109,7 @@ def test_chi2_perturbs_high_degree_endpoint(people_pass, people_fail):
 def test_income_target_degree_dominates():
     d_pass, d_fail, _ = generate(income_spec(seed=1))
     triplets = discriminative_pvts(d_pass, d_fail)
-    graph = build_pvt_attribute_graph(triplets, d_fail)
-    degrees = {a: graph.attribute_degree(a) for a in d_fail.attributes}
+    degrees = attribute_degrees(t.profile for t in triplets)
     target_degree = degrees.pop("target")
     assert target_degree > max(degrees.values())
 
@@ -312,7 +311,7 @@ def test_group_test_direct_call():
     d_pass, d_fail, oracle = generate(sentiment_spec(seed=1))
     oracle.evaluate(d_fail, baseline=True)
     candidates = discriminative_pvts(d_pass, d_fail)
-    g_pd = build_dependency_graph(build_pvt_attribute_graph(candidates, d_fail))
+    g_pd = build_dependency_graph(candidates)
     config = EngineConfig(tau=0.2, seed=1, algorithm="group_test")
     repaired, found = _group_test(_Run(oracle, config), candidates, d_fail, g_pd,
                                   random_partition=False)

@@ -5,20 +5,19 @@ import random
 
 import pytest
 
-from datacause.errors import BisectionSizeError, SchemaError
+from datacause.errors import BisectionSizeError
 from datacause.graph import (
     PvtDependencyGraph,
+    attribute_degrees,
     attribute_graph_to_dot,
     best_bisection,
     build_dependency_graph,
-    build_pvt_attribute_graph,
     get_min_bisection,
     random_balanced_split,
 )
 from datacause.engine import discriminative_pvts
 from datacause.profiles import ChiSquareBound, MissingRate
-from datacause.tabular import ColumnType, from_columns
-from datacause.transforms import PvtTriplet, make_triplets
+from datacause.transforms import PvtTriplet
 
 
 def graph_of(edges, nodes=None):
@@ -50,56 +49,43 @@ def clique_edges(names):
     return [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
 
 
-# --- bipartite graph -----------------------------------------------------------
+# --- triplet-attribute incidence ---------------------------------------------------
 
 
 def test_people_attribute_degrees(people_pass, people_fail):
     triplets = discriminative_pvts(people_pass, people_fail)
-    graph = build_pvt_attribute_graph(triplets, people_fail)
-    degrees = {a: graph.attribute_degree(a) for a in people_fail.attributes}
+    degrees = attribute_degrees(t.profile for t in triplets)
     assert degrees["high_expenditure"] >= 2
 
 
 def test_empty_triplet_set():
-    d = from_columns([("a", ColumnType.NUMERICAL, [1.0])])
-    graph = build_pvt_attribute_graph([], d)
+    assert attribute_degrees([]) == {}
+    graph = build_dependency_graph([])
+    assert graph.nodes == ()
     assert graph.edges == frozenset()
-    assert graph.attributes == ("a",)
+    assert attribute_graph_to_dot([], ("a",)) == "graph pvt_attributes {\n  rankdir=LR;\n}"
 
 
 def test_pairwise_profile_has_two_edges():
-    d = from_columns([
-        ("a", ColumnType.CATEGORICAL, ["x", "y"]),
-        ("b", ColumnType.CATEGORICAL, ["u", "v"]),
-    ])
-    [t] = [PvtTriplet(ChiSquareBound("a", "b", 0.1), "shuffle")]
-    graph = build_pvt_attribute_graph([t], d)
-    assert len(graph.edges) == 2
-
-
-def test_unknown_attribute_rejected():
-    d = from_columns([("a", ColumnType.NUMERICAL, [1.0])])
-    t = make_triplets(MissingRate("ghost", 0.0))[0]
-    with pytest.raises(SchemaError):
-        build_pvt_attribute_graph([t], d)
+    t = PvtTriplet(ChiSquareBound("a", "b", 0.1), "shuffle")
+    assert attribute_degrees([t.profile]) == {"a": 1, "b": 1}
+    assert attribute_graph_to_dot([t], ("a", "b")).count(" -- ") == 2
 
 
 # --- dependency graph ------------------------------------------------------------
 
 
 def test_shared_attribute_edge():
-    d = from_columns([("a", ColumnType.NUMERICAL, [1.0, None])])
     ts = [PvtTriplet(MissingRate("a", 0.0), "impute"),
           PvtTriplet(MissingRate("a", 0.5), "impute")]
     # distinct ids via distinct thresholds would collide; fake ids via labels
-    g_pa = build_pvt_attribute_graph(ts[:1], d)
-    g_pd = build_dependency_graph(g_pa)
+    g_pd = build_dependency_graph(ts[:1])
     assert g_pd.edges == frozenset()
 
 
 def test_disjoint_attributes_no_edges(people_pass, people_fail):
     triplets = discriminative_pvts(people_pass, people_fail)
-    g_pd = build_dependency_graph(build_pvt_attribute_graph(triplets, people_fail))
+    g_pd = build_dependency_graph(triplets)
     for u, v in g_pd.edges:
         tu = next(t for t in triplets if t.id == u)
         tv = next(t for t in triplets if t.id == v)
@@ -107,13 +93,9 @@ def test_disjoint_attributes_no_edges(people_pass, people_fail):
 
 
 def test_star_becomes_clique():
-    d = from_columns([("hub", ColumnType.CATEGORICAL, ["x"]),
-                      ("s1", ColumnType.CATEGORICAL, ["x"]),
-                      ("s2", ColumnType.CATEGORICAL, ["x"]),
-                      ("s3", ColumnType.CATEGORICAL, ["x"])])
     ts = [PvtTriplet(ChiSquareBound("hub", s, 0.0), "shuffle")
           for s in ("s1", "s2", "s3")]
-    g_pd = build_dependency_graph(build_pvt_attribute_graph(ts, d))
+    g_pd = build_dependency_graph(ts)
     assert len(g_pd.edges) == 3  # K3 over the three triplets
 
 
@@ -206,7 +188,79 @@ def test_random_balanced_split():
 
 def test_dot_export(people_pass, people_fail):
     triplets = discriminative_pvts(people_pass, people_fail)
-    graph = build_pvt_attribute_graph(triplets, people_fail)
-    dot = attribute_graph_to_dot(graph)
+    dot = attribute_graph_to_dot(triplets, people_fail.attributes)
     assert dot.startswith("graph pvt_attributes {")
     assert "--" in dot and dot.rstrip().endswith("}")
+
+
+# --- pinned against the first-improvement swap loop the search started from ------
+
+
+def _reference_min_bisection(graph, nodes, seed, history=None):
+    """The original local search: rescan every (u, v) pair in sorted order
+    after each improving swap, recomputing each gain from the neighbour sets."""
+    nodes = sorted(set(nodes))
+    restricted = set(nodes)
+    adjacency = {u: set() for u in nodes}
+    for u, v in graph.edges:
+        if u in restricted and v in restricted:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    shuffled = list(nodes)
+    random.Random(seed).shuffle(shuffled)
+    half = (len(shuffled) + 1) // 2
+    half1, half2 = set(shuffled[:half]), set(shuffled[half:])
+    cut = sum(1 for u in half1 for v in adjacency[u] if v in half2)
+    if history is not None:
+        history.append(cut)
+    improved = True
+    while improved:
+        improved = False
+        for u in sorted(half1):
+            for v in sorted(half2):
+                ext_u = len(adjacency[u] & half2)
+                int_u = len(adjacency[u] & half1)
+                ext_v = len(adjacency[v] & half1)
+                int_v = len(adjacency[v] & half2)
+                bond = 2 if v in adjacency[u] else 0
+                gain = ext_u - int_u + ext_v - int_v - bond
+                if gain > 0:
+                    half1.remove(u)
+                    half2.remove(v)
+                    half1.add(v)
+                    half2.add(u)
+                    cut -= gain
+                    if history is not None:
+                        history.append(cut)
+                    improved = True
+                    break
+            if improved:
+                break
+    return (tuple(sorted(half1)), tuple(sorted(half2))), cut
+
+
+def _reference_best_bisection(graph, nodes, seed):
+    best = None
+    for attempt in range(3):
+        halves, cut = _reference_min_bisection(graph, nodes, seed + 7919 * attempt)
+        if best is None or cut < best[1]:
+            best = halves, cut
+    return best[0]
+
+
+def test_search_matches_the_reference_loop_on_random_graphs():
+    rng = random.Random(20)
+    for trial in range(300):
+        k = rng.randint(2, 14)
+        density = rng.random()
+        nodes = [f"n{i:02d}" for i in range(k)]
+        edges = [(a, b) for a, b in itertools.combinations(nodes, 2) if rng.random() < density]
+        graph = graph_of(edges, nodes=nodes)
+        subset = rng.sample(nodes, rng.randint(2, k))
+        history: list[int] = []
+        expected_history: list[int] = []
+        expected, _ = _reference_min_bisection(graph, subset, trial, expected_history)
+        assert get_min_bisection(graph, subset, trial, history) == expected
+        assert history == expected_history
+        assert best_bisection(graph, subset, trial) == _reference_best_bisection(
+            graph, subset, trial)

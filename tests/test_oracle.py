@@ -143,6 +143,36 @@ def test_builtin_parameters_that_are_no_number_or_out_of_range_rejected(family, 
         build_builtin_oracle(family, params)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("domain-remap", {"domain": "t1,t2", "logic": "disjunctve"}),
+    ("domain-remap", {"domain": "t1,t2", "logci": "disjunctive"}),
+    ("skew-timeout", {"attribute": "t1", "limt": "0.9"}),
+    ("dependence-bias", {"target": "t1", "protected": "t2", "attribute": "t1"}),
+    ("interaction-pair", {"attributes": "t1,t2", "logic": "conjunctive"}),
+    ("missing-flag", {"attribute": "t1", "value": "x"}),
+], ids=repr)
+def test_builtin_unknown_parameter_or_logic_rejected(family, params):
+    with pytest.raises(ScenarioSpecError, match="logci|disjunctve|limt|attribute|logic|value"):
+        build_builtin_oracle(family, params)
+
+
+def test_builtin_parameters_each_family_reads_are_accepted():
+    two_rows = from_columns([("t1", ColumnType.NUMERICAL, [0, 1]),
+                             ("t2", ColumnType.NUMERICAL, [1, 1])])
+    for logic, expected in (("conjunctive", 0.25), ("disjunctive", 0.0)):
+        oracle = build_builtin_oracle("domain-remap", {
+            "domain": "t1,t2", "missing": "t2", "logic": logic, "allowed": "-1,1"})
+        assert oracle.evaluate(two_rows) == expected
+    for family, params in [
+        ("dependence-bias", {"target": "t1", "protected": "t2", "skew": "t1",
+                             "skew_value": "1.0", "skew_limit": "0.2"}),
+        ("skew-timeout", {"attribute": "t1", "value": "black", "limit": "0.3"}),
+        ("interaction-pair", {"attributes": "t1,t2"}),
+        ("missing-flag", {"attribute": "t1"}),
+    ]:
+        assert isinstance(build_builtin_oracle(family, params), CallableOracle)
+
+
 def test_builtin_limit_zero_is_accepted():
     oracle = build_builtin_oracle("skew-timeout", {"attribute": "target", "value": "a",
                                                    "limit": "0"})

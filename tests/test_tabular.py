@@ -218,6 +218,32 @@ def test_column_reused_under_another_type_is_normalized_again():
         Dataset(("a",), (ColumnType.NUMERICAL,), (text,))
 
 
+def test_from_columns_takes_over_the_columns_of_a_dataset(monkeypatch):
+    import datacause.tabular as tabular
+    source = from_columns([("x", ColumnType.NUMERICAL, [1.0, None]),
+                           ("c", ColumnType.CATEGORICAL, ["a", "b"])])
+    calls = []
+    normalize = tabular._normalize
+    monkeypatch.setattr(tabular, "_normalize", lambda *a: calls.append(a) or normalize(*a))
+    rebuilt = from_columns([(name, ctype, source.column(name)) for name, ctype in source.schema])
+    assert calls == []
+    assert all(after is before for after, before in zip(rebuilt.columns, source.columns))
+    assert rebuilt == source and rebuilt.fingerprint == source.fingerprint
+    # other sequences are still normalized into columns of their own
+    again = from_columns([("x", ColumnType.NUMERICAL, range(2)),
+                          ("c", ColumnType.CATEGORICAL, ("a", None))])
+    assert len(calls) == 2
+    assert again.columns == ((0.0, 1.0), ("a", None))
+
+
+def test_csv_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("a,b\ncaf\u00e9,1\n".encode("latin-1"))
+    with pytest.raises(CsvParseError, match="not valid UTF-8") as caught:
+        load_csv(path)
+    assert str(path) in str(caught.value)
+
+
 _BASE = [("x", ColumnType.NUMERICAL, [1.0, -0.0, None]),
          ("c", ColumnType.CATEGORICAL, ["a", None, "b"])]
 
