@@ -49,6 +49,10 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
 
+#: the first entry whose exception types match gives an error's exit code
+_EXIT_CODES = ((NoExplanationFound, EXIT_NO_EXPLANATION), (OracleError, EXIT_ORACLE),
+               (_DATA_ERRORS, EXIT_DATA), (DatacauseError, EXIT_SOFTWARE))
+
 _ALGORITHM_FLAGS = {"greedy": "greedy", "gt": "group_test", "gt-random": "group_test_random"}
 
 
@@ -99,67 +103,71 @@ def _build_parser() -> _Parser:
     sy = sub.add_parser("synth", help="generate a synthetic pass/fail scenario")
     sy.add_argument("--spec", required=True, metavar="JSON")
     sy.add_argument("--out-dir", required=True, metavar="DIR")
+    sy.set_defaults(report=None, human=False)
     return parser
 
 
 def _make_oracle(argument: str, timeout: float, seed: int) -> MalfunctionOracle:
     if argument.startswith("builtin:"):
         return builtin_oracle(argument)
-    command = shlex.split(argument)
+    try:
+        command = shlex.split(argument)
+    except ValueError as exc:  # e.g. no closing quotation
+        raise ValidationError(f"--oracle {argument!r}: {exc}") from None
+    if not command:
+        raise ValidationError("--oracle: empty scorer command")
     if not any("{dataset}" in part for part in command):
         command.append("{dataset}")
     return SubprocessOracle(ExternalOracleSpec(tuple(command), timeout=timeout), seed=seed)
 
 
-def _emit(report: dict, report_path: str | None, human_lines: list[str] | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if report_path:
-        Path(report_path).write_text(text + "\n", encoding="utf-8")
-    if human_lines is not None:
-        print("\n".join(human_lines))
-    else:
-        print(text)
-
-
-def _run_report(command: str, config: dict, args, body) -> int:
+def _run_report(args, body) -> int:
     """Run ``body(args, report, human)`` and emit its report.
 
-    ``human`` is the list of ``--human`` lines, or None for JSON output.
-    Errors become the report's ``error`` and the matching exit code.
+    The one place that builds a report, maps an error to its exit code,
+    writes ``--report`` and prints. ``human`` is the list of ``--human``
+    lines, or None for JSON output; the body sets ``report["config"]``.
     """
     started = time.monotonic()
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "config": config,
+        "command": args.command,
         "exit_status": EXIT_OK,
         "timing_seconds": 0.0,
     }
     human: list[str] | None = [] if args.human else None
-    exit_code = EXIT_OK
     try:
         body(args, report, human)
-    except NoExplanationFound as exc:
+    except (DatacauseError, OSError) as exc:
+        report["exit_status"] = next(code for kinds, code in _EXIT_CODES
+                                     if isinstance(exc, kinds))
         report["error"] = str(exc)
-        report["log"] = exc.log.to_json_dict() if exc.log is not None else None
-        exit_code = EXIT_NO_EXPLANATION
-    except OracleError as exc:
-        report["error"] = str(exc)
-        if exc.log is not None:
+        if getattr(exc, "log", None) is not None:
             report["log"] = exc.log.to_json_dict()
-        exit_code = EXIT_ORACLE
-    except _DATA_ERRORS as exc:
-        report["error"] = str(exc)
-        exit_code = EXIT_DATA
-    report["exit_status"] = exit_code
     report["timing_seconds"] = round(time.monotonic() - started, 6)
-    if human is not None and exit_code != EXIT_OK:
-        human.append(f"error: {report['error']}")
-    _emit(report, args.report, human)
-    return exit_code
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if args.report:
+        try:
+            Path(args.report).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            report["exit_status"] = EXIT_DATA
+            report["error"] = f"{args.report}: cannot write the report: {exc.strerror or exc}"
+            text = json.dumps(report, indent=2, sort_keys=True)
+    if human is not None:
+        if "error" in report:
+            human.append(f"error: {report['error']}")
+        print("\n".join(human))
+    else:
+        print(text)
+    return report["exit_status"]
 
 
 def _explain(args, report: dict, human: list[str] | None) -> None:
+    report["config"] = {
+        "pass": args.pass_csv, "fail": args.fail_csv, "oracle": args.oracle,
+        "tau": args.tau, "algorithm": args.algorithm, "seed": args.seed,
+        "max_interventions": args.max_interventions,
+    }
     d_pass = load_csv(args.pass_csv)
     d_fail = load_csv(args.fail_csv)
     oracle = _make_oracle(args.oracle, args.oracle_timeout, args.seed)
@@ -189,6 +197,7 @@ def _explain(args, report: dict, human: list[str] | None) -> None:
 
 
 def _profile(args, report: dict, human: list[str] | None) -> None:
+    report["config"] = {"data": args.data}
     dataset = load_csv(args.data)
     profiles = [] if dataset.row_count == 0 else [
         p.to_json_dict() for p in discover_profiles(dataset)]
@@ -202,6 +211,7 @@ def _profile(args, report: dict, human: list[str] | None) -> None:
 
 
 def _diff(args, report: dict, human: list[str] | None) -> None:
+    report["config"] = {"pass": args.pass_csv, "fail": args.fail_csv}
     d_pass = load_csv(args.pass_csv)
     d_fail = load_csv(args.fail_csv)
     if d_pass.row_count == 0 or d_fail.row_count == 0:
@@ -234,60 +244,37 @@ def _diff(args, report: dict, human: list[str] | None) -> None:
                          f"coverage={row['coverage']} benefit={row['benefit']}")
 
 
-def _cmd_synth(args) -> int:
+def _synth(args, report: dict, human: list[str] | None) -> None:
+    report["config"] = {"spec": args.spec, "out_dir": args.out_dir}
     try:
         spec_data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        spec = ScenarioSpec.from_json_dict(spec_data)
-        d_pass, d_fail, _ = generate(spec)
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_csv(d_pass, out / "pass.csv")
-        save_csv(d_fail, out / "fail.csv")
-        truth = ground_truth(spec)
-        (out / "oracle.json").write_text(
-            json.dumps({"oracle": truth["oracle"], "tau": spec.tau}, indent=2) + "\n",
-            encoding="utf-8")
-        (out / "ground_truth.json").write_text(
-            json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(json.dumps({
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "command": "synth",
-            "out_dir": str(out),
-            "files": ["pass.csv", "fail.csv", "oracle.json", "ground_truth.json"],
-            "exit_status": EXIT_OK,
-        }, indent=2, sort_keys=True))
-        return EXIT_OK
-    except (*_DATA_ERRORS, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
-        print(json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "command": "synth",
-                          "error": str(exc), "exit_status": EXIT_DATA},
-                         indent=2, sort_keys=True))
-        return EXIT_DATA
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise ScenarioSpecError(f"{args.spec}: not a JSON scenario spec: {exc}") from None
+    spec = ScenarioSpec.from_json_dict(spec_data)
+    d_pass, d_fail, _ = generate(spec)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_csv(d_pass, out / "pass.csv")
+    save_csv(d_fail, out / "fail.csv")
+    truth = ground_truth(spec)
+    (out / "oracle.json").write_text(
+        json.dumps({"oracle": truth["oracle"], "tau": spec.tau}, indent=2) + "\n",
+        encoding="utf-8")
+    (out / "ground_truth.json").write_text(
+        json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    report["out_dir"] = str(out)
+    report["files"] = ["pass.csv", "fail.csv", "oracle.json", "ground_truth.json"]
+
+
+_COMMANDS = {"explain": _explain, "profile": _profile, "diff": _diff, "synth": _synth}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        if args.command == "explain":
-            return _run_report("explain", {
-                "pass": args.pass_csv, "fail": args.fail_csv, "oracle": args.oracle,
-                "tau": args.tau, "algorithm": args.algorithm, "seed": args.seed,
-                "max_interventions": args.max_interventions,
-            }, args, _explain)
-        if args.command == "profile":
-            return _run_report("profile", {"data": args.data}, args, _profile)
-        if args.command == "diff":
-            return _run_report("diff", {"pass": args.pass_csv, "fail": args.fail_csv},
-                               args, _diff)
-        return _cmd_synth(args)
-    except DatacauseError as exc:
-        print(json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "command": args.command,
-                          "error": str(exc), "exit_status": EXIT_SOFTWARE},
-                         indent=2, sort_keys=True))
-        return EXIT_SOFTWARE
+    return _run_report(args, _COMMANDS[args.command])
 
 
 def entry() -> None:

@@ -123,13 +123,18 @@ def random_balanced_split(nodes: Sequence[str], seed: int) -> tuple[tuple[str, .
     return tuple(sorted(half1)), tuple(sorted(half2))
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as a DOT quoted string, its ``\\`` and ``"`` escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def attribute_graph_to_dot(triplets: Sequence[PvtTriplet], attributes: Sequence[str]) -> str:
     """DOT rendering: triplets as boxes, the ``attributes`` they mention as ellipses."""
     edges = sorted({(t.id, a) for t in triplets for a in t.profile.attributes()})
     used = {a for _, a in edges}
     lines = ["graph pvt_attributes {", "  rankdir=LR;"]
-    lines += [f'  "{t}" [shape=box];' for t in sorted(t.id for t in triplets)]
-    lines += [f'  "{a}" [shape=ellipse];' for a in attributes if a in used]
-    lines += [f'  "{t}" -- "{a}";' for t, a in edges]
+    lines += [f"  {_dot_id(t)} [shape=box];" for t in sorted(t.id for t in triplets)]
+    lines += [f"  {_dot_id(a)} [shape=ellipse];" for a in attributes if a in used]
+    lines += [f"  {_dot_id(t)} -- {_dot_id(a)};" for t, a in edges]
     lines.append("}")
     return "\n".join(lines)

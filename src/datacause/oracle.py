@@ -142,6 +142,8 @@ class SubprocessOracle(MalfunctionOracle):
             except subprocess.TimeoutExpired as exc:
                 raise OracleTimeoutError(
                     f"oracle timed out after {self.spec.timeout}s: {command}") from exc
+            except OSError as exc:  # missing or not executable
+                raise OracleFailureError(f"oracle could not start: {exc}") from exc
             if proc.returncode != 0:
                 raise OracleFailureError(
                     f"oracle exited {proc.returncode}: {proc.stderr.strip()[:500]}")

@@ -207,6 +207,8 @@ def load_csv(path) -> Dataset:
                     col.append(None if cell == "" or cell in MISSING_LITERALS else cell)
     except UnicodeDecodeError:
         raise CsvParseError(f"{path}: not valid UTF-8") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
     types = infer_types(raw)
     return Dataset(tuple(header), tuple(types), tuple(tuple(col) for col in raw))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -191,6 +192,17 @@ def test_dot_export(people_pass, people_fail):
     dot = attribute_graph_to_dot(triplets, people_fail.attributes)
     assert dot.startswith("graph pvt_attributes {")
     assert "--" in dot and dot.rstrip().endswith("}")
+
+
+@pytest.mark.parametrize("name", ['a"b', "c\\", '\\"', 'q"'])
+def test_dot_ids_escape_quotes_and_backslashes(name):
+    t = PvtTriplet(MissingRate(name, 0.0), "impute")
+    quoted = re.compile(r'"(?:\\.|[^"\\])*"')
+    lines = attribute_graph_to_dot([t], (name,)).splitlines()[2:-1]
+    assert [quoted.sub("ID", line).strip() for line in lines] == [
+        "ID [shape=box];", "ID [shape=ellipse];", "ID -- ID;"]
+    assert [[re.sub(r"\\(.)", r"\1", q[1:-1]) for q in quoted.findall(line)]
+            for line in lines] == [[t.id], [name], [t.id, name]]
 
 
 # --- pinned against the first-improvement swap loop the search started from ------

@@ -216,6 +216,18 @@ def test_subprocess_nonzero_exit(tmp_path):
         oracle.evaluate(dataset_with_target(["1"]))
 
 
+@pytest.mark.parametrize("executable", [False, True], ids=["not-executable", "missing"])
+def test_subprocess_that_cannot_start_is_an_oracle_failure(tmp_path, executable):
+    script = tmp_path / "scorer.py"
+    if not executable:
+        script.write_text("print(0.0)\n")
+        script.chmod(0o644)
+    oracle = SubprocessOracle(ExternalOracleSpec((str(script), "{dataset}")))
+    with pytest.raises(OracleFailureError, match="oracle could not start") as caught:
+        oracle.evaluate(dataset_with_target(["1"]))
+    assert isinstance(caught.value.__cause__, OSError)
+
+
 def test_subprocess_unparsable_output(tmp_path):
     spec = spec_for(tmp_path, """\
         print("not a score")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import random
 
 import pytest
@@ -242,6 +243,16 @@ def test_csv_that_is_not_utf8_rejected(tmp_path):
     with pytest.raises(CsvParseError, match="not valid UTF-8") as caught:
         load_csv(path)
     assert str(path) in str(caught.value)
+
+
+def test_csv_field_over_the_size_limit_rejected(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("a,b\n1,2\n3," + "x" * 200_000 + "\n")
+    limit = csv.field_size_limit()
+    with pytest.raises(CsvParseError) as caught:
+        load_csv(path)
+    assert str(caught.value) == f"{path}: line 3: field larger than field limit ({limit})"
+    assert csv.field_size_limit() == limit
 
 
 _BASE = [("x", ColumnType.NUMERICAL, [1.0, -0.0, None]),
