@@ -262,7 +262,10 @@ def benefit_score(triplet: PvtTriplet, dataset: Dataset, seed: int = 0) -> float
 
 def _validate_inputs(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
                      config: EngineConfig) -> float:
-    """The failing dataset's score, once both baselines sit on the right side of tau."""
+    """The failing dataset's score, once the datasets share a schema and both
+    baselines sit on the right side of tau."""
+    if not d_pass.same_schema(d_fail):
+        raise SchemaError("pass and fail datasets must share a schema")
     score_pass = oracle.evaluate(d_pass, baseline=True)
     score_fail = oracle.evaluate(d_fail, baseline=True)
     if score_pass > config.tau:

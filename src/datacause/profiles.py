@@ -8,6 +8,7 @@ another dataset breaks it. Violation scores always land in [0, 1].
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -189,10 +190,12 @@ class DomainText(DomainBound):
     def __post_init__(self):
         if self.min_len > self.max_len:
             raise DomainError("min length above max length")
+        if self.pattern is not None and not set(self.pattern) <= _RUN_REGEX.keys():
+            raise DomainError(f"text pattern classes must be {', '.join(_RUN_REGEX)}")
 
     def conforms(self, value: str) -> bool:
-        return (matches_pattern(value, self.pattern)
-                and self.min_len <= len(value) <= self.max_len)
+        return (self.min_len <= len(value) <= self.max_len
+                and matches_pattern(value, self.pattern))
 
     def offending(self, dataset):
         return sum(1 for v in dataset.column(self.attribute)
@@ -336,8 +339,34 @@ def text_signature(value: str) -> tuple[str, ...]:
     return tuple(sig)
 
 
+#: one capture group per run class; a lookahead ends each digit or letter
+#: run at its last character, so that a pattern with two adjacent runs of one
+#: class never matches, just as text_signature never returns one
+_RUN_REGEX = {"digits": "([0-9]+)(?![0-9])", "letters": "([A-Za-z]+)(?![A-Za-z])",
+              "other": "([^A-Za-z0-9])"}
+#: compiled shape regex per signature; it holds patterns only, never data
+_SHAPE_REGEX: dict[tuple[str, ...], re.Pattern] = {}
+
+
+def shape_regex(pattern: tuple[str, ...]) -> re.Pattern:
+    """Regex that fullmatches an ASCII string iff its signature is ``pattern``;
+    group k is the string's k-th run.
+
+    Only for ASCII: ``str.isdigit`` and ``str.isalpha`` also accept
+    characters such as ``²`` and ``é``, which the regex classes leave out.
+    """
+    regex = _SHAPE_REGEX.get(pattern)
+    if regex is None:
+        regex = _SHAPE_REGEX[pattern] = re.compile("".join(_RUN_REGEX[c] for c in pattern))
+    return regex
+
+
 def matches_pattern(value: str, pattern: tuple[str, ...] | None) -> bool:
-    return pattern is None or text_signature(value) == pattern
+    if pattern is None:
+        return True
+    if value.isascii():
+        return shape_regex(pattern).fullmatch(value) is not None
+    return text_signature(value) == pattern
 
 
 # --- violation -------------------------------------------------------------
@@ -546,10 +575,14 @@ def discover_profiles(dataset: Dataset, predicates: Sequence[Predicate] = ()) ->
             flagged = sum(outlier_flags(col, OUTLIER_K))
             out.append(OutlierBound(attribute, OUTLIER_K, flagged / n))
         else:
-            signatures = {text_signature(v) for v in present}
-            pattern = next(iter(signatures)) if len(signatures) == 1 else None
+            pattern = text_signature(present[0])
+            if all(map(str.isascii, present)):
+                shared = all(map(shape_regex(pattern).fullmatch, present))
+            else:
+                shared = all(text_signature(v) == pattern for v in present)
             lengths = [len(v) for v in present]
-            out.append(DomainText(attribute, pattern, min(lengths), max(lengths)))
+            out.append(DomainText(attribute, pattern if shared else None,
+                                  min(lengths), max(lengths)))
     for predicate in predicates:
         count = len(select_where(dataset, predicate))
         out.append(SelectivityBound(predicate, count / n))

@@ -104,11 +104,17 @@ def _letters(rng: random.Random, length: int) -> str:
     return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
 
 
+#: every two-letter string, at the index it has as a two-digit base-26 number
+#: written low digit first
+_LETTER_PAIRS = [a + b for b in string.ascii_lowercase for a in string.ascii_lowercase]
+
+
 def _fixed_width_token(index: int) -> str:
+    """The low ten base-26 digits of ``index`` as letters, low digit first."""
     out = []
-    for _ in range(10):
-        out.append(string.ascii_lowercase[index % 26])
-        index //= 26
+    for _ in range(5):
+        index, pair = divmod(index, 676)
+        out.append(_LETTER_PAIRS[pair])
     return "".join(out)
 
 

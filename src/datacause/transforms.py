@@ -22,6 +22,7 @@ from .profiles import (
     contingency_table,
     outlier_flags,
     pearson_correlation,
+    shape_regex,
     text_signature,
     violation,
 )
@@ -135,6 +136,24 @@ def _winsorize(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
          for v in dataset.column(profile.attribute)])
 
 
+def _runs(value: str, pattern: tuple[str, ...]) -> list[str] | None:
+    """``value`` split into one run per class of ``pattern``, or None when
+    its signature is another."""
+    if value.isascii():
+        match = shape_regex(pattern).fullmatch(value)
+        return match and list(match.groups())
+    if text_signature(value) != pattern:
+        return None
+    text, i = [], 0
+    for cls in pattern:
+        j = i + 1
+        while cls != "other" and j < len(value) and text_signature(value[j]) == (cls,):
+            j += 1
+        text.append(value[i:j])
+        i = j
+    return text
+
+
 def _fit_text(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
     profile = triplet.profile
     if not profile.offending(dataset):
@@ -147,18 +166,7 @@ def _fit_text(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
             if len(v) < profile.min_len:
                 return v + "0" * (profile.min_len - len(v))
             return v[: profile.max_len]
-        runs = list(text_signature(v))
-        if runs != list(profile.pattern):
-            text = [fill[cls] for cls in profile.pattern]
-        else:
-            # split v back into its runs
-            text, i = [], 0
-            for cls in runs:
-                j = i
-                while j < len(v) and text_signature(v[i:j + 1]) == (cls,):
-                    j += 1
-                text.append(v[i:j])
-                i = j
+        text = _runs(v, profile.pattern) or [fill[cls] for cls in profile.pattern]
         # grow the last extendable run to reach min_len
         extendable = [k for k, cls in enumerate(profile.pattern) if cls != "other"]
         length = sum(len(part) for part in text)

@@ -357,6 +357,24 @@ def test_csv_that_is_not_utf8_exit_65(capsys, tmp_path, command, human):
         assert report["error"] == f"{bad}: not valid UTF-8"
 
 
+@pytest.mark.parametrize("human", [False, True], ids=["json", "human"])
+def test_explain_on_different_schemas_exit_65_before_scoring(capsys, tmp_path, human):
+    d_pass, d_fail = tmp_path / "pass.csv", tmp_path / "fail.csv"
+    d_pass.write_text("a,b\n1,x\n2,y\n")
+    d_fail.write_text("a,c\n1,x\n2,y\n")
+    code = main(["explain", "--pass", str(d_pass), "--fail", str(d_fail),
+                 "--oracle", "builtin:missing-flag?attribute=a", "--tau", "0.2",
+                 *(["--human"] if human else [])])
+    out = capsys.readouterr().out
+    assert code == 65
+    if human:
+        assert out == "error: pass and fail datasets must share a schema\n"
+    else:
+        report = json.loads(out)
+        assert report["exit_status"] == 65
+        assert report["error"] == "pass and fail datasets must share a schema"
+
+
 # --- synth -----------------------------------------------------------------------
 
 

@@ -88,6 +88,18 @@ def test_discriminative_requires_shared_schema(people_fail):
         discriminative_pvts(people_fail, other)
 
 
+def test_explain_checks_the_schema_before_any_oracle_call():
+    scores = []
+    oracle = CallableOracle(lambda d: scores.append(d) or 1.0)
+    d_pass = from_columns([("a", ColumnType.CATEGORICAL, ["x"]),
+                           ("b", ColumnType.CATEGORICAL, ["y"])])
+    d_fail = from_columns([("a", ColumnType.CATEGORICAL, ["x"]),
+                           ("c", ColumnType.CATEGORICAL, ["y"])])
+    with pytest.raises(SchemaError, match="share a schema"):
+        explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2))
+    assert scores == [] and oracle.invocation_count == 0
+
+
 def test_discriminative_holds_on_pass_side(people_pass, people_fail):
     for t in discriminative_pvts(people_pass, people_fail):
         assert violation(people_pass, t.profile) == 0.0

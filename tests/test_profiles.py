@@ -446,6 +446,13 @@ def test_text_signature_runs():
     assert text_signature("") == ()
 
 
+def test_domain_text_rejects_an_unknown_run_class():
+    from datacause.profiles import DomainText
+    with pytest.raises(DomainError, match="digits, letters, other"):
+        DomainText("a", ("letters", "spaces"), 1, 5)
+    assert DomainText("a", ("letters", "letters"), 1, 5).conforms("ab") is False
+
+
 def test_text_profile_discovery_and_violation():
     d = from_columns([("t", ColumnType.TEXT, ["ab12", "xyz99", "q7"])])
     profile = find(discover_profiles(d), DomainText, "t")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import string
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -12,16 +14,21 @@ from datacause.profiles import (  # noqa: E402
     MIN_SUPPORT,
     SELECTIVITY_GAP,
     DependenceBound,
+    DomainText,
     SelectivityBound,
     contingency_table,
     discover_profiles,
     enumerate_selectivity_predicates,
+    matches_pattern,
+    shape_regex,
+    text_signature,
     violation,
 )
 from datacause.tabular import ColumnType, Predicate, Term, from_columns, select_where  # noqa: E402
 from datacause.transforms import (  # noqa: E402
     POSTCONDITION_TOL,
     PvtTriplet,
+    _runs,
     compose,
     coverage,
     make_triplets,
@@ -275,3 +282,60 @@ def test_resample_coverage_counts_the_rows_the_repair_adds_or_drops(pair, data):
         assert violation(repaired, profile) <= POSTCONDITION_TOL
         if repaired is not dataset:  # a resample lands exactly on floor(threshold * rows)
             assert len(select_where(repaired, predicate)) == int(threshold * repaired.row_count)
+
+
+# --- text shapes: the compiled regexes against the reference signature ---------
+
+SHAPE_TEXT = st.text(alphabet=string.ascii_letters + string.digits + string.punctuation
+                     + " \n\t²٣éß", max_size=10)
+#: a small alphabet, so that cells drawn for one column often share a signature,
+#: and ASCII cells whose regex shape a non-ASCII cell matches (é as "other")
+SHAPE_CELLS = st.one_of(st.text(alphabet="aZ09-. \n²٣éß", max_size=4),
+                        st.sampled_from(["a-", "aé", "1-", "1²", "-", "é", "٣", "a"]))
+SHAPE_PATTERNS = st.lists(st.sampled_from(["digits", "letters", "other"]),
+                          max_size=5).map(tuple)
+
+
+@settings(deadline=None)
+@given(SHAPE_TEXT, SHAPE_PATTERNS, st.booleans())
+def test_matches_pattern_agrees_with_text_signature(value, pattern, own):
+    if own:
+        pattern = text_signature(value)
+    assert matches_pattern(value, pattern) == (text_signature(value) == pattern)
+
+
+@pytest.mark.parametrize("value, pattern, expected", [
+    ("", (), True), ("", ("letters",), False), ("a", (), False),
+    ("ab", ("letters", "letters"), False), ("ab", ("letters",), True),
+    ("12", ("digits", "digits"), False), ("--", ("other", "other"), True),
+    ("--", ("other",), False), ("a\n1", ("letters", "other", "digits"), True),
+])
+def test_matches_pattern_edge_cases(value, pattern, expected):
+    assert matches_pattern(value, pattern) is expected
+    assert (text_signature(value) == pattern) is expected
+    assert (shape_regex(pattern).fullmatch(value) is not None) is expected
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.none(), SHAPE_CELLS), min_size=1, max_size=6))
+def test_discovered_text_pattern_is_the_one_signature_every_cell_shares(cells):
+    found = [p for p in discover_profiles(from_columns([("t", ColumnType.TEXT, cells)]))
+             if isinstance(p, DomainText)]
+    present = [v for v in cells if v is not None]
+    expected = []
+    if present:
+        signatures = {text_signature(v) for v in present}
+        pattern = next(iter(signatures)) if len(signatures) == 1 else None
+        lengths = [len(v) for v in present]
+        expected = [DomainText("t", pattern, min(lengths), max(lengths))]
+    assert found == expected
+
+
+@settings(deadline=None)
+@given(SHAPE_TEXT, SHAPE_PATTERNS)
+def test_runs_of_a_conforming_value_join_back_to_it(value, other):
+    pattern = text_signature(value)
+    runs = _runs(value, pattern)
+    assert "".join(runs) == value
+    assert [text_signature(run) for run in runs] == [(cls,) for cls in pattern]
+    assert (_runs(value, other) is None) == (other != pattern)
