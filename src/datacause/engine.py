@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DatacauseError,
+    DegenerateInputError,
     NoExplanationFound,
     OracleError,
     SchemaError,
@@ -102,7 +103,7 @@ class LogEntry:
 
 @dataclass
 class InterventionLog:
-    """One entry per counted intervention plus free-form notes."""
+    """One entry per intervention of a run, plus free-form notes."""
 
     entries: list[LogEntry] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -118,9 +119,12 @@ class Explanation:
 
     triplets: tuple[PvtTriplet, ...]
     final_score: float
-    interventions: int
     log: InterventionLog
     repaired: Dataset
+
+    @property
+    def interventions(self) -> int:
+        return len(self.log.entries)
 
     @property
     def repaired_fingerprint(self) -> str:
@@ -144,7 +148,13 @@ class Explanation:
 
 
 class _Run:
-    """Per-run state: oracle access with budget enforcement and logging."""
+    """Per-run state: the run's interventions, their budget and their log.
+
+    An intervention is a scorer call the run makes on a dataset it built,
+    and each one gets exactly one log entry. Used as a context manager, the
+    run attaches its log to a :class:`NoExplanationFound` or
+    :class:`OracleError` that ends it.
+    """
 
     def __init__(self, oracle: MalfunctionOracle, config: EngineConfig,
                  log: InterventionLog | None = None):
@@ -154,20 +164,21 @@ class _Run:
         # group evaluations that failed to reduce, for A3 diagnostics
         self._flat_groups: list[frozenset[str]] = []
 
+    def __enter__(self) -> "_Run":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if isinstance(exc, (NoExplanationFound, OracleError)):
+            exc.log = self.log
+
     def query(self, dataset: Dataset, triplet_ids: tuple[str, ...],
               pre_score: float, warnings: tuple[str, ...] = ()) -> float:
-        if not self.oracle.is_cached(dataset) and \
-                self.oracle.intervention_count() >= self.config.max_interventions:
+        fresh = not self.oracle.is_cached(dataset)
+        if fresh and len(self.log.entries) >= self.config.max_interventions:
             raise NoExplanationFound(
-                f"intervention budget ({self.config.max_interventions}) exhausted",
-                log=self.log)
-        before = self.oracle.intervention_count()
-        try:
-            score = self.oracle.evaluate(dataset)
-        except OracleError as exc:
-            exc.log = self.log  # abort the run, but keep the log reachable
-            raise
-        if self.oracle.intervention_count() > before:
+                f"intervention budget ({self.config.max_interventions}) exhausted")
+        score = self.oracle.evaluate(dataset)
+        if fresh:
             self.log.entries.append(LogEntry(
                 triplet_ids, pre_score, score, accepted=score < pre_score,
                 warnings=warnings))
@@ -260,14 +271,24 @@ def benefit_score(triplet: PvtTriplet, dataset: Dataset, seed: int = 0) -> float
 # --- shared plumbing ----------------------------------------------------------
 
 
+def _check_inputs(d_fail: Dataset, others: list[Dataset]) -> None:
+    """What a run checks before its first scorer call: every dataset has at
+    least one row and shares the failing dataset's schema. Rows come first,
+    since a header-only CSV has no cells to infer its column types from."""
+    datasets = [d_fail, *others]
+    if not all(d.row_count for d in datasets):
+        raise DegenerateInputError("every pass and fail dataset needs at least one row")
+    if not all(d.same_schema(d_fail) for d in datasets):
+        raise SchemaError("pass and fail datasets must share a schema")
+
+
 def _validate_inputs(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
                      config: EngineConfig) -> float:
-    """The failing dataset's score, once the datasets share a schema and both
-    baselines sit on the right side of tau."""
-    if not d_pass.same_schema(d_fail):
-        raise SchemaError("pass and fail datasets must share a schema")
-    score_pass = oracle.evaluate(d_pass, baseline=True)
-    score_fail = oracle.evaluate(d_fail, baseline=True)
+    """The failing dataset's score, once the inputs pass :func:`_check_inputs`
+    and both baselines sit on the right side of tau."""
+    _check_inputs(d_fail, [d_pass])
+    score_pass = oracle.evaluate(d_pass)
+    score_fail = oracle.evaluate(d_fail)
     if score_pass > config.tau:
         raise ValidationError(
             f"passing dataset scores {score_pass:.4g} above tau {config.tau:.4g}")
@@ -295,21 +316,21 @@ def make_minimal(x_star, d_fail: Dataset, oracle: MalfunctionOracle,
     deletion keeps the composed repair at or below tau, so the result is
     deletion-minimal.
     """
-    run = _Run(oracle, config, log)
-    baseline = oracle.evaluate(d_fail, baseline=True)
+    baseline = oracle.evaluate(d_fail)
     current = list(x_star)
     changed = True
-    while changed:
-        changed = False
-        for i in range(len(current)):
-            trial = current[:i] + current[i + 1:]
-            score, _ = run.attempt(
-                trial, d_fail, baseline,
-                f"minimality probe without {current[i].id} failed to compose")
-            if score is not None and score <= config.tau:
-                current = trial
-                changed = True
-                break
+    with _Run(oracle, config, log) as run:
+        while changed:
+            changed = False
+            for i in range(len(current)):
+                trial = current[:i] + current[i + 1:]
+                score, _ = run.attempt(
+                    trial, d_fail, baseline,
+                    f"minimality probe without {current[i].id} failed to compose")
+                if score is not None and score <= config.tau:
+                    current = trial
+                    changed = True
+                    break
     return current
 
 
@@ -327,7 +348,6 @@ def _finalize(run: _Run, members: list[PvtTriplet], d_fail: Dataset,
     return Explanation(
         triplets=tuple(x_star),
         final_score=final_score,
-        interventions=run.oracle.intervention_count(),
         log=run.log,
         repaired=repaired,
     )
@@ -356,7 +376,7 @@ def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
         if not remaining:
             raise NoExplanationFound(
                 f"candidates exhausted with score {score:.4g} above tau "
-                f"{config.tau:.4g}", log=run.log)
+                f"{config.tau:.4g}")
         degrees = attribute_degrees(t.profile for t in remaining.values())
         top = max(degrees.values())
         hot = {a for a, d in degrees.items() if d == top}
@@ -449,19 +469,16 @@ def _group_testing(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
                            random_partition=config.algorithm == "group_test_random")
     unique = sorted({t.id: t for t in found}.values(), key=lambda t: t.sort_key)
     if not unique:
-        raise NoExplanationFound("group testing found no score-reducing repairs",
-                                 log=run.log)
+        raise NoExplanationFound("group testing found no score-reducing repairs")
     try:
         composed = run.compose(unique, d_fail)
     except TransformFailure as exc:
-        raise NoExplanationFound(f"collected repairs failed to compose: {exc}",
-                                 log=run.log) from exc
+        raise NoExplanationFound(f"collected repairs failed to compose: {exc}") from exc
     verify = run.query(composed.dataset, tuple(t.id for t in unique), fail_score,
                        warnings=composed.warnings)
     if verify > config.tau:
         raise NoExplanationFound(
-            f"collected repairs only reach {verify:.4g}, above tau {config.tau:.4g}",
-            log=run.log)
+            f"collected repairs only reach {verify:.4g}, above tau {config.tau:.4g}")
     return unique, composed.dataset
 
 
@@ -474,15 +491,14 @@ def explain(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
     returns a set the oracle has seen pass; :func:`make_minimal` then drops
     every member the rest can do without.
     """
-    run = _Run(oracle, config)
     fail_score = _validate_inputs(d_pass, d_fail, oracle, config)
-    candidates = discriminative_pvts(d_pass, d_fail)
-    if not candidates:
-        raise NoExplanationFound("no discriminative profiles between the datasets",
-                                 log=run.log)
-    search = _greedy if config.algorithm == "greedy" else _group_testing
-    members, repaired = search(run, candidates, d_fail, fail_score)
-    return _finalize(run, members, d_fail, repaired, fail_score)
+    with _Run(oracle, config) as run:
+        candidates = discriminative_pvts(d_pass, d_fail)
+        if not candidates:
+            raise NoExplanationFound("no discriminative profiles between the datasets")
+        search = _greedy if config.algorithm == "greedy" else _group_testing
+        members, repaired = search(run, candidates, d_fail, fail_score)
+        return _finalize(run, members, d_fail, repaired, fail_score)
 
 
 # --- decision-tree extension ---------------------------------------------------
@@ -540,84 +556,80 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
         raise ValidationError("all datasets pass; nothing to explain")
     if not passing:
         raise ValidationError("need at least one passing dataset")
-    run = _Run(oracle, config)
-    for d, _ in labeled:  # provided observations are inputs, not interventions
-        oracle.mark_baseline(d)
-    fail_score = oracle.evaluate(d_fail, baseline=True)
+    _check_inputs(d_fail, [d for d, _ in labeled])
+    fail_score = oracle.evaluate(d_fail)
     if fail_score <= config.tau:
         raise ValidationError("failing dataset already scores within tau")
+    with _Run(oracle, config) as run:
+        profiles: list[Profile] = []
+        seen_ids: set[tuple] = set()
+        for d in passing:
+            for t in discriminative_pvts(d, d_fail):
+                key = t.profile.identity()
+                if key not in seen_ids:
+                    seen_ids.add(key)
+                    profiles.append(t.profile)
+        if not profiles:
+            raise NoExplanationFound("no discriminative profiles to learn from")
+        profiles.sort(key=lambda p: (p.attributes(), p.kind.value, p.label()))
+        variants = {p.label(): make_triplets(p) for p in profiles}
 
-    profiles: list[Profile] = []
-    seen_ids: set[tuple] = set()
-    for d in passing:
-        for t in discriminative_pvts(d, d_fail):
-            key = t.profile.identity()
-            if key not in seen_ids:
-                seen_ids.add(key)
-                profiles.append(t.profile)
-    if not profiles:
-        raise NoExplanationFound("no discriminative profiles to learn from", log=run.log)
-    profiles.sort(key=lambda p: (p.attributes(), p.kind.value, p.label()))
-    variants = {p.label(): make_triplets(p) for p in profiles}
+        def features_of(dataset: Dataset) -> tuple[bool, ...]:
+            flags = []
+            for p in profiles:
+                try:
+                    flags.append(violation(dataset, p) <= POSTCONDITION_TOL)
+                except DatacauseError:
+                    flags.append(False)
+            return tuple(flags)
 
-    def features_of(dataset: Dataset) -> tuple[bool, ...]:
-        flags = []
-        for p in profiles:
+        benefit_cache = {p.label(): max(
+            (_safe_benefit(t, d_fail, config, run.log) for t in variants[p.label()]),
+            default=0.0) for p in profiles}
+
+        def transforms_d_fail(option: PvtTriplet) -> bool:
             try:
-                flags.append(violation(dataset, p) <= POSTCONDITION_TOL)
-            except DatacauseError:
-                flags.append(False)
-        return tuple(flags)
+                run.transform(d_fail, option)
+            except TransformFailure:
+                return False
+            return True
 
-    benefit_cache = {p.label(): max(
-        (_safe_benefit(t, d_fail, config, run.log) for t in variants[p.label()]),
-        default=0.0) for p in profiles}
+        def repair_set(conj: tuple[int, ...]) -> list[PvtTriplet] | None:
+            chosen = []
+            for f in conj:
+                picked = next(filter(transforms_d_fail, variants[profiles[f].label()]), None)
+                if picked is None:
+                    return None
+                chosen.append(picked)
+            return chosen
 
-    def transforms_d_fail(option: PvtTriplet) -> bool:
-        try:
-            run.transform(d_fail, option)
-        except TransformFailure:
-            return False
-        return True
-
-    def repair_set(conj: tuple[int, ...]) -> list[PvtTriplet] | None:
-        chosen = []
-        for f in conj:
-            picked = next(filter(transforms_d_fail, variants[profiles[f].label()]), None)
-            if picked is None:
-                return None
-            chosen.append(picked)
-        return chosen
-
-    rows = [(features_of(d), ok) for d, ok in labeled]
-    tested: set[tuple[int, ...]] = set()
-    refits = 0
-    while True:
-        paths = [tuple(sorted(p)) for p in _pass_paths(rows, list(range(len(profiles)))) if p]
-        paths = [p for p in dict.fromkeys(paths) if p not in tested]
-        paths.sort(key=lambda conj: (-sum(benefit_cache[profiles[f].label()] for f in conj),
-                                     conj))
-        progressed = False
-        for conj in paths:
-            tested.add(conj)
-            triplets = repair_set(conj)
-            if triplets is None:
-                run.log.notes.append(
-                    f"conjunction {[profiles[f].label() for f in conj]} untransformable")
-                continue
-            score, repaired = run.attempt(triplets, d_fail, fail_score,
-                                          "conjunction failed to compose")
-            if score is None:
-                continue
-            if score <= config.tau:
-                return _finalize(run, triplets, d_fail, repaired, fail_score)
-            rows.append((features_of(repaired), False))
-            refits += 1
-            progressed = True
-            if refits > MAX_REFITS:
-                raise NoExplanationFound(
-                    f"decision tree exhausted {MAX_REFITS} refits", log=run.log)
-            break
-        if not progressed:
-            raise NoExplanationFound("decision tree found no passing conjunction",
-                                     log=run.log)
+        rows = [(features_of(d), ok) for d, ok in labeled]
+        tested: set[tuple[int, ...]] = set()
+        refits = 0
+        while True:
+            paths = [tuple(sorted(p)) for p in _pass_paths(rows, list(range(len(profiles)))) if p]
+            paths = [p for p in dict.fromkeys(paths) if p not in tested]
+            paths.sort(key=lambda conj: (-sum(benefit_cache[profiles[f].label()] for f in conj),
+                                         conj))
+            progressed = False
+            for conj in paths:
+                tested.add(conj)
+                triplets = repair_set(conj)
+                if triplets is None:
+                    run.log.notes.append(
+                        f"conjunction {[profiles[f].label() for f in conj]} untransformable")
+                    continue
+                score, repaired = run.attempt(triplets, d_fail, fail_score,
+                                              "conjunction failed to compose")
+                if score is None:
+                    continue
+                if score <= config.tau:
+                    return _finalize(run, triplets, d_fail, repaired, fail_score)
+                rows.append((features_of(repaired), False))
+                refits += 1
+                progressed = True
+                if refits > MAX_REFITS:
+                    raise NoExplanationFound(f"decision tree exhausted {MAX_REFITS} refits")
+                break
+            if not progressed:
+                raise NoExplanationFound("decision tree found no passing conjunction")

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 
 class DatacauseError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    A :class:`NoExplanationFound` or :class:`OracleError` that ends an
+    engine run carries the run's intervention log as ``log``; any other
+    error carries None.
+    """
+
+    log = None
 
 
 class CsvParseError(DatacauseError):
@@ -51,13 +58,7 @@ class ValidationError(DatacauseError):
 
 
 class OracleError(DatacauseError):
-    """Base class for scorer failures.
-
-    When raised inside an engine run, the intervention log collected so far
-    is attached as ``log`` before the run aborts.
-    """
-
-    log = None
+    """Base class for scorer failures."""
 
 
 class OracleTimeoutError(OracleError):
@@ -73,14 +74,7 @@ class OracleFailureError(OracleError):
 
 
 class NoExplanationFound(DatacauseError):
-    """The search space was exhausted without bringing the score below tau.
-
-    The intervention log collected so far is attached for post-mortems.
-    """
-
-    def __init__(self, message: str, log=None):
-        super().__init__(message)
-        self.log = log
+    """The search space was exhausted without bringing the score below tau."""
 
 
 class ScenarioSpecError(DatacauseError):

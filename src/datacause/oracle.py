@@ -1,10 +1,8 @@
-"""Black-box malfunction scorers with caching and intervention counting.
+"""Black-box malfunction scorers with caching.
 
 An oracle maps a dataset to a score in [0, 1]; 0 means the system under
 test behaves properly. Scores are cached by dataset fingerprint so an
-identical dataset is never scored twice, and the intervention count is the
-number of distinct fingerprints evaluated beyond the initial pass/fail
-baselines.
+identical dataset is never scored twice.
 """
 
 from __future__ import annotations
@@ -38,18 +36,14 @@ class MalfunctionOracle:
 
     def __init__(self):
         self._scores: dict[str, float] = {}
-        self._baselines: set[str] = set()
         self._invocations = 0
 
     def _invoke(self, dataset: Dataset) -> float:
         raise NotImplementedError
 
-    def evaluate(self, dataset: Dataset, baseline: bool = False) -> float:
-        """Score a dataset; ``baseline`` marks the initial pass/fail inputs
-        so they stay out of the intervention count."""
+    def evaluate(self, dataset: Dataset) -> float:
+        """Score a dataset, invoking the scorer only on an unseen fingerprint."""
         fp = dataset.fingerprint
-        if baseline:
-            self._baselines.add(fp)
         if fp in self._scores:
             return self._scores[fp]
         score = self._invoke(dataset)
@@ -61,16 +55,8 @@ class MalfunctionOracle:
         self._scores[fp] = float(score)
         return float(score)
 
-    def mark_baseline(self, dataset: Dataset) -> None:
-        """Exclude a dataset from the intervention count without scoring it."""
-        self._baselines.add(dataset.fingerprint)
-
     def is_cached(self, dataset: Dataset) -> bool:
         return dataset.fingerprint in self._scores
-
-    def intervention_count(self) -> int:
-        """Distinct-fingerprint evaluations so far, baselines excluded."""
-        return len(set(self._scores) - self._baselines)
 
     @property
     def invocation_count(self) -> int:

@@ -375,6 +375,35 @@ def test_explain_on_different_schemas_exit_65_before_scoring(capsys, tmp_path, h
         assert report["error"] == "pass and fail datasets must share a schema"
 
 
+@pytest.mark.parametrize("human", [False, True], ids=["json", "human"])
+def test_explain_on_an_empty_dataset_exit_65_before_scoring(capsys, tmp_path, human):
+    d_pass, d_fail = tmp_path / "pass.csv", tmp_path / "fail.csv"
+    d_pass.write_text("a,b\n")
+    d_fail.write_text("a,b\n")
+    calls = tmp_path / "calls"
+    script = tmp_path / "oracle.py"
+    script.write_text(textwrap.dedent(f"""\
+        import csv, sys
+        open({str(calls)!r}, "a").write("call\\n")
+        with open(sys.argv[1], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        print(sum(row["b"] != "x" for row in rows) / len(rows))
+        """))
+    code = main(["explain", "--pass", str(d_pass), "--fail", str(d_fail),
+                 "--oracle", f"{sys.executable} {script}", "--tau", "0.2",
+                 *(["--human"] if human else [])])
+    out = capsys.readouterr().out
+    assert code == 65
+    assert not calls.exists()
+    if human:
+        assert out == "error: every pass and fail dataset needs at least one row\n"
+    else:
+        report = json.loads(out)
+        assert report["exit_status"] == 65
+        assert report["error"] == "every pass and fail dataset needs at least one row"
+        assert "log" not in report
+
+
 # --- synth -----------------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from datacause.engine import (
     make_minimal,
 )
 from datacause.errors import (
+    DegenerateInputError,
     NoExplanationFound,
     SchemaError,
     TransformFailure,
@@ -98,6 +99,28 @@ def test_explain_checks_the_schema_before_any_oracle_call():
     with pytest.raises(SchemaError, match="share a schema"):
         explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2))
     assert scores == [] and oracle.invocation_count == 0
+
+
+def two_columns(second, n_rows):
+    return from_columns([("a", ColumnType.CATEGORICAL, ["x"] * n_rows),
+                         (second, ColumnType.CATEGORICAL, ["y"] * n_rows)])
+
+
+@pytest.mark.parametrize("entry", ["explain", "decision_tree"])
+@pytest.mark.parametrize("d_pass, d_fail, error", [
+    (two_columns("b", 1), two_columns("c", 1), SchemaError),
+    (two_columns("b", 1), two_columns("b", 0), DegenerateInputError),
+    (two_columns("b", 0), two_columns("b", 1), DegenerateInputError),
+], ids=["schema", "empty-fail", "empty-pass"])
+def test_inputs_are_checked_before_any_scorer_call(entry, d_pass, d_fail, error):
+    oracle = CallableOracle(lambda d: 1.0)
+    config = EngineConfig(tau=0.2)
+    with pytest.raises(error):
+        if entry == "explain":
+            explain(d_pass, d_fail, oracle, config)
+        else:
+            decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail, oracle, config)
+    assert oracle.invocation_count == 0
 
 
 def test_discriminative_holds_on_pass_side(people_pass, people_fail):
@@ -253,12 +276,51 @@ def test_greedy_budget_exhaustion():
     assert err.value.log is not None
 
 
-def test_greedy_log_matches_intervention_count():
+@pytest.mark.parametrize("algorithm",
+                         ["greedy", "group_test", "group_test_random", "decision_tree"])
+def test_log_matches_intervention_count(algorithm):
     d_pass, d_fail, oracle = generate(sentiment_spec(seed=3))
-    result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, seed=3))
-    assert len(result.log.entries) == result.interventions
-    assert result.interventions == oracle.intervention_count()
+    if algorithm == "decision_tree":
+        result = decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail, oracle,
+                                       EngineConfig(tau=0.2, seed=3))
+        baselines = 1  # the failing dataset; the labelled passing one is never scored
+    else:
+        result = explain(d_pass, d_fail, oracle,
+                         EngineConfig(tau=0.2, seed=3, algorithm=algorithm))
+        baselines = 2
+    assert result.interventions == oracle.invocation_count - baselines
     assert any(e.accepted for e in result.log.entries)
+
+
+def test_run_logs_only_its_own_scorer_calls():
+    from datacause.engine import _Run
+    oracle = CallableOracle(lambda d: 0.25)
+    d_fail = from_columns([("target", ColumnType.CATEGORICAL, ["0"])])
+    novel = from_columns([("target", ColumnType.CATEGORICAL, ["4"])])
+    oracle.evaluate(d_fail)  # a baseline, scored before the run
+    run = _Run(oracle, EngineConfig(tau=0.2))
+    run.query(d_fail, (), 1.0)
+    assert run.log.entries == []
+    for _ in range(3):
+        run.query(novel, ("t",), 1.0)
+    assert [e.triplet_ids for e in run.log.entries] == [("t",)]
+    assert oracle.invocation_count == 2
+
+
+def test_a_run_on_a_warm_oracle_counts_only_its_own_scorer_calls():
+    d_pass, d_fail, oracle = generate(sentiment_spec(seed=0, decoys=5))
+    explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2))  # scores greedy's one repair
+    config = EngineConfig(tau=0.2, algorithm="group_test", max_interventions=4)
+    before = oracle.invocation_count
+    result = explain(d_pass, d_fail, oracle, config)
+    assert result.interventions == len(result.log.entries) == oracle.invocation_count - before
+    assert result.interventions == 4
+    again = explain(d_pass, d_fail, oracle, config)
+    assert again.interventions == 0 and again.log.entries == []
+    assert again.triplet_ids() == result.triplet_ids()
+    d_pass, d_fail, fresh = generate(sentiment_spec(seed=0, decoys=5))
+    with pytest.raises(NoExplanationFound, match="budget"):  # a cold run needs a fifth
+        explain(d_pass, d_fail, fresh, config)
 
 
 def test_greedy_deterministic():
@@ -321,7 +383,7 @@ def test_group_test_empty_candidates():
 def test_group_test_direct_call():
     from datacause.engine import _group_test, _Run
     d_pass, d_fail, oracle = generate(sentiment_spec(seed=1))
-    oracle.evaluate(d_fail, baseline=True)
+    oracle.evaluate(d_fail)
     candidates = discriminative_pvts(d_pass, d_fail)
     g_pd = build_dependency_graph(candidates)
     config = EngineConfig(tau=0.2, seed=1, algorithm="group_test")
@@ -359,7 +421,7 @@ def test_make_minimal_drops_redundant_member():
     ])
     oracle = CallableOracle(
         lambda d: 1.0 if any(v is None for v in d.column("c")) else 0.0)
-    oracle.evaluate(d_fail, baseline=True)
+    oracle.evaluate(d_fail)
     needed = make_triplets(MissingRate("c", 0.0))[0]
     redundant = make_triplets(
         SelectivityBound(Predicate((Term("d", "eq", "x"),)), 0.4))[0]
@@ -373,13 +435,13 @@ def test_make_minimal_singleton_no_extra_interventions():
     d_fail = from_columns([("c", ColumnType.CATEGORICAL, cells)])
     oracle = CallableOracle(
         lambda d: 1.0 if any(v is None for v in d.column("c")) else 0.0)
-    oracle.evaluate(d_fail, baseline=True)
+    oracle.evaluate(d_fail)
     x = make_triplets(MissingRate("c", 0.0))[0]
     config = EngineConfig(tau=0.2)
-    before = oracle.intervention_count()
+    before = oracle.invocation_count
     result = make_minimal([x], d_fail, oracle, config)
     assert [t.id for t in result] == [x.id]
-    assert oracle.intervention_count() == before  # empty remainder hits the baseline cache
+    assert oracle.invocation_count == before  # empty remainder hits the baseline cache
 
 
 def test_make_minimal_keeps_jointly_necessary_pair():
@@ -387,7 +449,7 @@ def test_make_minimal_keeps_jointly_necessary_pair():
         oracle_family="interaction-pair",
         planted_causes=(PlantedCause("missing", "p1"), PlantedCause("missing", "p2")),
         n_rows=80, seed=1))
-    oracle.evaluate(d_fail, baseline=True)
+    oracle.evaluate(d_fail)
     triplets = [t for t in discriminative_pvts(d_pass, d_fail)
                 if isinstance(t.profile, MissingRate)
                 and t.profile.attributes()[0] in ("p1", "p2")]
@@ -503,7 +565,7 @@ def test_a3_violation_recorded_in_warn_mode():
     from datacause.engine import _Run
     d_fail = cancelling_pair()
     oracle = cancelling_oracle()
-    oracle.evaluate(d_fail, baseline=True)
+    oracle.evaluate(d_fail)
     run = _Run(oracle, EngineConfig(tau=0.2))
     triplets = {t.profile.attributes()[0]: t
                 for t in (make_triplets(MissingRate(a, 0.0))[0] for a in ("p1", "p2"))}
@@ -708,7 +770,7 @@ def test_minimality_probe_that_fails_to_compose_is_noted(monkeypatch):
     ])
     oracle = CallableOracle(
         lambda d: 1.0 if any(v is None for v in d.column("c")) else 0.0)
-    oracle.evaluate(d_fail, baseline=True)
+    oracle.evaluate(d_fail)
     needed = make_triplets(MissingRate("c", 0.0))[0]
     redundant = make_triplets(
         SelectivityBound(Predicate((Term("d", "eq", "x"),)), 0.4))[0]
@@ -748,7 +810,7 @@ def test_decision_tree_notes_a_conjunction_that_fails_to_compose(monkeypatch):
         decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail, oracle,
                               EngineConfig(tau=0.2))
     assert err.value.log.notes == ["conjunction failed to compose: forced failure"]
-    assert len(err.value.log.entries) == oracle.intervention_count() == 4
+    assert len(err.value.log.entries) == oracle.invocation_count - 1 == 4
 
 
 def test_decision_tree_gives_up_after_max_refits():
@@ -758,6 +820,20 @@ def test_decision_tree_gives_up_after_max_refits():
         decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail, oracle,
                               EngineConfig(tau=0.2))
     assert len(err.value.log.entries) == engine.MAX_REFITS + 1
+
+
+def test_decision_tree_repair_reproducing_a_labelled_input_is_an_intervention():
+    d_pass = from_columns([("target", ColumnType.CATEGORICAL, ["-1"] * 12 + ["1"] * 8)])
+    d_fail = from_columns([("target", ColumnType.CATEGORICAL, ["0"] * 12 + ["4"] * 8)])
+    oracle = CallableOracle(lambda d: sum(
+        v not in ("-1", "1") for v in d.column("target")) / d.row_count)
+    result = decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail, oracle,
+                                   EngineConfig(tau=0.2))
+    assert result.repaired_fingerprint == d_pass.fingerprint
+    assert oracle.invocation_count == 2
+    assert result.interventions == 1
+    assert [(e.triplet_ids, e.accepted) for e in result.log.entries] == [
+        (result.triplet_ids(), True)]
 
 
 def test_decision_tree_input_checks():

@@ -62,23 +62,6 @@ def test_callable_oracle_cache_single_invocation():
     assert len(calls) == 1
 
 
-def test_intervention_count_excludes_baselines():
-    oracle = CallableOracle(lambda d: 0.25)
-    d_pass = dataset_with_target(["1"])
-    d_fail = dataset_with_target(["0"])
-    assert oracle.intervention_count() == 0
-    oracle.evaluate(d_pass, baseline=True)
-    oracle.evaluate(d_fail, baseline=True)
-    assert oracle.intervention_count() == 0
-    novel = dataset_with_target(["4"])
-    oracle.evaluate(novel)
-    assert oracle.intervention_count() == 1
-    oracle.evaluate(novel)
-    oracle.evaluate(novel)
-    assert oracle.intervention_count() == 1
-    assert oracle.invocation_count == 3
-
-
 def test_out_of_range_score_rejected():
     oracle = CallableOracle(lambda d: 1.5)
     with pytest.raises(OracleProtocolError):
