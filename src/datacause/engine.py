@@ -40,6 +40,7 @@ from .tabular import Dataset
 from .transforms import (
     POSTCONDITION_TOL,
     PvtTriplet,
+    Repair,
     compose,
     coverage,
     make_triplets,
@@ -148,19 +149,28 @@ class Explanation:
 
 
 class _Run:
-    """Per-run state: the run's interventions, their budget and their log.
+    """Per-run state: the run's interventions, their budget and their log,
+    and the repairs it has made.
 
     An intervention is a scorer call the run makes on a dataset it built,
     and each one gets exactly one log entry. Used as a context manager, the
     run attaches its log to a :class:`NoExplanationFound` or
     :class:`OracleError` that ends it.
+
+    The run makes each (input fingerprint, triplet) repair once:
+    :meth:`transform` keeps the result or the :class:`TransformFailure` in
+    ``repairs``. The key holds the triplet itself, since its id leaves out
+    the learned parameters and the perturbed attribute; seed and overrides
+    are the run's. A run given the ``repairs`` of another shares them.
     """
 
     def __init__(self, oracle: MalfunctionOracle, config: EngineConfig,
-                 log: InterventionLog | None = None):
+                 log: InterventionLog | None = None,
+                 repairs: dict[tuple[str, PvtTriplet], Dataset | TransformFailure] | None = None):
         self.oracle = oracle
         self.config = config
         self.log = log if log is not None else InterventionLog()
+        self.repairs = {} if repairs is None else repairs
         # group evaluations that failed to reduce, for A3 diagnostics
         self._flat_groups: list[frozenset[str]] = []
 
@@ -196,12 +206,20 @@ class _Run:
                     f"score but a composed group containing it did not")
 
     def transform(self, dataset: Dataset, triplet: PvtTriplet) -> Dataset:
-        return transform(dataset, triplet, seed=self.config.seed,
-                         remap_overrides=self.config.remap_overrides)
+        key = (dataset.fingerprint, triplet)
+        if key not in self.repairs:
+            try:
+                self.repairs[key] = transform(dataset, triplet, seed=self.config.seed,
+                                              remap_overrides=self.config.remap_overrides)
+            except TransformFailure as exc:
+                self.repairs[key] = exc
+        result = self.repairs[key]
+        if isinstance(result, TransformFailure):
+            raise TransformFailure(str(result), best_violation=result.best_violation)
+        return result
 
     def compose(self, triplets, dataset: Dataset):
-        return compose(triplets, dataset, seed=self.config.seed,
-                       remap_overrides=self.config.remap_overrides)
+        return compose(triplets, dataset, repair=self.transform)
 
     def attempt(self, triplets: list[PvtTriplet], dataset: Dataset, pre_score: float,
                 failure: str) -> tuple[float | None, Dataset | None]:
@@ -261,10 +279,12 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
     return triplets
 
 
-def benefit_score(triplet: PvtTriplet, dataset: Dataset, seed: int = 0) -> float:
-    """Violation times coverage: a prior on which repair to try first."""
+def benefit_score(triplet: PvtTriplet, dataset: Dataset, seed: int = 0,
+                  repair: Repair | None = None) -> float:
+    """Violation times coverage: a prior on which repair to try first.
+    A dry run of the repair goes through ``repair`` when that is given."""
     v = violation(dataset, triplet.profile)
-    c = coverage(dataset, triplet, seed=seed)
+    c = coverage(dataset, triplet, seed=seed, repair=repair)
     return v * c
 
 
@@ -299,12 +319,11 @@ def _validate_inputs(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle
     return score_fail
 
 
-def _safe_benefit(triplet: PvtTriplet, dataset: Dataset, config: EngineConfig,
-                  log: InterventionLog) -> float:
+def _safe_benefit(run: _Run, triplet: PvtTriplet, dataset: Dataset) -> float:
     try:
-        return benefit_score(triplet, dataset, seed=config.seed)
+        return benefit_score(triplet, dataset, seed=run.config.seed, repair=run.transform)
     except TransformFailure as exc:
-        log.notes.append(f"benefit of {triplet.id} treated as 0: {exc}")
+        run.log.notes.append(f"benefit of {triplet.id} treated as 0: {exc}")
         return 0.0
 
 
@@ -317,20 +336,26 @@ def make_minimal(x_star, d_fail: Dataset, oracle: MalfunctionOracle,
     deletion-minimal.
     """
     baseline = oracle.evaluate(d_fail)
+    with _Run(oracle, config, log) as run:
+        return _minimize(run, x_star, d_fail, baseline)
+
+
+def _minimize(run: _Run, x_star, d_fail: Dataset, baseline: float) -> list[PvtTriplet]:
+    """The scan of :func:`make_minimal`, its probes made by ``run`` and
+    scored against ``d_fail``'s ``baseline``."""
     current = list(x_star)
     changed = True
-    with _Run(oracle, config, log) as run:
-        while changed:
-            changed = False
-            for i in range(len(current)):
-                trial = current[:i] + current[i + 1:]
-                score, _ = run.attempt(
-                    trial, d_fail, baseline,
-                    f"minimality probe without {current[i].id} failed to compose")
-                if score is not None and score <= config.tau:
-                    current = trial
-                    changed = True
-                    break
+    while changed:
+        changed = False
+        for i in range(len(current)):
+            trial = current[:i] + current[i + 1:]
+            score, _ = run.attempt(
+                trial, d_fail, baseline,
+                f"minimality probe without {current[i].id} failed to compose")
+            if score is not None and score <= run.config.tau:
+                current = trial
+                changed = True
+                break
     return current
 
 
@@ -338,10 +363,13 @@ def _finalize(run: _Run, members: list[PvtTriplet], d_fail: Dataset,
               repaired: Dataset, fail_score: float) -> Explanation:
     """Make a set the oracle has seen pass deletion-minimal and report it.
 
-    ``repaired`` is ``members`` composed on ``d_fail``. The closing query is
-    a cache hit that runs the group-testing assumption check on the final set.
+    ``repaired`` is ``members`` composed on ``d_fail``. The minimality probes
+    reuse the run's repairs but, as under :func:`make_minimal`, keep a
+    group-testing assumption check of their own. The closing query is a
+    cache hit that runs the run's check on the final set.
     """
-    x_star = make_minimal(members, d_fail, run.oracle, run.config, log=run.log)
+    probes = _Run(run.oracle, run.config, run.log, run.repairs)
+    x_star = _minimize(probes, members, d_fail, fail_score)
     if len(x_star) < len(members):
         repaired = run.compose(x_star, d_fail).dataset
     final_score = run.query(repaired, tuple(t.id for t in x_star), fail_score)
@@ -366,8 +394,7 @@ def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
     benefit of candidates sharing an attribute with the accepted one.
     """
     config = run.config
-    benefit: dict[str, float] = {
-        t.id: _safe_benefit(t, d_fail, config, run.log) for t in candidates}
+    benefit: dict[str, float] = {t.id: _safe_benefit(run, t, d_fail) for t in candidates}
     remaining = {t.id: t for t in candidates}
     accepted: list[PvtTriplet] = []
     current = d_fail
@@ -402,7 +429,7 @@ def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
             if residual <= POSTCONDITION_TOL:
                 del remaining[t.id]
             elif touched.intersection(t.profile.attributes()):
-                benefit[t.id] = _safe_benefit(t, current, config, run.log)
+                benefit[t.id] = _safe_benefit(run, t, current)
     return accepted, current
 
 
@@ -584,7 +611,7 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
             return tuple(flags)
 
         benefit_cache = {p.label(): max(
-            (_safe_benefit(t, d_fail, config, run.log) for t in variants[p.label()]),
+            (_safe_benefit(run, t, d_fail) for t in variants[p.label()]),
             default=0.0) for p in profiles}
 
         def transforms_d_fail(option: PvtTriplet) -> bool:

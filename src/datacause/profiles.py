@@ -26,7 +26,7 @@ from .tabular import (
     Dataset,
     Predicate,
     Term,
-    select_where,
+    count_where,
     unit_scale,
 )
 
@@ -249,7 +249,7 @@ class SelectivityBound(RowCountBound):
         return (self.kind.value, self.predicate.label())
 
     def offending(self, dataset):
-        return len(select_where(dataset, self.predicate))
+        return count_where(dataset, self.predicate)
 
 
 @dataclass(frozen=True)
@@ -421,10 +421,18 @@ def violation(dataset: Dataset, profile: Profile) -> float:
 # --- dependence statistics --------------------------------------------------
 
 
+def joint_counts(left: Sequence, right: Sequence) -> Counter:
+    """Counts of the (left, right) cell pairs where both cells are present, in
+    the order each pair first occurs."""
+    table = Counter(zip(left, right))
+    for pair in [pair for pair in table if None in pair]:
+        del table[pair]
+    return table
+
+
 def contingency_table(dataset: Dataset, a_j: str, a_k: str) -> dict[tuple[str, str], int]:
     """Joint counts over rows where both attributes are present."""
-    return Counter((lv, rv) for lv, rv in zip(dataset.column(a_j), dataset.column(a_k))
-                   if lv is not None and rv is not None)
+    return joint_counts(dataset.column(a_j), dataset.column(a_k))
 
 
 def chi_square_from_counts(table: dict[tuple[str, str], int]) -> float:
@@ -584,8 +592,7 @@ def discover_profiles(dataset: Dataset, predicates: Sequence[Predicate] = ()) ->
             out.append(DomainText(attribute, pattern if shared else None,
                                   min(lengths), max(lengths)))
     for predicate in predicates:
-        count = len(select_where(dataset, predicate))
-        out.append(SelectivityBound(predicate, count / n))
+        out.append(SelectivityBound(predicate, count_where(dataset, predicate) / n))
     categorical = [a for a, t in dataset.schema if t is ColumnType.CATEGORICAL]
     for i, a_j in enumerate(categorical):
         for a_k in categorical[i + 1:]:

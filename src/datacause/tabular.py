@@ -11,8 +11,10 @@ import csv
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count, repeat
 from typing import Iterable, Sequence
 
 from .errors import ColumnTypeError, CsvParseError, PredicateError, SchemaError
@@ -52,6 +54,11 @@ def _normalize(name: str, ctype: ColumnType, col: Iterable[Cell]) -> _Cells:
             raise ColumnTypeError(f"non-finite value in numerical column {name!r}")
     else:
         cells = [None if v is None else str(v) for v in col]
+    return _hashed(ctype, cells)
+
+
+def _hashed(ctype: ColumnType, cells: list) -> _Cells:
+    """Cells that are already normalized, as one column: only hashed."""
     out = _Cells(cells)
     out.ctype = ctype
     blob = json.dumps(cells, separators=(",", ":"), ensure_ascii=False)
@@ -135,8 +142,10 @@ class Dataset:
         return Dataset(self.attributes, self.types, tuple(cols))
 
     def take_rows(self, indices: Sequence[int]) -> "Dataset":
-        """New dataset keeping exactly the given row indices, in the given order."""
-        cols = tuple(tuple(col[i] for i in indices) for col in self.columns)
+        """New dataset keeping exactly the given row indices, in the given order;
+        the kept cells are already normalized, so they are only hashed."""
+        cols = tuple(_hashed(ctype, [col[i] for i in indices])
+                     for col, ctype in zip(self.columns, self.types))
         return Dataset(self.attributes, self.types, cols)
 
     def same_schema(self, other: "Dataset") -> bool:
@@ -272,15 +281,20 @@ def _check_term(dataset: Dataset, term: Term) -> None:
         raise ColumnTypeError(f"{term.label()}: numerical column compared against {term.value!r}")
 
 
-def _rows_where(column: Sequence[Cell], term: Term, ctype: ColumnType) -> set[int]:
-    """Indices of the cells of ``column`` satisfying ``term``; missing never does."""
+def _eq_target(dataset: Dataset, term: Term) -> Cell:
+    if dataset.type_of(term.attribute) is ColumnType.NUMERICAL:
+        return float(term.value)
+    return str(term.value)
+
+
+def _satisfies(dataset: Dataset, term: Term, cells: Sequence[Cell]) -> Iterable[bool]:
+    """Per cell of ``cells`` (of the term's column), whether it satisfies
+    ``term``; a missing cell never does."""
     if term.comparator == "eq":
-        target = float(term.value) if ctype is ColumnType.NUMERICAL else str(term.value)
-        return {i for i, v in enumerate(column) if v == target}
+        return map(operator.eq, cells, repeat(_eq_target(dataset, term)))
     bound = float(term.value)
-    if term.comparator == "le":
-        return {i for i, v in enumerate(column) if v is not None and v <= bound}
-    return {i for i, v in enumerate(column) if v is not None and v >= bound}
+    compare = operator.le if term.comparator == "le" else operator.ge
+    return (v is not None and compare(v, bound) for v in cells)
 
 
 def select_where(dataset: Dataset, predicate: Predicate) -> set[int]:
@@ -288,8 +302,23 @@ def select_where(dataset: Dataset, predicate: Predicate) -> set[int]:
     for term in predicate.terms:
         _check_term(dataset, term)
     return set.intersection(*(
-        _rows_where(dataset.column(t.attribute), t, dataset.type_of(t.attribute))
+        set(compress(count(), _satisfies(dataset, t, dataset.column(t.attribute))))
         for t in predicate.terms))
+
+
+def count_where(dataset: Dataset, predicate: Predicate) -> int:
+    """``len(select_where(dataset, predicate))``, counted without building
+    the row set: a first term narrows the last term's column to its rows."""
+    for term in predicate.terms:
+        _check_term(dataset, term)
+    *narrowing, last = predicate.terms  # at most one narrowing term
+    cells = dataset.column(last.attribute)
+    if narrowing:
+        first = narrowing[0]
+        cells = list(compress(cells, _satisfies(dataset, first, dataset.column(first.attribute))))
+    if last.comparator == "eq":
+        return cells.count(_eq_target(dataset, last))
+    return sum(_satisfies(dataset, last, cells))
 
 
 def unit_scale(values: Sequence[float]) -> float:

@@ -14,19 +14,20 @@ import zlib
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ColumnTypeError, TransformFailure, ValidationError
 from .profiles import (
     Profile,
     chi_square_from_counts,
-    contingency_table,
+    joint_counts,
     outlier_flags,
     pearson_correlation,
     shape_regex,
     text_signature,
     violation,
 )
-from .tabular import ColumnType, Dataset, mean, population_stddev, select_where
+from .tabular import ColumnType, Dataset, count_where, mean, population_stddev, select_where
 
 POSTCONDITION_TOL = 1e-9
 #: passes or seeded attempts an iterative repair makes before it gives up
@@ -50,6 +51,10 @@ class PvtTriplet:
         return (self.profile.attributes(), self.profile.kind.value, self.id)
 
 
+#: a repair of the dataset for the triplet, with the seed and options bound
+Repair = Callable[[Dataset, PvtTriplet], Dataset]
+
+
 def make_triplets(profile: Profile, perturb: str | None = None) -> list[PvtTriplet]:
     """One triplet per repair variant of the profile's kind, preference order."""
     return [PvtTriplet(profile, variant, perturb) for variant in profile.repairs]
@@ -68,8 +73,8 @@ def _mode(values) -> str:
 # --- repairs ---------------------------------------------------------------
 #
 # Every repair and every coverage formula takes the dataset and the triplet
-# plus the keyword options of :func:`transform`, and ignores those it does
-# not use.
+# plus the keyword options of :func:`transform` (a coverage formula also the
+# ``repair`` of :func:`coverage`), and ignores those it does not use.
 
 
 def _remap(dataset: Dataset, triplet: PvtTriplet, remap_overrides=None, **_) -> Dataset:
@@ -226,18 +231,17 @@ def _impute_missing(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
                                [fill if v is None else v for v in col])
 
 
-def _resample_plan(dataset: Dataset, profile: Profile) -> tuple[list[int], int]:
-    """The sorted satisfying rows and how many of them to duplicate
-    (positive) or drop (negative) so the fraction lands exactly on
-    floor(threshold * rows); 0 leaves the dataset as it is."""
+def _resample_plan(dataset: Dataset, profile: Profile) -> int:
+    """How many satisfying rows to duplicate (positive) or drop (negative)
+    so the fraction lands exactly on floor(threshold * rows); 0 leaves the
+    dataset as it is."""
     if profile.threshold >= 1.0:
-        return [], 0
-    satisfying = sorted(select_where(dataset, profile.predicate))
+        return 0
     n = dataset.row_count
-    count = len(satisfying)
+    count = count_where(dataset, profile.predicate)
     if count == int(profile.threshold * n) or count == 0:
         # on target, or nothing violates the bound and nothing can be duplicated
-        return satisfying, 0
+        return 0
     size = 0
     if count > profile.threshold * n:
         while count + size > int(profile.threshold * (n + size)) and -size < count:
@@ -256,13 +260,14 @@ def _resample_plan(dataset: Dataset, profile: Profile) -> tuple[list[int], int]:
         while not reached(size):
             size *= 2
         size = bisect_left(range(size + 1), True, lo=size // 2, key=reached)
-    return satisfying, size
+    return size
 
 
 def _resample_selectivity(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> Dataset:
-    satisfying, size = _resample_plan(dataset, triplet.profile)
+    size = _resample_plan(dataset, triplet.profile)
     if size == 0:
         return dataset
+    satisfying = sorted(select_where(dataset, triplet.profile.predicate))
     rng = random.Random(_derive_seed(seed, "selectivity", triplet.profile.label()))
     n = dataset.row_count
     if size < 0:
@@ -315,17 +320,20 @@ def _balanced_reassignment(groups: dict[str, list[int]], values: list[str],
 
 
 def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> Dataset:
+    """Shuffle ever larger seeded samples of the target column, then fall
+    back to its most balanced permutation. Each attempt is scored on its
+    column; only the one returned becomes a dataset."""
     profile = triplet.profile
     best = violation(dataset, profile)
     if best <= POSTCONDITION_TOL:
         return dataset
     target = triplet.perturb or profile.attributes()[1]
-    anchor = profile.left if target == profile.right else profile.right
+    anchor = dataset.column(profile.left if target == profile.right else profile.right)
     n = dataset.row_count
     source = dataset.column(target)
 
-    def stat_of(candidate: Dataset) -> float:
-        return chi_square_from_counts(contingency_table(candidate, anchor, target))
+    def stat_of(column: list) -> float:
+        return chi_square_from_counts(joint_counts(anchor, column))
 
     if profile.limit > 1e-12:
         fraction = 0.125
@@ -338,10 +346,9 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> 
             column = list(source)
             for i, v in zip(picked, cells):
                 column[i] = v
-            candidate = dataset.with_column(target, column)
-            stat = stat_of(candidate)
+            stat = stat_of(column)
             if stat <= profile.limit + 1e-12:
-                return candidate
+                return dataset.with_column(target, column)
             best = min(best, profile.violation_at(stat))
             fraction = min(1.0, fraction * 2)
     # deterministic fallback: rearrange the column into the most balanced
@@ -350,7 +357,7 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> 
     groups: dict[str, list[int]] = {}
     values: list[str] = []
     rows: list[int] = []
-    for i, (a, b) in enumerate(zip(dataset.column(anchor), source)):
+    for i, (a, b) in enumerate(zip(anchor, source)):
         if a is None or b is None:
             continue
         groups.setdefault(a, []).append(i)
@@ -361,10 +368,9 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> 
         column = list(source)
         for i in rows:
             column[i] = assignment[i]
-        candidate = dataset.with_column(target, column)
-        stat = stat_of(candidate)
+        stat = stat_of(column)
         if stat <= profile.limit + 1e-12:
-            return candidate
+            return dataset.with_column(target, column)
         best = min(best, profile.violation_at(stat))
     raise TransformFailure(
         f"could not push chi-square below {profile.limit:.6g} on "
@@ -425,13 +431,15 @@ def _linear_map_coverage(dataset: Dataset, triplet: PvtTriplet, **_) -> float:
 
 
 def _resample_coverage(dataset: Dataset, triplet: PvtTriplet, **_) -> float:
-    _, size = _resample_plan(dataset, triplet.profile)
+    size = _resample_plan(dataset, triplet.profile)
     return min(1.0, abs(size) / dataset.row_count)
 
 
-def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> float:
-    """Run the seeded repair and count the cells it changed."""
-    result = transform(dataset, triplet, seed=seed)
+def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int,
+                      repair: Repair | None = None, **_) -> float:
+    """Run the seeded repair (through ``repair`` when given) and count the
+    cells it changed."""
+    result = repair(dataset, triplet) if repair else transform(dataset, triplet, seed=seed)
     if result is dataset:
         return 0.0
     changed = 0
@@ -485,14 +493,16 @@ def transform(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
     return result
 
 
-def coverage(dataset: Dataset, triplet: PvtTriplet, seed: int = 0) -> float:
+def coverage(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
+             repair: Repair | None = None) -> float:
     """Fraction of rows the transformation would modify or resample.
 
     Counted from the data; only the two dependence repairs run a dry
-    transform with the given seed.
+    transform with the given seed, or through ``repair(dataset, triplet)``
+    when that is given.
     """
     _, rows_touched = _variant(triplet)
-    return rows_touched(dataset, triplet, seed=seed)
+    return rows_touched(dataset, triplet, seed=seed, repair=repair)
 
 
 @dataclass(frozen=True)
@@ -502,8 +512,11 @@ class ComposeResult:
 
 
 def compose(triplets, dataset: Dataset, seed: int = 0,
-            remap_overrides: dict[str, dict[str, str]] | None = None) -> ComposeResult:
-    """Apply transformations sequentially in the given order.
+            remap_overrides: dict[str, dict[str, str]] | None = None,
+            repair: Repair | None = None) -> ComposeResult:
+    """Apply transformations sequentially in the given order, each through
+    ``repair(dataset, triplet)`` when that is given and else through
+    :func:`transform` with ``seed`` and ``remap_overrides``.
 
     A warning is recorded whenever a later step re-breaks the profile of an
     earlier one.
@@ -512,7 +525,8 @@ def compose(triplets, dataset: Dataset, seed: int = 0,
     warnings: list[str] = []
     applied: list[PvtTriplet] = []
     for triplet in triplets:
-        current = transform(current, triplet, seed=seed, remap_overrides=remap_overrides)
+        current = (repair(current, triplet) if repair else
+                   transform(current, triplet, seed=seed, remap_overrides=remap_overrides))
         for earlier in applied:
             residual = violation(current, earlier.profile)
             if residual > POSTCONDITION_TOL:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import datacause.engine as engine
+import datacause.transforms as transforms
 from datacause.engine import (
     EngineConfig,
     benefit_score,
@@ -22,6 +23,7 @@ from datacause.graph import attribute_degrees, build_dependency_graph
 from datacause.oracle import CallableOracle
 from datacause.profiles import (
     ChiSquareBound,
+    CorrelationBound,
     MissingRate,
     ProfileKind,
     SelectivityBound,
@@ -849,3 +851,69 @@ def test_decision_tree_input_checks():
     with pytest.raises(NoExplanationFound, match="no discriminative profiles"):
         decision_tree_explain([(same_pass, True), (same_fail, False)], same_fail,
                               same_oracle, config)
+
+
+# --- the run's repair memo -----------------------------------------------------------
+
+
+def count_repairs(monkeypatch) -> list[tuple[str, object]]:
+    """Record the (input fingerprint, triplet) of every repair made, whether
+    the engine calls it or ``compose`` and ``coverage`` do."""
+    calls = []
+    real = transforms.transform
+
+    def counting(dataset, triplet, **kwargs):
+        calls.append((dataset.fingerprint, triplet))
+        return real(dataset, triplet, **kwargs)
+
+    monkeypatch.setattr(engine, "transform", counting)
+    monkeypatch.setattr(transforms, "transform", counting)
+    return calls
+
+
+def test_a_greedy_run_makes_each_repair_once(monkeypatch):
+    d_pass, d_fail, oracle = generate(income_spec(seed=0, with_skew=True))
+    calls = count_repairs(monkeypatch)
+    requests = []
+    real_run_transform = engine._Run.transform
+
+    def requesting(run, dataset, triplet):
+        requests.append((dataset.fingerprint, triplet))
+        return real_run_transform(run, dataset, triplet)
+
+    monkeypatch.setattr(engine._Run, "transform", requesting)
+    result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.3, seed=0))
+    assert result.triplets
+    assert len(calls) == len(set(calls))
+    assert set(requests) == set(calls)
+    assert len(requests) > len(calls)  # later requests were answered by the memo
+
+
+def test_a_memoized_transform_failure_raises_and_notes_as_the_first():
+    from datacause.engine import _Run
+    xs = [float(i) for i in range(30)]
+    d = from_columns([("x", ColumnType.NUMERICAL, xs), ("y", ColumnType.NUMERICAL, list(xs))])
+    oracle = CallableOracle(lambda d: 0.5)
+    [unreachable] = make_triplets(CorrelationBound("x", "y", 0.0))
+    run = _Run(oracle, EngineConfig(tau=0.2, seed=1))
+    failures = []
+    for _ in range(2):
+        with pytest.raises(TransformFailure) as caught:
+            run.transform(d, unreachable)
+        failures.append((str(caught.value), caught.value.best_violation))
+    for _ in range(2):
+        assert run.attempt([unreachable], d, 0.5, "probe") == (None, None)
+    assert failures[0] == failures[1]
+    assert failures[0][1] > 0.0
+    assert run.log.notes == [f"probe: {failures[0][0]}"] * 2
+    assert len(run.repairs) == 1
+
+
+def test_each_explanation_starts_from_no_repairs(monkeypatch):
+    d_pass, d_fail, oracle = generate(income_spec(seed=1, with_skew=True))
+    calls = count_repairs(monkeypatch)
+    explain(d_pass, d_fail, oracle, EngineConfig(tau=0.3, seed=1))
+    first = list(calls)
+    _, _, oracle = generate(income_spec(seed=1, with_skew=True))
+    explain(d_pass, d_fail, oracle, EngineConfig(tau=0.3, seed=1))
+    assert calls == first + first

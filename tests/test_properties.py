@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import string
+from collections import Counter
 
 import pytest
 
@@ -19,12 +20,20 @@ from datacause.profiles import (  # noqa: E402
     contingency_table,
     discover_profiles,
     enumerate_selectivity_predicates,
+    joint_counts,
     matches_pattern,
     shape_regex,
     text_signature,
     violation,
 )
-from datacause.tabular import ColumnType, Predicate, Term, from_columns, select_where  # noqa: E402
+from datacause.tabular import (  # noqa: E402
+    ColumnType,
+    Predicate,
+    Term,
+    count_where,
+    from_columns,
+    select_where,
+)
 from datacause.transforms import (  # noqa: E402
     POSTCONDITION_TOL,
     PvtTriplet,
@@ -83,6 +92,19 @@ def test_select_where_matches_a_row_wise_reference(data):
     ])
     predicate = Predicate(tuple(data.draw(st.lists(_TERMS, min_size=1, max_size=2))))
     assert select_where(dataset, predicate) == _row_reference(dataset, predicate)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_count_where_is_the_size_of_select_where(data):
+    n = data.draw(st.integers(0, 15))
+    dataset = from_columns([
+        ("x", ColumnType.NUMERICAL, data.draw(_cells(ColumnType.NUMERICAL, n))),
+        ("y", ColumnType.NUMERICAL, data.draw(_cells(ColumnType.NUMERICAL, n))),
+        ("c", ColumnType.CATEGORICAL, data.draw(_cells(ColumnType.CATEGORICAL, n))),
+    ])
+    predicate = Predicate(tuple(data.draw(st.lists(_TERMS, min_size=1, max_size=2))))
+    assert count_where(dataset, predicate) == len(select_where(dataset, predicate))
 
 
 @settings(deadline=None)
@@ -229,6 +251,20 @@ def test_contingency_table_matches_a_row_wise_reference(pair, data):
         if None not in key:
             expected[key] = expected.get(key, 0) + 1
     assert list(contingency_table(dataset, a, b).items()) == list(expected.items())
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_joint_counts_keep_the_items_and_order_of_a_filtered_generator(data):
+    n = data.draw(st.integers(0, 30))
+    left, right = (data.draw(st.lists(st.sampled_from([None, "a", "b", "c"]),
+                                      min_size=n, max_size=n)) for _ in range(2))
+    expected = Counter((lv, rv) for lv, rv in zip(left, right)
+                       if lv is not None and rv is not None)
+    assert list(joint_counts(left, right).items()) == list(expected.items())
+    dataset = from_columns([("l", ColumnType.CATEGORICAL, left),
+                            ("r", ColumnType.CATEGORICAL, right)])
+    assert list(contingency_table(dataset, "l", "r").items()) == list(expected.items())
 
 
 @settings(deadline=None)

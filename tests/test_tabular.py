@@ -237,6 +237,22 @@ def test_from_columns_takes_over_the_columns_of_a_dataset(monkeypatch):
     assert again.columns == ((0.0, 1.0), ("a", None))
 
 
+def test_take_rows_hashes_the_kept_cells_without_normalizing_them(monkeypatch):
+    import datacause.tabular as tabular
+    source = from_columns([("x", ColumnType.NUMERICAL, [1.0, None, -0.0, 2.5]),
+                           ("c", ColumnType.CATEGORICAL, ["a", "b", None, "a"])])
+    calls = []
+    normalize = tabular._normalize
+    monkeypatch.setattr(tabular, "_normalize", lambda *a: calls.append(a) or normalize(*a))
+    kept = source.take_rows([2, 1, 2, 0])
+    assert calls == []
+    assert kept.columns == ((0.0, None, 0.0, 1.0), (None, "b", None, "a"))
+    fresh = from_columns([("x", ColumnType.NUMERICAL, [0.0, None, 0.0, 1.0]),
+                          ("c", ColumnType.CATEGORICAL, [None, "b", None, "a"])])
+    assert kept == fresh and kept.fingerprint == fresh.fingerprint
+    assert source.take_rows(range(4)).fingerprint == source.fingerprint
+
+
 def test_csv_that_is_not_utf8_rejected(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("a,b\ncaf\u00e9,1\n".encode("latin-1"))

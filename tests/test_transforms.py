@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import random_dataset
@@ -13,15 +15,21 @@ from datacause.profiles import (
     MissingRate,
     OutlierBound,
     SelectivityBound,
+    chi_square_from_counts,
     chi_square_statistic,
+    contingency_table,
     discover_profiles,
     pearson_correlation,
     violation,
 )
 from datacause.tabular import ColumnType, Predicate, Term, from_columns, select_where
 from datacause.transforms import (
+    MAX_ITERATIONS,
     POSTCONDITION_TOL,
     PvtTriplet,
+    _balanced_reassignment,
+    _decorrelate_chi2,
+    _derive_seed,
     _resample_plan,
     compose,
     coverage,
@@ -222,7 +230,7 @@ def test_selectivity_growth_near_threshold_one_is_counted_without_stepping():
     # repair must duplicate 3 796 001 rows to land on floor(threshold * rows)
     d = sel_dataset(hot=100, cold=1900)
     profile = sel_profile(1999 / 2000)
-    _, size = _resample_plan(d, profile)
+    size = _resample_plan(d, profile)
     assert size == 3_796_001
     assert 100 + size == int(profile.threshold * (2000 + size))
     assert coverage(d, triplet(profile)) == 1.0
@@ -285,6 +293,95 @@ def test_pcc_unreachable_limit_raises_with_best():
     with pytest.raises(TransformFailure) as err:
         transform(d, triplet(profile), seed=1)
     assert 0.0 < err.value.best_violation <= 1.0
+
+
+def _decorrelate_chi2_reference(dataset, triplet, seed):
+    """The chi-square shuffle as it was when every attempt built a dataset
+    and was scored on its contingency table."""
+    profile = triplet.profile
+    best = violation(dataset, profile)
+    if best <= POSTCONDITION_TOL:
+        return dataset
+    target = triplet.perturb or profile.attributes()[1]
+    anchor = profile.left if target == profile.right else profile.right
+    n = dataset.row_count
+    source = dataset.column(target)
+
+    def stat_of(candidate):
+        return chi_square_from_counts(contingency_table(candidate, anchor, target))
+
+    if profile.limit > 1e-12:
+        fraction = 0.125
+        for attempt in range(MAX_ITERATIONS):
+            rng = random.Random(_derive_seed(seed, "chi2", profile.label(), str(attempt)))
+            k = max(2, min(n, round(fraction * n)))
+            picked = rng.sample(range(n), k)
+            cells = [source[i] for i in picked]
+            rng.shuffle(cells)
+            column = list(source)
+            for i, v in zip(picked, cells):
+                column[i] = v
+            candidate = dataset.with_column(target, column)
+            stat = stat_of(candidate)
+            if stat <= profile.limit + 1e-12:
+                return candidate
+            best = min(best, profile.violation_at(stat))
+            fraction = min(1.0, fraction * 2)
+    rng = random.Random(_derive_seed(seed, "chi2-balance", profile.label()))
+    groups, values, rows = {}, [], []
+    for i, (a, b) in enumerate(zip(dataset.column(anchor), source)):
+        if a is None or b is None:
+            continue
+        groups.setdefault(a, []).append(i)
+        values.append(b)
+        rows.append(i)
+    if values:
+        assignment = _balanced_reassignment(groups, values, rng)
+        column = list(source)
+        for i in rows:
+            column[i] = assignment[i]
+        candidate = dataset.with_column(target, column)
+        stat = stat_of(candidate)
+        if stat <= profile.limit + 1e-12:
+            return candidate
+        best = min(best, profile.violation_at(stat))
+    raise TransformFailure(
+        f"could not push chi-square below {profile.limit:.6g} on "
+        f"({profile.left},{profile.right})", best_violation=best)
+
+
+def _outcome(repair, dataset, triplet, seed):
+    try:
+        result = repair(dataset, triplet, seed=seed)
+    except TransformFailure as exc:
+        return "failure", str(exc), exc.best_violation
+    return "repaired", result.columns, result.fingerprint
+
+
+def skewed_triple(n=90):
+    """Three-level columns, missing cells on both sides."""
+    left = [None if i % 11 == 0 else "pqr"[i % 3] for i in range(n)]
+    right = [None if i % 7 == 0 else "s" if i % 4 == 0 else v for i, v in enumerate(left)]
+    return from_columns([("a", ColumnType.CATEGORICAL, left),
+                         ("b", ColumnType.CATEGORICAL, right)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("make, limit, perturb, kind", [
+    (dependent_pair, 1.0, None, "repaired"),  # a seeded attempt
+    (dependent_pair, 1.0, "a", "repaired"),
+    (skewed_triple, 2.0, None, "repaired"),
+    (dependent_pair, 0.0, None, "repaired"),  # a zero limit goes straight to the balanced one
+    (skewed_triple, 0.0, "a", "failure"),
+    (skewed_triple, 1e-6, None, "failure"),  # every attempt, then the balanced one
+])
+def test_chi2_shuffle_scored_on_columns_matches_the_dataset_scored_version(
+        seed, make, limit, perturb, kind):
+    d = make()
+    t = triplet(ChiSquareBound("a", "b", limit), perturb=perturb)
+    expected = _outcome(_decorrelate_chi2_reference, d, t, seed)
+    assert expected[0] == kind
+    assert _outcome(_decorrelate_chi2, d, t, seed) == expected
 
 
 # --- shared properties -------------------------------------------------------------
