@@ -228,7 +228,7 @@ class MissingRate(RowCountBound):
     repairs = ("impute",)
 
     def offending(self, dataset):
-        return sum(1 for v in dataset.column(self.attribute) if v is None)
+        return dataset.column(self.attribute).missing
 
 
 @dataclass(frozen=True)
@@ -571,9 +571,8 @@ def discover_profiles(dataset: Dataset, predicates: Sequence[Predicate] = ()) ->
     out: list[Profile] = []
     for attribute, ctype in dataset.schema:
         col = dataset.column(attribute)
+        out.append(MissingRate(attribute, col.missing / n))
         present = [v for v in col if v is not None]
-        missing = n - len(present)
-        out.append(MissingRate(attribute, missing / n))
         if not present:
             continue
         if ctype is ColumnType.CATEGORICAL:

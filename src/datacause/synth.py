@@ -139,7 +139,7 @@ def _bad_value_fraction(dataset: Dataset, attribute: str, allowed: set[float]) -
 
 def _missing_fraction(dataset: Dataset, attribute: str) -> float:
     col = dataset.column(attribute)
-    return sum(1 for v in col if v is None) / len(col) if col else 0.0
+    return col.missing / len(col) if col else 0.0
 
 
 def _cramers_v(dataset: Dataset, a: str, b: str) -> float:

@@ -33,15 +33,21 @@ MISSING_LITERALS = ("NULL", "null", "NA")
 
 
 class _Cells(tuple):
-    """One normalized column, with its ``ctype`` and the sha256 ``digest`` of
-    its cells.
+    """One normalized column, with its ``ctype``, the sha256 ``digest`` of
+    its cells and its ``missing`` count.
 
-    Only :meth:`Dataset.__post_init__` builds these, so a column that already
-    is one holds checked cells and datasets can share it.
+    Only this module builds these, from checked cells, so a column that
+    already is one is not checked again and datasets can share it.
     """
 
     ctype: ColumnType
     digest: bytes
+    missing: int
+
+
+def _column(name: str, ctype: ColumnType, col: Iterable[Cell]) -> _Cells:
+    """``col`` as a column of ``ctype``: reused when it already is one."""
+    return col if isinstance(col, _Cells) and col.ctype is ctype else _normalize(name, ctype, col)
 
 
 def _normalize(name: str, ctype: ColumnType, col: Iterable[Cell]) -> _Cells:
@@ -58,12 +64,51 @@ def _normalize(name: str, ctype: ColumnType, col: Iterable[Cell]) -> _Cells:
 
 
 def _hashed(ctype: ColumnType, cells: list) -> _Cells:
-    """Cells that are already normalized, as one column: only hashed."""
+    """Cells that are already normalized, as one column: only hashed and
+    their missing cells counted."""
     out = _Cells(cells)
     out.ctype = ctype
     blob = json.dumps(cells, separators=(",", ":"), ensure_ascii=False)
     out.digest = hashlib.sha256(blob.encode("utf-8")).digest()
+    out.missing = sum(1 for v in cells if v is None)  # faster than list.count(None) on floats
     return out
+
+
+class _Schema(tuple):
+    """The checked attribute names of a dataset, with their normalized
+    ``types``, each name's ``position`` and the sha256 ``state`` of the
+    fingerprint after the schema.
+
+    Only :func:`_check_schema` builds these; every dataset derived from one
+    source shares its schema, so :meth:`Dataset.__post_init__` checks a
+    schema once and not on every derived build.
+    """
+
+    types = None  # a tuple of names built elsewhere carries no checked types
+    position: dict[str, int]
+    state: "hashlib._Hash"
+
+    def __reduce__(self):  # the hash state does not pickle; copies check again
+        return _check_schema, (tuple(self), self.types, len(self))
+
+
+def _check_schema(attributes, types, width: int) -> _Schema:
+    if len(attributes) != len(types) or len(attributes) != width:
+        raise SchemaError("attributes, types and columns must have equal length")
+    seen = set()
+    for name in attributes:
+        if not name:
+            raise SchemaError("attribute names must be non-empty")
+        if name in seen:
+            raise SchemaError(f"duplicate attribute name: {name!r}")
+        seen.add(name)
+    schema = _Schema(attributes)
+    schema.types = tuple(ColumnType(t) for t in types)
+    schema.position = dict(zip(schema, count()))
+    blob = json.dumps([[n, t.value] for n, t in zip(schema, schema.types)],
+                      separators=(",", ":"), ensure_ascii=False)
+    schema.state = hashlib.sha256(blob.encode("utf-8"))
+    return schema
 
 
 @dataclass(frozen=True)
@@ -71,11 +116,13 @@ class Dataset:
     """Ordered, typed, immutable table.
 
     ``columns[i]`` holds the cells of ``attributes[i]``; a ``None`` cell is
-    missing. Numerical cells are finite floats, all other cells are strings.
-    The content fingerprint is computed eagerly so datasets with equal
-    schema, values and missing mask always share it. A column taken over
-    unchanged from another dataset of the same column type is neither
-    normalized nor hashed again.
+    missing, and each column carries its count of missing cells. Numerical
+    cells are finite floats, all other cells are strings. The content
+    fingerprint is computed eagerly so datasets with equal schema, values
+    and missing mask always share it. A column taken over unchanged from
+    another dataset of the same column type is neither normalized nor hashed
+    again, and a dataset built from another one's ``attributes`` and
+    ``types`` shares its checked schema instead of checking it again.
     """
 
     attributes: tuple[str, ...]
@@ -84,32 +131,22 @@ class Dataset:
     fingerprint: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if len(self.attributes) != len(self.types) or len(self.attributes) != len(self.columns):
+        schema, columns = self.attributes, self.columns
+        if type(schema) is not _Schema or schema.types != self.types:
+            schema = _check_schema(self.attributes, self.types, len(columns))
+        elif len(schema) != len(columns):
             raise SchemaError("attributes, types and columns must have equal length")
-        seen = set()
-        for name in self.attributes:
-            if not name:
-                raise SchemaError("attribute names must be non-empty")
-            if name in seen:
-                raise SchemaError(f"duplicate attribute name: {name!r}")
-            seen.add(name)
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "types", tuple(ColumnType(t) for t in self.types))
-        lengths = {len(col) for col in self.columns}
+        lengths = set(map(len, columns))
         if len(lengths) > 1:
             raise SchemaError(f"columns have unequal lengths: {sorted(lengths)}")
-        object.__setattr__(self, "columns", tuple(
-            col if isinstance(col, _Cells) and col.ctype is ctype else _normalize(name, ctype, col)
-            for name, ctype, col in zip(self.attributes, self.types, self.columns)))
-        object.__setattr__(self, "fingerprint", self._compute_fingerprint())
-
-    def _compute_fingerprint(self) -> str:
-        schema = json.dumps([[n, t.value] for n, t in zip(self.attributes, self.types)],
-                            separators=(",", ":"), ensure_ascii=False)
-        digest = hashlib.sha256(schema.encode("utf-8"))
-        for col in self.columns:
-            digest.update(col.digest)  # fixed length, so the concatenation is unambiguous
-        return digest.hexdigest()
+        if tuple(map(getattr, columns, repeat("ctype"), repeat(None))) != schema.types:
+            columns = tuple(map(_column, schema, schema.types, columns))
+        state = schema.state.copy()  # column digests have a fixed length: no separator needed
+        state.update(b"".join(map(operator.attrgetter("digest"), columns)))
+        object.__setattr__(self, "attributes", schema)
+        object.__setattr__(self, "types", schema.types)
+        object.__setattr__(self, "columns", tuple(columns))
+        object.__setattr__(self, "fingerprint", state.hexdigest())
 
     @property
     def row_count(self) -> int:
@@ -121,8 +158,8 @@ class Dataset:
 
     def index_of(self, attribute: str) -> int:
         try:
-            return self.attributes.index(attribute)
-        except ValueError:
+            return self.attributes.position[attribute]
+        except KeyError:
             raise SchemaError(f"unknown attribute: {attribute!r}") from None
 
     def column(self, attribute: str) -> tuple[Cell, ...]:
@@ -135,15 +172,20 @@ class Dataset:
         return [v for v in self.column(attribute) if v is not None]
 
     def with_column(self, attribute: str, cells: Sequence[Cell]) -> "Dataset":
-        """New dataset with one column replaced (same schema)."""
+        """New dataset with one column replaced (same schema); only the new
+        column is length-checked and normalized."""
         idx = self.index_of(attribute)
+        if len(cells) != self.row_count:
+            raise SchemaError(f"columns have unequal lengths: {sorted({len(cells), self.row_count})}")
         cols = list(self.columns)
-        cols[idx] = tuple(cells)
+        cols[idx] = _column(attribute, self.types[idx], cells)
         return Dataset(self.attributes, self.types, tuple(cols))
 
     def take_rows(self, indices: Sequence[int]) -> "Dataset":
         """New dataset keeping exactly the given row indices, in the given order;
         the kept cells are already normalized, so they are only hashed."""
+        if indices and (min(indices) < 0 or max(indices) >= self.row_count):
+            raise SchemaError(f"row indices must lie in [0, {self.row_count})")
         cols = tuple(_hashed(ctype, [col[i] for i in indices])
                      for col, ctype in zip(self.columns, self.types))
         return Dataset(self.attributes, self.types, cols)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import string
 from collections import Counter
 
@@ -10,7 +11,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from datacause.errors import DegenerateInputError, TransformFailure  # noqa: E402
+from datacause import tabular  # noqa: E402
+from datacause.errors import (  # noqa: E402
+    ColumnTypeError,
+    DegenerateInputError,
+    SchemaError,
+    TransformFailure,
+)
 from datacause.profiles import (  # noqa: E402
     MIN_SUPPORT,
     SELECTIVITY_GAP,
@@ -28,6 +35,7 @@ from datacause.profiles import (  # noqa: E402
 )
 from datacause.tabular import (  # noqa: E402
     ColumnType,
+    Dataset,
     Predicate,
     Term,
     count_where,
@@ -128,6 +136,90 @@ def test_fingerprint_of_replaced_columns_equals_fresh_build(spec, data):
     assert derived == fresh
     assert derived.fingerprint == fresh.fingerprint
     assert (derived.fingerprint == base.fingerprint) == (derived == base)
+
+
+def _rows(spec, indices):
+    return [(name, ctype, [cells[i] for i in indices]) for name, ctype, cells in spec]
+
+
+def _same_as_fresh(derived, fresh_spec):
+    fresh = from_columns(fresh_spec)
+    assert derived == fresh
+    assert derived.fingerprint == fresh.fingerprint
+    assert [col.missing for col in derived.columns] == [col.count(None) for col in fresh.columns]
+
+
+@settings(deadline=None)
+@given(specs(), st.data())
+def test_fingerprint_of_taken_rows_equals_fresh_build(spec, data):
+    n = len(spec[0][2])
+    indices = data.draw(st.lists(st.integers(0, n - 1), max_size=15)) if n else []
+    _same_as_fresh(from_columns(spec).take_rows(indices), _rows(spec, indices))
+
+
+@settings(deadline=None)
+@given(specs(), st.data())
+def test_fingerprint_of_a_chain_of_derivations_equals_fresh_build(spec, data):
+    derived = from_columns(spec)
+    for _ in range(data.draw(st.integers(1, 5))):
+        n = derived.row_count
+        if data.draw(st.booleans()):
+            indices = data.draw(st.lists(st.integers(0, n - 1), max_size=15)) if n else []
+            derived, spec = derived.take_rows(indices), _rows(spec, indices)
+        else:
+            i = data.draw(st.integers(0, len(spec) - 1))
+            name, ctype, _ = spec[i]
+            cells = data.draw(_cells(ctype, n))
+            derived = derived.with_column(name, cells)
+            spec = [*spec[:i], (name, ctype, cells), *spec[i + 1:]]
+    _same_as_fresh(derived, spec)
+
+
+def test_a_shared_schema_handed_other_types_or_names_is_checked_again():
+    spec = [("a", ColumnType.NUMERICAL, [1.0, None]), ("b", ColumnType.CATEGORICAL, ["1", "x"])]
+    derived = from_columns(spec).with_column("a", [2.0, 3.0])
+    schema, columns = derived.attributes, derived.columns
+
+    other_types = (ColumnType.TEXT, ColumnType.CATEGORICAL)
+    handed = Dataset(schema, other_types, columns)
+    fresh = Dataset(("a", "b"), other_types, columns)
+    assert handed.types == other_types and handed.fingerprint == fresh.fingerprint
+
+    as_strings = Dataset(schema, ("numerical", "categorical"), columns)
+    assert as_strings.types == derived.types and as_strings.fingerprint == derived.fingerprint
+
+    for types, error in [(derived.types[:1], SchemaError),
+                         ((ColumnType.NUMERICAL, ColumnType.NUMERICAL), ColumnTypeError)]:
+        with pytest.raises(error) as fresh_error:
+            Dataset(("a", "b"), types, columns)
+        with pytest.raises(error, match=re.escape(str(fresh_error.value))):
+            Dataset(schema, types, columns)
+
+    with pytest.raises(SchemaError, match="equal length"):
+        Dataset(schema, derived.types, columns[:1])
+
+    built_elsewhere = type(schema)
+    renamed = Dataset(built_elsewhere(("b", "a")), derived.types, columns)
+    assert renamed.index_of("b") == 0
+    assert renamed.fingerprint == Dataset(("b", "a"), derived.types, columns).fingerprint
+    assert renamed.fingerprint != derived.fingerprint
+    with pytest.raises(SchemaError, match="duplicate attribute name: 'a'"):
+        Dataset(built_elsewhere(("a", "a")), derived.types, columns)
+
+
+def test_with_column_normalizes_one_column_and_encodes_no_schema(monkeypatch):
+    source = from_columns([(f"c{i}", ColumnType.NUMERICAL, [float(i), None]) for i in range(6)])
+    normalized, encoded = [], []
+    normalize, dumps = tabular._normalize, tabular.json.dumps
+    monkeypatch.setattr(tabular, "_normalize", lambda *a: normalized.append(a[0]) or normalize(*a))
+    monkeypatch.setattr(tabular.json, "dumps", lambda obj, **kw: encoded.append(obj) or dumps(obj, **kw))
+    replaced = source.with_column("c4", [-0.0, 7])
+    assert normalized == ["c4"]
+    assert encoded == [[0.0, 7.0]]
+    assert replaced.attributes is source.attributes
+    assert replaced.fingerprint == from_columns(
+        [(f"c{i}", ColumnType.NUMERICAL, [0.0, 7.0] if i == 4 else [float(i), None])
+         for i in range(6)]).fingerprint
 
 
 _PROFILE_CELLS = {

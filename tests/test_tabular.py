@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import csv
+import pickle
 import random
 
 import pytest
@@ -251,6 +253,30 @@ def test_take_rows_hashes_the_kept_cells_without_normalizing_them(monkeypatch):
                           ("c", ColumnType.CATEGORICAL, [None, "b", None, "a"])])
     assert kept == fresh and kept.fingerprint == fresh.fingerprint
     assert source.take_rows(range(4)).fingerprint == source.fingerprint
+
+
+@pytest.mark.parametrize("indices", [[-1, 0], [5], [0, 3], [-4]])
+def test_take_rows_rejects_indices_out_of_range(indices):
+    source = from_columns(_BASE)
+    with pytest.raises(SchemaError, match=r"row indices must lie in \[0, 3\)"):
+        source.take_rows(indices)
+    assert source.take_rows([]).row_count == 0
+    assert source.take_rows(range(0)).columns == ((), ())
+
+
+def test_columns_carry_their_missing_count(people_fail):
+    assert people_fail.column("phone").missing == 2
+    assert [col.missing for col in people_fail.columns] == [col.count(None) for col in people_fail.columns]
+    derived = from_columns(_BASE).take_rows([1, 2, 1]).with_column("c", [None, None, "a"])
+    assert [col.missing for col in derived.columns] == [1, 2]
+
+
+def test_copied_and_pickled_datasets_keep_their_schema_and_fingerprint():
+    source = from_columns(_BASE)
+    for copied in (copy.deepcopy(source), pickle.loads(pickle.dumps(source))):
+        assert copied == source and copied.fingerprint == source.fingerprint
+        assert copied.index_of("c") == 1 and copied.column("x").missing == 1
+        assert copied.with_column("c", "xyz").fingerprint == source.with_column("c", "xyz").fingerprint
 
 
 def test_csv_that_is_not_utf8_rejected(tmp_path):
