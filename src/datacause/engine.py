@@ -11,6 +11,8 @@ member pushes the oracle back above the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Sequence
 
 from .errors import (
     DatacauseError,
@@ -22,7 +24,6 @@ from .errors import (
     ValidationError,
 )
 from .graph import (
-    PvtDependencyGraph,
     attribute_degrees,
     best_bisection,
     build_dependency_graph,
@@ -407,10 +408,9 @@ def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
         degrees = attribute_degrees(t.profile for t in remaining.values())
         top = max(degrees.values())
         hot = {a for a, d in degrees.items() if d == top}
-        pool = sorted((t for t in remaining.values()
-                       if hot.intersection(t.profile.attributes())),
-                      key=lambda t: t.sort_key)
-        chosen = max(pool, key=lambda t: benefit[t.id])
+        # ``remaining`` keeps the candidates' sort_key order, so ties go to the first
+        chosen = max((t for t in remaining.values() if hot.intersection(t.profile.attributes())),
+                     key=lambda t: benefit[t.id])
         del remaining[chosen.id]
         new_score, candidate = run.attempt([chosen], current, score, f"{chosen.id} untestable")
         if new_score is None or new_score >= score:
@@ -437,14 +437,14 @@ def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
 
 
 def _group_test(run: _Run, xs: list[PvtTriplet], dataset: Dataset,
-                g_pd: PvtDependencyGraph,
-                random_partition: bool) -> tuple[Dataset, list[PvtTriplet]]:
+                split: Callable[[list[str], int], tuple[Sequence[str], Sequence[str]]]
+                ) -> tuple[Dataset, list[PvtTriplet]]:
     """Adaptive group intervention over the candidate set.
 
-    Recursively bisects the candidates (minimum bisection of the dependency
-    graph, or a seeded random split for the classical baseline), composes
-    and scores each half, and descends only into halves that help. Assumes
-    a composed repair helps iff some constituent repair helps.
+    Recursively splits the candidates' sorted ids in two with
+    ``split(ids, seed)``, composes and scores each half, and descends only
+    into halves that help. Assumes a composed repair helps iff some
+    constituent repair helps.
     """
     config = run.config
     if len(xs) == 1:
@@ -456,12 +456,9 @@ def _group_test(run: _Run, xs: list[PvtTriplet], dataset: Dataset,
             return dataset, []
     ids = sorted(t.id for t in xs)
     split_seed = (config.seed * 31 + len(ids) * 7 + sum(map(ord, "".join(ids)))) % (2 ** 31)
-    if random_partition:
-        half1_ids, half2_ids = random_balanced_split(ids, split_seed)
-    else:
-        half1_ids, half2_ids = best_bisection(g_pd, ids, split_seed)
-    half1 = [t for t in xs if t.id in set(half1_ids)]
-    half2 = [t for t in xs if t.id in set(half2_ids)]
+    first = set(split(ids, split_seed)[0])
+    half1 = [t for t in xs if t.id in first]
+    half2 = [t for t in xs if t.id not in first]
     base_score = run.query(dataset, (), 1.0)
 
     def try_group(group: list[PvtTriplet]) -> float:
@@ -470,43 +467,44 @@ def _group_test(run: _Run, xs: list[PvtTriplet], dataset: Dataset,
         return base_score if score is None else score
 
     score1 = try_group(half1)
-    score2 = None
-    if score1 > config.tau:
-        score2 = try_group(half2)
+    if score1 <= config.tau:
+        return _group_test(run, half1, dataset, split)
+    score2 = try_group(half2)
     found: list[PvtTriplet] = []
-    if score1 <= config.tau or (score1 < base_score and score2 is not None
-                                and score2 > config.tau):
-        dataset, sub = _group_test(run, half1, dataset, g_pd, random_partition)
-        found.extend(sub)
-        if score1 <= config.tau:
-            return dataset, found
-    if score2 is not None and score2 < base_score:
-        dataset, sub = _group_test(run, half2, dataset, g_pd, random_partition)
-        found.extend(sub)
+    if score1 < base_score and score2 > config.tau:
+        dataset, found = _group_test(run, half1, dataset, split)
+    if score2 < base_score:
+        dataset, sub = _group_test(run, half2, dataset, split)
+        found += sub
     return dataset, found
 
 
 def _group_testing(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
                    fail_score: float) -> tuple[list[PvtTriplet], Dataset]:
     """Group testing over the candidates, then one check that the repairs it
-    collected pass together."""
+    collected pass together.
+
+    The split is min-bisection of the candidates' dependency graph, or a
+    seeded random split for ``group_test_random``. The halves it makes are
+    disjoint, so each candidate is found at most once.
+    """
     config = run.config
-    g_pd = build_dependency_graph(candidates)
-    _, found = _group_test(run, candidates, d_fail, g_pd,
-                           random_partition=config.algorithm == "group_test_random")
-    unique = sorted({t.id: t for t in found}.values(), key=lambda t: t.sort_key)
-    if not unique:
+    split = (random_balanced_split if config.algorithm == "group_test_random"
+             else partial(best_bisection, build_dependency_graph(candidates)))
+    _, found = _group_test(run, candidates, d_fail, split)
+    if not found:
         raise NoExplanationFound("group testing found no score-reducing repairs")
+    found.sort(key=lambda t: t.sort_key)
     try:
-        composed = run.compose(unique, d_fail)
+        composed = run.compose(found, d_fail)
     except TransformFailure as exc:
         raise NoExplanationFound(f"collected repairs failed to compose: {exc}") from exc
-    verify = run.query(composed.dataset, tuple(t.id for t in unique), fail_score,
+    verify = run.query(composed.dataset, tuple(t.id for t in found), fail_score,
                        warnings=composed.warnings)
     if verify > config.tau:
         raise NoExplanationFound(
             f"collected repairs only reach {verify:.4g}, above tau {config.tau:.4g}")
-    return unique, composed.dataset
+    return found, composed.dataset
 
 
 def explain(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
@@ -578,8 +576,7 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
     if len(labeled) < 2:
         raise ValidationError("need at least two labeled datasets")
     passing = [d for d, ok in labeled if ok]
-    failing = [d for d, ok in labeled if not ok]
-    if not failing:
+    if len(passing) == len(labeled):
         raise ValidationError("all datasets pass; nothing to explain")
     if not passing:
         raise ValidationError("need at least one passing dataset")
@@ -588,18 +585,14 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
     if fail_score <= config.tau:
         raise ValidationError("failing dataset already scores within tau")
     with _Run(oracle, config) as run:
-        profiles: list[Profile] = []
-        seen_ids: set[tuple] = set()
+        unique: dict[tuple, Profile] = {}
         for d in passing:
             for t in discriminative_pvts(d, d_fail):
-                key = t.profile.identity()
-                if key not in seen_ids:
-                    seen_ids.add(key)
-                    profiles.append(t.profile)
-        if not profiles:
+                unique.setdefault(t.profile.identity(), t.profile)
+        if not unique:
             raise NoExplanationFound("no discriminative profiles to learn from")
-        profiles.sort(key=lambda p: (p.attributes(), p.kind.value, p.label()))
-        variants = {p.label(): make_triplets(p) for p in profiles}
+        profiles = sorted(unique.values(), key=lambda p: (p.attributes(), p.kind.value, p.label()))
+        variants = [make_triplets(p) for p in profiles]
 
         def features_of(dataset: Dataset) -> tuple[bool, ...]:
             flags = []
@@ -610,9 +603,8 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
                     flags.append(False)
             return tuple(flags)
 
-        benefit_cache = {p.label(): max(
-            (_safe_benefit(run, t, d_fail) for t in variants[p.label()]),
-            default=0.0) for p in profiles}
+        benefit = [max((_safe_benefit(run, t, d_fail) for t in options), default=0.0)
+                   for options in variants]
 
         def transforms_d_fail(option: PvtTriplet) -> bool:
             try:
@@ -624,7 +616,7 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
         def repair_set(conj: tuple[int, ...]) -> list[PvtTriplet] | None:
             chosen = []
             for f in conj:
-                picked = next(filter(transforms_d_fail, variants[profiles[f].label()]), None)
+                picked = next(filter(transforms_d_fail, variants[f]), None)
                 if picked is None:
                     return None
                 chosen.append(picked)
@@ -632,14 +624,10 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
 
         rows = [(features_of(d), ok) for d, ok in labeled]
         tested: set[tuple[int, ...]] = set()
-        refits = 0
-        while True:
-            paths = [tuple(sorted(p)) for p in _pass_paths(rows, list(range(len(profiles)))) if p]
-            paths = [p for p in dict.fromkeys(paths) if p not in tested]
-            paths.sort(key=lambda conj: (-sum(benefit_cache[profiles[f].label()] for f in conj),
-                                         conj))
-            progressed = False
-            for conj in paths:
+        # a pass that neither returns nor gives up adds the failed conjunction as a row
+        for _ in range(MAX_REFITS + 1):
+            paths = {tuple(sorted(p)) for p in _pass_paths(rows, list(range(len(profiles)))) if p}
+            for conj in sorted(paths - tested, key=lambda c: (-sum(benefit[f] for f in c), c)):
                 tested.add(conj)
                 triplets = repair_set(conj)
                 if triplets is None:
@@ -653,10 +641,7 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
                 if score <= config.tau:
                     return _finalize(run, triplets, d_fail, repaired, fail_score)
                 rows.append((features_of(repaired), False))
-                refits += 1
-                progressed = True
-                if refits > MAX_REFITS:
-                    raise NoExplanationFound(f"decision tree exhausted {MAX_REFITS} refits")
                 break
-            if not progressed:
+            else:
                 raise NoExplanationFound("decision tree found no passing conjunction")
+        raise NoExplanationFound(f"decision tree exhausted {MAX_REFITS} refits")

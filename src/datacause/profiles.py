@@ -587,9 +587,8 @@ def discover_profiles(dataset: Dataset, predicates: Sequence[Predicate] = ()) ->
                 shared = all(map(shape_regex(pattern).fullmatch, present))
             else:
                 shared = all(text_signature(v) == pattern for v in present)
-            lengths = [len(v) for v in present]
             out.append(DomainText(attribute, pattern if shared else None,
-                                  min(lengths), max(lengths)))
+                                  min(map(len, present)), max(map(len, present))))
     for predicate in predicates:
         out.append(SelectivityBound(predicate, count_where(dataset, predicate) / n))
     categorical = [a for a, t in dataset.schema if t is ColumnType.CATEGORICAL]

@@ -67,7 +67,8 @@ def _derive_seed(seed: int, *parts: str) -> int:
 
 def _mode(values) -> str:
     counts = Counter(values)
-    return min(counts, key=lambda v: (-counts[v], v))
+    top = max(counts.values())
+    return min(v for v, count in counts.items() if count == top)
 
 
 # --- repairs ---------------------------------------------------------------

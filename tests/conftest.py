@@ -47,3 +47,19 @@ def random_dataset(seed: int, min_rows: int = 8, max_rows: int = 40) -> Dataset:
     if all(v is None for _, _, vals in cols for v in vals):  # pragma: no cover
         cols[0][2][0] = "a"
     return from_columns(cols)
+
+
+def missing_columns_pair(columns: int, seed: int, rows: int = 12) -> tuple[Dataset, Dataset]:
+    """``columns`` text columns ``c0``, ``c1``, ... of four-letter tokens, and a
+    copy that hides at least one cell of each: the copy differs only in its
+    missing rates, so its only discriminative triplets are
+    ``missing_rate(c<j>)#impute``."""
+    rng = random.Random(seed)
+    passing, failing = [], []
+    for j in range(columns):
+        cells = ["".join(rng.choice("abcdefgh") for _ in range(4)) for _ in range(rows)]
+        hidden = set(rng.sample(range(rows), rng.randint(1, rows // 3)))
+        passing.append((f"c{j}", ColumnType.TEXT, cells))
+        failing.append((f"c{j}", ColumnType.TEXT,
+                        [None if i in hidden else v for i, v in enumerate(cells)]))
+    return from_columns(passing), from_columns(failing)

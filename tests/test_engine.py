@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
+from conftest import missing_columns_pair, random_dataset
 import datacause.engine as engine
 import datacause.transforms as transforms
 from datacause.engine import (
@@ -19,7 +22,7 @@ from datacause.errors import (
     TransformFailure,
     ValidationError,
 )
-from datacause.graph import attribute_degrees, build_dependency_graph
+from datacause.graph import attribute_degrees, best_bisection, build_dependency_graph
 from datacause.oracle import CallableOracle
 from datacause.profiles import (
     ChiSquareBound,
@@ -33,6 +36,7 @@ from datacause.synth import (
     PairedCauseScenario,
     PlantedCause,
     ScenarioSpec,
+    adversarial_rank_scenario,
     generate,
     generate_paired,
 )
@@ -157,6 +161,42 @@ def test_domain_remap_fixture_has_three_triplets():
     assert len(triplets) == 3
     assert sorted(t.profile.kind.value for t in triplets) == [
         "domain_categorical", "domain_text", "missing_rate"]
+
+
+def _random_dataset_pairs(seeds):
+    """Pairs of ``random_dataset``s that share a schema."""
+    by_schema = {}
+    for seed in seeds:
+        d = random_dataset(seed)
+        by_schema.setdefault(d.schema, []).append(d)
+    return [(a, b) for group in by_schema.values() for a, b in zip(group, group[1:])]
+
+
+SYNTH_FAMILIES = {
+    "domain-remap": [("domain", "target")],
+    "dependence-bias": [("dependence", "target"), ("selectivity", "usage_class")],
+    "skew-timeout": [("selectivity", "plate_type")],
+    "interaction-pair": [("missing", "p1"), ("missing", "p2")],
+}
+
+
+def test_discriminative_triplets_have_distinct_ids_in_increasing_sort_key_order():
+    pairs = _random_dataset_pairs(range(60))
+    for family, causes in SYNTH_FAMILIES.items():
+        for seed in range(3):
+            spec = ScenarioSpec(oracle_family=family, n_rows=120, seed=seed, decoys=5,
+                                planted_causes=tuple(PlantedCause(*c) for c in causes))
+            pairs.append(generate(spec)[:2])
+    for seed in range(3):
+        pairs.append(generate_paired(PairedCauseScenario(seed=seed))[:2])
+        pairs.append(adversarial_rank_scenario(seed)[:2])
+    assert len(pairs) > 40
+    for d_pass, d_fail in pairs:
+        triplets = discriminative_pvts(d_pass, d_fail)
+        ids = [t.id for t in triplets]
+        assert len(set(ids)) == len(ids)
+        keys = [t.sort_key for t in triplets]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 # --- benefit ---------------------------------------------------------------------
@@ -389,10 +429,51 @@ def test_group_test_direct_call():
     candidates = discriminative_pvts(d_pass, d_fail)
     g_pd = build_dependency_graph(candidates)
     config = EngineConfig(tau=0.2, seed=1, algorithm="group_test")
-    repaired, found = _group_test(_Run(oracle, config), candidates, d_fail, g_pd,
-                                  random_partition=False)
+    repaired, found = _group_test(_Run(oracle, config), candidates, d_fail,
+                                  partial(best_bisection, g_pd))
     assert found
     assert oracle.evaluate(repaired) <= 0.2
+
+
+def _halves_in_sorted_order(graph, ids, seed):
+    half = (len(ids) + 1) // 2
+    return tuple(ids[:half]), tuple(ids[half:])
+
+
+def _impute(column):
+    return f"missing_rate({column})#impute"
+
+
+@pytest.mark.parametrize("scores, triplets, log", [
+    # the first half passes, so the second half is never scored
+    ({(): 1.0, ("c0",): 0.0, ("c2",): 1.0, ("c0", "c2"): 0.0},
+     ("c0",),
+     [(("c0", "c1"), 1.0, 0.0, True), (("c0",), 1.0, 0.0, True)]),
+    # both halves lower the score and neither passes, so both are recursed
+    ({(): 1.0, ("c0",): 0.6, ("c2",): 0.6, ("c0", "c2"): 0.1},
+     ("c0", "c2"),
+     [(("c0", "c1"), 1.0, 0.6, True), (("c2", "c3"), 1.0, 0.6, True),
+      (("c0",), 1.0, 0.6, True), (("c1",), 1.0, 1.0, False),
+      (("c2",), 0.6, 0.1, True), (("c2",), 1.0, 0.6, True)]),
+    # the first half helps and the second passes, so only the second is recursed
+    ({(): 1.0, ("c0",): 0.6, ("c2",): 0.0, ("c0", "c2"): 0.0},
+     ("c2",),
+     [(("c0", "c1"), 1.0, 0.6, True), (("c2", "c3"), 1.0, 0.0, True),
+      (("c2",), 1.0, 0.0, True)]),
+], ids=["first-half-passes", "both-halves-help", "second-half-passes"])
+def test_group_test_descent_cases(monkeypatch, scores, triplets, log):
+    # split the sorted ids in order, so the halves are {c0, c1} and {c2, c3};
+    # the score is looked up by which of c0 and c2 have no missing cell
+    monkeypatch.setattr(engine, "best_bisection", _halves_in_sorted_order)
+    d_pass, d_fail = missing_columns_pair(4, seed=0)
+    oracle = CallableOracle(
+        lambda d: scores[tuple(c for c in ("c0", "c2") if None not in d.column(c))])
+    result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, algorithm="group_test"))
+    assert result.triplet_ids() == tuple(map(_impute, triplets))
+    assert [(e.triplet_ids, e.pre_score, e.post_score, e.accepted)
+            for e in result.log.entries] == [
+        (tuple(map(_impute, ids)), pre, post, accepted) for ids, pre, post, accepted in log]
+    assert result.interventions == len(log)
 
 
 def test_gt_random_vs_gt_paired_means():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,6 +31,7 @@ from datacause.transforms import (
     _balanced_reassignment,
     _decorrelate_chi2,
     _derive_seed,
+    _mode,
     _resample_plan,
     compose,
     coverage,
@@ -159,6 +161,15 @@ def test_impute_mean_and_mode():
     assert fixed_num.column("num") == (1.0, 2.0, 3.0, 2.0)
     fixed_cat = transform(d, triplet(MissingRate("cat", 0.0)))
     assert fixed_cat.column("cat") == ("a", "a", "a", "b")
+
+
+def test_mode_is_the_smallest_of_the_most_common_values():
+    rng = random.Random(11)
+    for _ in range(300):
+        values = [rng.choice(["", "a", "b", "ab", "ba", "B", "é"][:rng.randint(1, 7)])
+                  for _ in range(rng.randint(1, 12))]
+        counts = Counter(values)
+        assert _mode(values) == min(counts, key=lambda v: (-counts[v], v)), values
 
 
 # --- text shape -----------------------------------------------------------------------
