@@ -322,7 +322,7 @@ def _validate_inputs(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle
 
 def _safe_benefit(run: _Run, triplet: PvtTriplet, dataset: Dataset) -> float:
     try:
-        return benefit_score(triplet, dataset, seed=run.config.seed, repair=run.transform)
+        return benefit_score(triplet, dataset, repair=run.transform)
     except TransformFailure as exc:
         run.log.notes.append(f"benefit of {triplet.id} treated as 0: {exc}")
         return 0.0

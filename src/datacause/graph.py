@@ -72,6 +72,8 @@ def _local_search(adjacency: dict[str, set[str]], seed: int, history: list[int] 
     while True:  # each swap lowers the integer cut, so this ends
         if history is not None:
             history.append(cut)
+        if cut == 0:  # no swap lowers a zero cut
+            return tuple(sorted(half1)), tuple(sorted(half2)), cut
         # external minus internal edges of every node
         excess = {u: 2 * len(adjacency[u] & other) - len(adjacency[u])
                   for own, other in ((half1, half2), (half2, half1)) for u in own}

@@ -98,8 +98,9 @@ class SubprocessOracle(MalfunctionOracle):
     """Scores by writing the dataset to a temp CSV and invoking a command.
 
     Wire protocol: the command receives the CSV path, prints the score as a
-    decimal literal on the last non-empty stdout line, and exits 0. The
-    engine seed is exported as ``DATAEXPOSER_SEED`` for reproducibility.
+    decimal literal on the last non-empty stdout line, and exits 0; output
+    bytes that do not decode read as U+FFFD. The engine seed is exported as
+    ``DATAEXPOSER_SEED`` for reproducibility.
     """
 
     def __init__(self, spec: ExternalOracleSpec, seed: int | None = None):
@@ -121,6 +122,7 @@ class SubprocessOracle(MalfunctionOracle):
                     command,
                     capture_output=True,
                     text=True,
+                    errors="replace",
                     timeout=self.spec.timeout,
                     cwd=self.spec.workdir,
                     env=env,

@@ -9,6 +9,7 @@ deterministic under the scenario seed.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import string
@@ -170,21 +171,92 @@ def _float_param(key: str, text: str) -> float:
             f"builtin oracle parameter {key}: not a number: {text!r}") from None
 
 
-def _limit_param(params: dict[str, str], key: str, default: str) -> float:
+def _limit_param(key: str, text: str) -> float:
     """A share limit; :func:`_excess` divides by the room above it."""
-    limit = _float_param(key, params.get(key, default))
+    limit = _float_param(key, text)
     if not 0.0 <= limit < 1.0:
         raise ScenarioSpecError(
             f"builtin oracle parameter {key} must lie in [0, 1), got {limit!r}")
     return limit
 
 
-#: the parameters each builtin scorer reads
-_BUILTIN_PARAMETERS = {
-    "domain-remap": {"allowed", "logic", "domain", "missing"},
-    "dependence-bias": {"target", "protected", "skew", "skew_value", "skew_limit"},
-    "skew-timeout": {"attribute", "value", "limit"},
-    "interaction-pair": {"attributes"}, "missing-flag": {"attribute"},
+def _units(causes) -> dict[str, list[str]]:
+    """Each attribute of the (kind, attribute) ``causes``, in planted order,
+    with the kinds planted on it."""
+    units: dict[str, list[str]] = {}
+    for kind, attribute in causes:
+        units.setdefault(attribute, []).append(kind)
+    return units
+
+
+def _domain_remap_scorer(allowed="-1,1", logic="conjunctive", domain="", missing=""):
+    allowed = {_float_param("allowed", v) for v in allowed.split(",")}
+    if logic not in CAUSE_LOGICS:
+        raise ScenarioSpecError(f"unknown domain-remap logic {logic!r}")
+    units = _units((kind, a) for kind, names in (("domain", domain), ("missing", missing))
+                   for a in names.split(",") if a)
+    if not units:
+        raise ScenarioSpecError("domain-remap oracle needs at least one cause attribute")
+
+    def score(dataset: Dataset) -> float:
+        credits = []
+        for attribute, kinds in units.items():
+            parts = []
+            if "domain" in kinds:
+                parts.append(1.0 - _bad_value_fraction(dataset, attribute, allowed))
+            if "missing" in kinds:
+                # hidden cells break the unit outright until imputed
+                parts.append(1.0 if _missing_fraction(dataset, attribute) == 0.0 else 0.0)
+            credits.append(sum(parts) / len(parts))
+        if logic == "disjunctive":
+            return 1.0 - max(credits)
+        return 1.0 - sum(credits) / len(credits)
+
+    return score
+
+
+def _dependence_bias_scorer(target="target", protected="c1", skew="", skew_value="hi",
+                            skew_limit="0.2"):
+    skew_limit = _limit_param("skew_limit", skew_limit)
+
+    def score(dataset: Dataset) -> float:
+        dep = min(1.0, _cramers_v(dataset, target, protected))
+        if skew:
+            dep = max(dep, _excess(_value_fraction(dataset, skew, skew_value), skew_limit))
+        return dep
+
+    return score
+
+
+def _skew_timeout_scorer(attribute="plate_type", value="black", limit="0.3"):
+    limit = _limit_param("limit", limit)
+    return lambda dataset: _excess(_value_fraction(dataset, attribute, value), limit)
+
+
+def _missing_flag(attributes: list[str]):
+    """1 while any of ``attributes`` has a missing cell, else 0."""
+    return lambda dataset: float(any(_missing_fraction(dataset, a) > 0 for a in attributes))
+
+
+def _interaction_pair_scorer(attributes=""):
+    attrs = [a for a in attributes.split(",") if a]
+    if len(attrs) != 2:
+        raise ScenarioSpecError("interaction-pair oracle needs exactly two attributes")
+    return _missing_flag(attrs)
+
+
+def _missing_flag_scorer(attribute=""):
+    if not attribute:
+        raise ScenarioSpecError("missing-flag oracle needs an attribute")
+    return _missing_flag([attribute])
+
+
+#: builtin family -> scorer factory, whose keyword parameters (text, with
+#: their defaults) are the family's ``builtin:`` parameters
+_BUILTIN_SCORERS = {
+    "domain-remap": _domain_remap_scorer, "dependence-bias": _dependence_bias_scorer,
+    "skew-timeout": _skew_timeout_scorer, "interaction-pair": _interaction_pair_scorer,
+    "missing-flag": _missing_flag_scorer,
 }
 
 
@@ -193,87 +265,13 @@ def build_builtin_oracle(family: str, params: dict[str, str]) -> MalfunctionOrac
 
     Reachable from the CLI as ``builtin:<family>?key=value&...``.
     """
-    if family not in _BUILTIN_PARAMETERS:
+    if family not in _BUILTIN_SCORERS:
         raise ScenarioSpecError(f"unknown builtin oracle family {family!r}")
-    unknown = sorted(set(params) - _BUILTIN_PARAMETERS[family])
+    factory = _BUILTIN_SCORERS[family]
+    unknown = sorted(set(params) - set(inspect.signature(factory).parameters))
     if unknown:
         raise ScenarioSpecError(f"unknown {family} oracle parameter(s): {', '.join(unknown)}")
-    if family == "domain-remap":
-        allowed = {_float_param("allowed", v) for v in params.get("allowed", "-1,1").split(",")}
-        logic = params.get("logic", "conjunctive")
-        if logic not in CAUSE_LOGICS:
-            raise ScenarioSpecError(f"unknown domain-remap logic {logic!r}")
-        units: dict[str, list[str]] = {}
-        for kind in ("domain", "missing"):
-            for a in params.get(kind, "").split(","):
-                if a:
-                    units.setdefault(a, []).append(kind)
-        if not units:
-            raise ScenarioSpecError("domain-remap oracle needs at least one cause attribute")
-
-        def score(dataset: Dataset) -> float:
-            credits = []
-            for attribute, kinds in units.items():
-                parts = []
-                if "domain" in kinds:
-                    parts.append(1.0 - _bad_value_fraction(dataset, attribute, allowed))
-                if "missing" in kinds:
-                    # hidden cells break the unit outright until imputed
-                    parts.append(1.0 if _missing_fraction(dataset, attribute) == 0.0 else 0.0)
-                credits.append(sum(parts) / len(parts))
-            if logic == "disjunctive":
-                return 1.0 - max(credits)
-            return 1.0 - sum(credits) / len(credits)
-
-        return CallableOracle(score)
-
-    if family == "dependence-bias":
-        target = params.get("target", "target")
-        protected = params.get("protected", "c1")
-        skew = params.get("skew", "")
-        skew_value = params.get("skew_value", "hi")
-        skew_limit = _limit_param(params, "skew_limit", "0.2")
-
-        def score(dataset: Dataset) -> float:
-            dep = min(1.0, _cramers_v(dataset, target, protected))
-            if not skew:
-                return dep
-            frac = _value_fraction(dataset, skew, skew_value)
-            return max(dep, _excess(frac, skew_limit))
-
-        return CallableOracle(score)
-
-    if family == "skew-timeout":
-        attribute = params.get("attribute", "plate_type")
-        value = params.get("value", "black")
-        limit = _limit_param(params, "limit", "0.3")
-
-        def score(dataset: Dataset) -> float:
-            frac = _value_fraction(dataset, attribute, value)
-            return _excess(frac, limit)
-
-        return CallableOracle(score)
-
-    if family == "interaction-pair":
-        attrs = [a for a in params.get("attributes", "").split(",") if a]
-        if len(attrs) != 2:
-            raise ScenarioSpecError("interaction-pair oracle needs exactly two attributes")
-
-        def score(dataset: Dataset) -> float:
-            broken = any(_missing_fraction(dataset, a) > 0 for a in attrs)
-            return 1.0 if broken else 0.0
-
-        return CallableOracle(score)
-
-    # missing-flag
-    attribute = params.get("attribute", "")
-    if not attribute:
-        raise ScenarioSpecError("missing-flag oracle needs an attribute")
-
-    def score(dataset: Dataset) -> float:
-        return 1.0 if _missing_fraction(dataset, attribute) > 0 else 0.0
-
-    return CallableOracle(score)
+    return CallableOracle(factory(**params))
 
 
 def builtin_oracle(argument: str) -> MalfunctionOracle:
@@ -315,8 +313,11 @@ def _pair(name: str, ctype: ColumnType, passing, failing):
 
 
 def _datasets(pairs) -> tuple[Dataset, Dataset]:
-    passing, failing = zip(*pairs)
-    return from_columns(passing), from_columns(failing)
+    """Both datasets; a failing column that is its passing column's cells is
+    taken over from the passing dataset, not normalized and hashed again."""
+    d_pass = from_columns([p for p, _ in pairs])
+    return d_pass, from_columns([(*f[:2], col if f[2] is p[2] else f[2])
+                                 for (p, f), col in zip(pairs, d_pass.columns)])
 
 
 def _alternating(n_rows: int, even, odd) -> list:
@@ -363,15 +364,13 @@ def _two_point_column(name: str, n_rows: int, masked: int, rng: random.Random):
 
 def _domain_remap_pairs(spec: ScenarioSpec, rng: random.Random):
     n = spec.n_rows
-    units: dict[str, list[str]] = {}
     for cause in spec.planted_causes:
         if cause.kind not in ("domain", "missing"):
             raise ScenarioSpecError(
                 f"domain-remap supports domain/missing causes, got {cause.kind!r}")
-        units.setdefault(cause.attribute, []).append(cause.kind)
+    units = _units((c.kind, c.attribute) for c in spec.planted_causes)
     pairs = []
-    for attribute in sorted(units):
-        kinds = units[attribute]
+    for attribute, kinds in sorted(units.items()):
         good = _alternating(n, "-1", "1")
         bad = _alternating(n, "0", "4") if "domain" in kinds else good
         if "missing" in kinds:
@@ -473,9 +472,7 @@ def generate(spec: ScenarioSpec) -> tuple[Dataset, Dataset, MalfunctionOracle]:
 
 def ground_truth(spec: ScenarioSpec) -> dict:
     """Planted causes and the admissible minimal explanations, unit by unit."""
-    units: dict[str, list[str]] = {}
-    for cause in spec.planted_causes:
-        units.setdefault(cause.attribute, []).append(cause.kind)
+    units = _units((c.kind, c.attribute) for c in spec.planted_causes)
     unit_list = [{"attribute": a, "cause_kinds": sorted(kinds)}
                  for a, kinds in sorted(units.items())]
     if spec.cause_logic == "disjunctive":

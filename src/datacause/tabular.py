@@ -236,10 +236,11 @@ def load_csv(path) -> Dataset:
     """Load an RFC-4180 CSV file with a mandatory header row.
 
     Empty cells and ``MISSING_LITERALS`` become missing. Types are inferred
-    per :func:`infer_types`. Non-UTF-8 input raises :class:`CsvParseError`.
+    per :func:`infer_types`. A leading byte-order mark is skipped; non-UTF-8
+    input raises :class:`CsvParseError`.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -14,6 +14,7 @@ import zlib
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import ColumnTypeError, TransformFailure, ValidationError
@@ -73,9 +74,9 @@ def _mode(values) -> str:
 
 # --- repairs ---------------------------------------------------------------
 #
-# Every repair and every coverage formula takes the dataset and the triplet
-# plus the keyword options of :func:`transform` (a coverage formula also the
-# ``repair`` of :func:`coverage`), and ignores those it does not use.
+# Every repair takes the dataset and the triplet plus the keyword options of
+# :func:`transform`, and every coverage formula the dataset, the triplet and
+# the ``repair`` of :func:`coverage`; each ignores those it does not use.
 
 
 def _remap(dataset: Dataset, triplet: PvtTriplet, remap_overrides=None, **_) -> Dataset:
@@ -240,27 +241,26 @@ def _resample_plan(dataset: Dataset, profile: Profile) -> int:
         return 0
     n = dataset.row_count
     count = count_where(dataset, profile.predicate)
-    if count == int(profile.threshold * n) or count == 0:
+    threshold = max(0.0, profile.threshold)  # below 0 it allows no satisfying row either
+    if count == int(threshold * n) or count == 0:
         # on target, or nothing violates the bound and nothing can be duplicated
         return 0
-    size = 0
-    if count > profile.threshold * n:
-        while count + size > int(profile.threshold * (n + size)) and -size < count:
-            size -= 1
-        if -size == n:
-            raise TransformFailure(
-                f"meeting {profile.label()} would delete every row",
-                best_violation=violation(dataset, profile))
-    else:
-        # the gap int(threshold * (n + s)) - s - count never rises and falls by
-        # at most 1 per duplicated row, so its first zero is its first value <= 0
-        def reached(s: int) -> bool:
-            return int(profile.threshold * (n + s)) - s - count <= 0
+    # the gap count + s - int(threshold * (n + s)) never falls as s grows and
+    # moves by at most 1 per row: searched in the direction that closes it,
+    # the first size where it reaches 0 is its nearest zero
+    step = -1 if count > threshold * n else 1
 
-        size = 1
-        while not reached(size):
-            size *= 2
-        size = bisect_left(range(size + 1), True, lo=size // 2, key=reached)
+    def reached(k: int) -> bool:  # the gap is 0 or past it once k rows are resampled
+        s = step * k
+        return step * (count + s - int(threshold * (n + s))) >= 0
+
+    size = 1
+    while not reached(size):
+        size *= 2
+    size = step * bisect_left(range(size + 1), True, lo=size // 2, key=reached)
+    if size == -n:
+        raise TransformFailure(f"meeting {profile.label()} would delete every row",
+                               best_violation=violation(dataset, profile))
     return size
 
 
@@ -436,11 +436,9 @@ def _resample_coverage(dataset: Dataset, triplet: PvtTriplet, **_) -> float:
     return min(1.0, abs(size) / dataset.row_count)
 
 
-def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int,
-                      repair: Repair | None = None, **_) -> float:
-    """Run the seeded repair (through ``repair`` when given) and count the
-    cells it changed."""
-    result = repair(dataset, triplet) if repair else transform(dataset, triplet, seed=seed)
+def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, repair: Repair) -> float:
+    """Run the repair and count the cells it changed."""
+    result = repair(dataset, triplet)
     if result is dataset:
         return 0.0
     changed = 0
@@ -499,11 +497,11 @@ def coverage(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
     """Fraction of rows the transformation would modify or resample.
 
     Counted from the data; only the two dependence repairs run a dry
-    transform with the given seed, or through ``repair(dataset, triplet)``
-    when that is given.
+    repair, through ``repair(dataset, triplet)`` when that is given and
+    else through :func:`transform` with ``seed``.
     """
     _, rows_touched = _variant(triplet)
-    return rows_touched(dataset, triplet, seed=seed, repair=repair)
+    return rows_touched(dataset, triplet, repair=repair or partial(transform, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -513,21 +511,20 @@ class ComposeResult:
 
 
 def compose(triplets, dataset: Dataset, seed: int = 0,
-            remap_overrides: dict[str, dict[str, str]] | None = None,
             repair: Repair | None = None) -> ComposeResult:
     """Apply transformations sequentially in the given order, each through
     ``repair(dataset, triplet)`` when that is given and else through
-    :func:`transform` with ``seed`` and ``remap_overrides``.
+    :func:`transform` with ``seed``.
 
     A warning is recorded whenever a later step re-breaks the profile of an
     earlier one.
     """
+    repair = repair or partial(transform, seed=seed)
     current = dataset
     warnings: list[str] = []
     applied: list[PvtTriplet] = []
     for triplet in triplets:
-        current = (repair(current, triplet) if repair else
-                   transform(current, triplet, seed=seed, remap_overrides=remap_overrides))
+        current = repair(current, triplet)
         for earlier in applied:
             residual = violation(current, earlier.profile)
             if residual > POSTCONDITION_TOL:

@@ -159,6 +159,46 @@ def test_explain_oracle_protocol_error_exit_3(capsys, sentiment_dir, tmp_path):
     assert "error" in report
 
 
+def raw_scorer(tmp_path, output: str) -> str:
+    """An oracle command whose scorer writes ``output``, a bytes expression
+    over the sentiment fixture's ``score``, to stdout undecoded."""
+    script = tmp_path / "raw.py"
+    script.write_text(textwrap.dedent(f"""\
+        import csv, sys
+        with open(sys.argv[1], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        score = sum(row["target"] not in ("-1.0", "1.0") for row in rows) / len(rows)
+        sys.stdout.buffer.write({output})
+        """))
+    return f"{sys.executable} {script}"
+
+
+def explain_with(capsys, sentiment_dir, oracle):
+    return run(capsys, ["explain", "--pass", str(sentiment_dir / "pass.csv"),
+                        "--fail", str(sentiment_dir / "fail.csv"),
+                        "--oracle", oracle, "--tau", "0.2"])
+
+
+def test_explain_scorer_output_that_does_not_decode_before_its_score(capsys, sentiment_dir,
+                                                                     tmp_path):
+    oracle = raw_scorer(tmp_path, 'b"progress \\xff\\n" + f"{score}\\n".encode()')
+    code, report = explain_with(capsys, sentiment_dir, oracle)
+    assert code == 0
+    assert report["explanation"]["final_score"] <= 0.2
+
+
+def test_explain_scorer_last_line_that_does_not_decode_exit_3(capsys, sentiment_dir, tmp_path):
+    code, report = explain_with(capsys, sentiment_dir, raw_scorer(tmp_path, 'b"0.5\\n\\xff\\n"'))
+    assert code == 3
+    assert report["error"] == "oracle output not a score: '\ufffd'"
+
+
+def test_explain_scorer_that_prints_nothing_exit_3(capsys, sentiment_dir, tmp_path):
+    code, report = explain_with(capsys, sentiment_dir, raw_scorer(tmp_path, 'b""'))
+    assert code == 3
+    assert report["error"] == "oracle printed no output"
+
+
 def test_explain_no_explanation_exit_2(capsys, tmp_path):
     d_pass, d_fail, _ = generate(ScenarioSpec(
         oracle_family="interaction-pair",
@@ -357,6 +397,27 @@ def test_csv_that_is_not_utf8_exit_65(capsys, tmp_path, command, human):
         assert report["error"] == f"{bad}: not valid UTF-8"
 
 
+def test_csv_with_a_byte_order_mark_reads_as_without_it(capsys, sentiment_dir, tmp_path):
+    plain, fail = sentiment_dir / "pass.csv", sentiment_dir / "fail.csv"
+    marked = tmp_path / "marked.csv"  # as spreadsheets save "CSV UTF-8"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_csv(marked).schema == load_csv(plain).schema
+    assert load_csv(marked).fingerprint == load_csv(plain).fingerprint
+    code, report = run(capsys, ["diff", "--pass", str(marked), "--fail", str(plain)])
+    assert (code, report["discriminative"]) == (0, [])
+    triplets = [run(capsys, ["diff", "--pass", str(d_pass), "--fail", str(fail)])[1]
+                ["discriminative"] for d_pass in (plain, marked)]
+    assert triplets[0] == triplets[1] != []
+
+
+def test_empty_csv_exit_65(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    code, report = run(capsys, ["profile", "--data", str(empty)])
+    assert code == 65
+    assert report["error"] == f"{empty}: empty file, header row required"
+
+
 @pytest.mark.parametrize("human", [False, True], ids=["json", "human"])
 def test_explain_on_different_schemas_exit_65_before_scoring(capsys, tmp_path, human):
     d_pass, d_fail = tmp_path / "pass.csv", tmp_path / "fail.csv"
@@ -467,6 +528,16 @@ def test_synth_disjunctive_ground_truth(tmp_path, capsys):
     assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 0
     truth = json.loads((out / "ground_truth.json").read_text())
     assert len(truth["admissible_minimal_explanations"]) == 2
+
+
+def test_synth_spec_that_is_not_json_exit_65(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text("{not json")
+    code, report = run(capsys, ["synth", "--spec", str(spec_path),
+                                "--out-dir", str(tmp_path / "out")])
+    assert code == 65
+    assert report["error"].startswith(f"{spec_path}: not a JSON scenario spec: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_invalid_spec_exit_65(tmp_path, capsys):

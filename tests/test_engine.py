@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from functools import partial
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import missing_columns_pair, random_dataset
 import datacause.engine as engine
 import datacause.transforms as transforms
+from datacause.cli import main as cli_main
 from datacause.engine import (
     EngineConfig,
     benefit_score,
@@ -37,10 +39,11 @@ from datacause.synth import (
     PlantedCause,
     ScenarioSpec,
     adversarial_rank_scenario,
+    build_builtin_oracle,
     generate,
     generate_paired,
 )
-from datacause.tabular import ColumnType, Predicate, Term, from_columns
+from datacause.tabular import ColumnType, Predicate, Term, from_columns, save_csv
 from datacause.transforms import compose, coverage, make_triplets
 
 
@@ -894,6 +897,59 @@ def test_decision_tree_notes_a_conjunction_that_fails_to_compose(monkeypatch):
                               EngineConfig(tau=0.2))
     assert err.value.log.notes == ["conjunction failed to compose: forced failure"]
     assert len(err.value.log.entries) == oracle.invocation_count - 1 == 4
+
+
+def order_trap(monkeypatch):
+    """Group testing that repairs the later-sorted of two missing-rate
+    candidates first, and a repair of ``b`` that fails once ``a`` has no
+    missing cell: the search collects both, but they do not compose in
+    sorted order."""
+    real = engine.transform
+
+    def transform_or_fail(dataset, triplet, **kwargs):
+        if triplet.profile.attribute == "b" and not dataset.column("a").missing:
+            raise TransformFailure("forced failure", best_violation=1.0)
+        return real(dataset, triplet, **kwargs)
+
+    monkeypatch.setattr(engine, "transform", transform_or_fail)
+    monkeypatch.setattr(engine, "best_bisection", lambda graph, ids, seed: (ids[1:], ids[:1]))
+
+
+def missing_pair(n=40):
+    cells = {"a": ["u" if i % 2 else "v" for i in range(n)],
+             "b": ["u" if i // 2 % 2 else "v" for i in range(n)]}
+    d_pass = from_columns([(a, ColumnType.CATEGORICAL, c) for a, c in cells.items()])
+    d_fail = from_columns([(a, ColumnType.CATEGORICAL,
+                            [None if i == j else v for i, v in enumerate(c)])
+                           for j, (a, c) in enumerate(cells.items())])
+    return d_pass, d_fail
+
+
+def test_group_testing_collected_repairs_that_fail_to_compose(monkeypatch):
+    d_pass, d_fail = missing_pair()
+    oracle = build_builtin_oracle("domain-remap", {"missing": "a,b"})
+    order_trap(monkeypatch)
+    with pytest.raises(NoExplanationFound) as err:
+        explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, algorithm="group_test"))
+    assert str(err.value) == "collected repairs failed to compose: forced failure"
+    assert [(e.triplet_ids, e.post_score) for e in err.value.log.entries] == [
+        (("missing_rate(b)#impute",), 0.5), (("missing_rate(a)#impute",), 0.5)]
+
+
+def test_group_testing_collected_repairs_that_fail_to_compose_exit_2(monkeypatch, tmp_path,
+                                                                        capsys):
+    d_pass, d_fail = missing_pair()
+    save_csv(d_pass, tmp_path / "pass.csv")
+    save_csv(d_fail, tmp_path / "fail.csv")
+    order_trap(monkeypatch)
+    code = cli_main(["explain", "--pass", str(tmp_path / "pass.csv"),
+                     "--fail", str(tmp_path / "fail.csv"), "--algorithm", "gt",
+                     "--oracle", "builtin:domain-remap?missing=a,b", "--tau", "0.2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == "collected repairs failed to compose: forced failure"
+    assert [e["triplets"] for e in report["log"]["entries"]] == [
+        ["missing_rate(b)#impute"], ["missing_rate(a)#impute"]]
 
 
 def test_decision_tree_gives_up_after_max_refits():

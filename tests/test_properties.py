@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import string
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -45,6 +46,7 @@ from datacause.tabular import (  # noqa: E402
 from datacause.transforms import (  # noqa: E402
     POSTCONDITION_TOL,
     PvtTriplet,
+    _resample_plan,
     _runs,
     compose,
     coverage,
@@ -410,6 +412,65 @@ def test_resample_coverage_counts_the_rows_the_repair_adds_or_drops(pair, data):
         assert violation(repaired, profile) <= POSTCONDITION_TOL
         if repaired is not dataset:  # a resample lands exactly on floor(threshold * rows)
             assert len(select_where(repaired, predicate)) == int(threshold * repaired.row_count)
+
+
+def _stepping_resample_plan(dataset, profile) -> int:
+    """The resample plan that drops rows one step at a time and finds a
+    duplicate count by doubling and bisection: the reference for the single
+    search of ``_resample_plan``."""
+    if profile.threshold >= 1.0:
+        return 0
+    n = dataset.row_count
+    count = count_where(dataset, profile.predicate)
+    if count == int(profile.threshold * n) or count == 0:
+        return 0
+    size = 0
+    if count > profile.threshold * n:
+        while count + size > int(profile.threshold * (n + size)) and -size < count:
+            size -= 1
+        if -size == n:
+            raise TransformFailure(
+                f"meeting {profile.label()} would delete every row",
+                best_violation=violation(dataset, profile))
+    else:
+        def reached(s: int) -> bool:
+            return int(profile.threshold * (n + s)) - s - count <= 0
+
+        size = 1
+        while not reached(size):
+            size *= 2
+        size = bisect_left(range(size + 1), True, lo=size // 2, key=reached)
+    return size
+
+
+@st.composite
+def selectivity_cases(draw):
+    """``count`` of ``n`` rows satisfying a predicate, and a threshold: 0, a
+    multiple of 1/n, just below 1, at or above 1, negative or any fraction."""
+    n = draw(st.one_of(st.integers(1, 30), st.integers(1, 3000)))
+    count = draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+    threshold = draw(st.one_of(
+        st.just(0.0), st.integers(0, n).map(lambda k: k / n),
+        st.floats(0.999, 1.0, exclude_max=True), st.sampled_from([1.0, 1.5, 1 - 1 / (n + 1)]),
+        st.floats(-1.0, 0.0), st.floats(0.0, 1.0, exclude_max=True)))
+    return n, count, threshold
+
+
+@settings(deadline=None, max_examples=300)
+@given(selectivity_cases())
+def test_resample_plan_matches_stepping_drops(case):
+    n, count, threshold = case
+    dataset = from_columns([("c", ColumnType.CATEGORICAL, ["hot"] * count + ["cold"] * (n - count))])
+    profile = SelectivityBound(Predicate((Term("c", "eq", "hot"),)), threshold)
+    try:
+        expected = _stepping_resample_plan(dataset, profile)
+    except TransformFailure as err:
+        with pytest.raises(TransformFailure) as again:
+            _resample_plan(dataset, profile)
+        assert (str(again.value), again.value.best_violation) == (str(err), err.best_violation)
+        assert count == n
+    else:
+        assert _resample_plan(dataset, profile) == expected
 
 
 # --- text shapes: the compiled regexes against the reference signature ---------

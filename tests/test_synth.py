@@ -19,6 +19,7 @@ from datacause.synth import (
     ground_truth,
     oracle_argument,
 )
+from datacause.tabular import from_columns
 from datacause.transforms import compose, transform
 
 
@@ -323,3 +324,12 @@ def test_generated_cells_are_pinned(name):
     assert got[:2] == (pass_digest, fail_digest)
     assert got[2:] == (pytest.approx(pass_score, abs=1e-12),
                        pytest.approx(fail_score, abs=1e-12))
+
+
+def test_failing_columns_equal_to_passing_ones_are_shared():
+    d_pass, d_fail, _ = generate(spec(oracle_family="dependence-bias", n_attributes=2,
+                                      planted_causes=(PlantedCause("dependence", "target"),)))
+    shared = [a for a in d_fail.attributes if d_fail.column(a) is d_pass.column(a)]
+    assert shared == [f"c{j}" for j in range(1, 7)] + ["filler_00", "filler_01"]
+    rebuilt = from_columns([(a, t, list(d_fail.column(a))) for a, t in d_fail.schema])
+    assert d_fail.fingerprint == rebuilt.fingerprint
