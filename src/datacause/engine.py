@@ -49,7 +49,6 @@ from .transforms import (
 )
 
 ALGORITHMS = ("greedy", "group_test", "group_test_random")
-PARAM_TOLERANCE = 1e-9
 MAX_REFITS = 10  # failed conjunctions the decision tree learns from before giving up
 MAX_TREE_DEPTH = 8
 
@@ -245,8 +244,9 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
     parameter values on the failing one.
 
     Profiles identical across both datasets (same kind, attributes and
-    parameters within 1e-9) are discarded; dependence profiles additionally
-    need the failing-side statistic to be significant at p <= 0.05.
+    parameters within ``PARAM_TOLERANCE``) are discarded; dependence
+    profiles additionally need the failing-side statistic to be significant
+    at p <= 0.05.
     Discovery has no settings, so ``config`` is accepted but unused.
     """
     if not d_pass.same_schema(d_fail):
@@ -258,7 +258,7 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
     discriminative: list[Profile] = []
     for profile in profiles_pass:
         twin = profiles_fail.get(profile.identity())
-        if twin is not None and profile.same_parameters(twin, tol=PARAM_TOLERANCE):
+        if twin is not None and profile.same_parameters(twin):
             continue
         if profile.significant(d_fail):
             discriminative.append(profile)
@@ -345,9 +345,7 @@ def _minimize(run: _Run, x_star, d_fail: Dataset, baseline: float) -> list[PvtTr
     """The scan of :func:`make_minimal`, its probes made by ``run`` and
     scored against ``d_fail``'s ``baseline``."""
     current = list(x_star)
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for i in range(len(current)):
             trial = current[:i] + current[i + 1:]
             score, _ = run.attempt(
@@ -355,9 +353,9 @@ def _minimize(run: _Run, x_star, d_fail: Dataset, baseline: float) -> list[PvtTr
                 f"minimality probe without {current[i].id} failed to compose")
             if score is not None and score <= run.config.tau:
                 current = trial
-                changed = True
                 break
-    return current
+        else:
+            return current
 
 
 def _finalize(run: _Run, members: list[PvtTriplet], d_fail: Dataset,
@@ -591,7 +589,7 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
                 unique.setdefault(t.profile.identity(), t.profile)
         if not unique:
             raise NoExplanationFound("no discriminative profiles to learn from")
-        profiles = sorted(unique.values(), key=lambda p: (p.attributes(), p.kind.value, p.label()))
+        profiles = sorted(unique.values(), key=lambda p: p.sort_key)
         variants = [make_triplets(p) for p in profiles]
 
         def features_of(dataset: Dataset) -> tuple[bool, ...]:

@@ -72,16 +72,17 @@ def _local_search(adjacency: dict[str, set[str]], seed: int, history: list[int] 
     while True:  # each swap lowers the integer cut, so this ends
         if history is not None:
             history.append(cut)
+        order1, order2 = tuple(sorted(half1)), tuple(sorted(half2))
         if cut == 0:  # no swap lowers a zero cut
-            return tuple(sorted(half1)), tuple(sorted(half2)), cut
+            return order1, order2, cut
         # external minus internal edges of every node
         excess = {u: 2 * len(adjacency[u] & other) - len(adjacency[u])
                   for own, other in ((half1, half2), (half2, half1)) for u in own}
-        swap = next(((u, v, gain) for u in sorted(half1) for v in sorted(half2)
+        swap = next(((u, v, gain) for u in order1 for v in order2
                      if (gain := excess[u] + excess[v] - 2 * (v in adjacency[u])) > 0),
                     None)
         if swap is None:
-            return tuple(sorted(half1)), tuple(sorted(half2)), cut
+            return order1, order2, cut
         u, v, gain = swap
         half1.remove(u)
         half2.remove(v)

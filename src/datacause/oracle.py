@@ -95,7 +95,8 @@ class ExternalOracleSpec:
 
 
 class SubprocessOracle(MalfunctionOracle):
-    """Scores by writing the dataset to a temp CSV and invoking a command.
+    """Scores by writing the dataset to a CSV in a temporary directory,
+    removed after each call, and invoking a command.
 
     Wire protocol: the command receives the CSV path, prints the score as a
     decimal literal on the last non-empty stdout line, and exits 0; output
@@ -109,9 +110,8 @@ class SubprocessOracle(MalfunctionOracle):
         self.seed = seed
 
     def _invoke(self, dataset: Dataset) -> float:
-        fd, path = tempfile.mkstemp(prefix="oracle-input-", suffix=".csv")
-        os.close(fd)
-        try:
+        with tempfile.TemporaryDirectory(prefix="oracle-", ignore_cleanup_errors=True) as tmp:
+            path = os.path.join(tmp, "oracle-input.csv")
             save_csv(dataset, path)
             command = [part.replace("{dataset}", path) for part in self.spec.command]
             env = dict(os.environ)
@@ -132,19 +132,13 @@ class SubprocessOracle(MalfunctionOracle):
                     f"oracle timed out after {self.spec.timeout}s: {command}") from exc
             except OSError as exc:  # missing or not executable
                 raise OracleFailureError(f"oracle could not start: {exc}") from exc
-            if proc.returncode != 0:
-                raise OracleFailureError(
-                    f"oracle exited {proc.returncode}: {proc.stderr.strip()[:500]}")
-            lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
-            if not lines:
-                raise OracleProtocolError("oracle printed no output")
-            try:
-                return float(lines[-1].strip())
-            except ValueError:
-                raise OracleProtocolError(
-                    f"oracle output not a score: {lines[-1]!r}") from None
-        finally:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        if proc.returncode != 0:
+            raise OracleFailureError(
+                f"oracle exited {proc.returncode}: {proc.stderr.strip()[:500]}")
+        lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+        if not lines:
+            raise OracleProtocolError("oracle printed no output")
+        try:
+            return float(lines[-1].strip())
+        except ValueError:
+            raise OracleProtocolError(f"oracle output not a score: {lines[-1]!r}") from None

@@ -12,8 +12,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import combinations, product
-from typing import Sequence
+from itertools import combinations, groupby, product
+from typing import Iterator, Sequence
 
 from .errors import (
     ColumnTypeError,
@@ -36,6 +36,7 @@ OUTLIER_K = 1.5  # stddevs from the mean beyond which a value is an outlier
 MIN_SUPPORT = 0.05  # least frequency, in both datasets, of a value in a selectivity predicate
 SELECTIVITY_GAP = 0.1  # least selectivity difference that makes a predicate discriminative
 SIGNIFICANCE_LEVEL = 0.05  # p-value a dependence must reach on the failing dataset
+PARAM_TOLERANCE = 1e-9  # largest difference of two learned float parameters deemed equal
 
 
 class ProfileKind(str, Enum):
@@ -75,12 +76,16 @@ class Profile:
         return tuple(_plain(getattr(self, f.name)) for f in fields(self)
                      if f.name not in _SUBJECT_FIELDS)
 
-    def same_parameters(self, other: "Profile", tol: float = 1e-9) -> bool:
+    @property
+    def sort_key(self) -> tuple:
+        return (self.attributes(), self.kind.value, self.label())
+
+    def same_parameters(self, other: "Profile") -> bool:
         if self.identity() != other.identity():
             return False
         for a, b in zip(self.parameters(), other.parameters()):
             if isinstance(a, float) or isinstance(b, float):
-                if abs(float(a) - float(b)) > tol:
+                if abs(float(a) - float(b)) > PARAM_TOLERANCE:
                     return False
             elif a != b:
                 return False
@@ -324,19 +329,23 @@ class CorrelationBound(DependenceBound):
 # --- text patterns ---------------------------------------------------------
 
 
+def _char_class(ch: str) -> str:
+    return "digits" if ch.isdigit() else "letters" if ch.isalpha() else "other"
+
+
+def text_runs(value: str) -> Iterator[tuple[str, str]]:
+    """The (class, text) runs of a string: each digit run, each letter run
+    and each other character."""
+    for cls, chars in groupby(value, _char_class):
+        if cls == "other":
+            yield from ((cls, ch) for ch in chars)
+        else:
+            yield cls, "".join(chars)
+
+
 def text_signature(value: str) -> tuple[str, ...]:
     """Run-class sequence of a string: digit runs, letter runs, other chars."""
-    sig: list[str] = []
-    for ch in value:
-        if ch.isdigit():
-            cls = "digits"
-        elif ch.isalpha():
-            cls = "letters"
-        else:
-            cls = "other"
-        if cls == "other" or not sig or sig[-1] != cls:
-            sig.append(cls)
-    return tuple(sig)
+    return tuple(cls for cls, _ in text_runs(value))
 
 
 #: one capture group per run class; a lookahead ends each digit or letter
@@ -591,19 +600,16 @@ def discover_profiles(dataset: Dataset, predicates: Sequence[Predicate] = ()) ->
                                   min(map(len, present)), max(map(len, present))))
     for predicate in predicates:
         out.append(SelectivityBound(predicate, count_where(dataset, predicate) / n))
-    categorical = [a for a, t in dataset.schema if t is ColumnType.CATEGORICAL]
-    for i, a_j in enumerate(categorical):
-        for a_k in categorical[i + 1:]:
-            out.append(ChiSquareBound(a_j, a_k, chi_square_statistic(dataset, a_j, a_k)))
-    numerical = [a for a, t in dataset.schema if t is ColumnType.NUMERICAL]
-    for i, a_j in enumerate(numerical):
-        for a_k in numerical[i + 1:]:
+    for ctype, bound, statistic in (
+            (ColumnType.CATEGORICAL, ChiSquareBound, chi_square_statistic),
+            (ColumnType.NUMERICAL, CorrelationBound, pearson_correlation)):
+        for a_j, a_k in combinations([a for a, t in dataset.schema if t is ctype], 2):
             try:
-                r = pearson_correlation(dataset, a_j, a_k)
+                stat = statistic(dataset, a_j, a_k)
             except DegenerateInputError:
                 continue
-            out.append(CorrelationBound(a_j, a_k, r))
-    out.sort(key=lambda p: (p.attributes(), p.kind.value, p.label()))
+            out.append(bound(a_j, a_k, stat))
+    out.sort(key=lambda p: p.sort_key)
     return out
 
 

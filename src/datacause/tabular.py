@@ -56,6 +56,8 @@ def _normalize(name: str, ctype: ColumnType, col: Iterable[Cell]) -> _Cells:
             cells = [None if v is None else float(v) + 0.0 for v in col]
         except (TypeError, ValueError):
             raise ColumnTypeError(f"non-numeric value in numerical column {name!r}") from None
+        except OverflowError:  # an int beyond the float range
+            raise ColumnTypeError(f"non-finite value in numerical column {name!r}") from None
         if not all(map(math.isfinite, filter(None, cells))):  # drops missing cells and 0.0
             raise ColumnTypeError(f"non-finite value in numerical column {name!r}")
     else:
@@ -219,13 +221,11 @@ def infer_types(raw_columns: Sequence[Sequence[str | None]]) -> list[ColumnType]
     """
     out = []
     for col in raw_columns:
-        present = [c for c in col if c is not None]
-        numericish = sum(1 for c in present if _parses_as_real(c))
-        if numericish == len(present):
+        distinct = set(col) - {None}  # each decision holds for every cell iff for these
+        numericish = sum(map(_parses_as_real, distinct))
+        if numericish == len(distinct):
             out.append(ColumnType.NUMERICAL)
-            continue
-        cutoff = max(20.0, 0.05 * len(col))
-        if numericish == 0 and len(set(present)) <= cutoff:
+        elif numericish == 0 and len(distinct) <= max(20.0, 0.05 * len(col)):
             out.append(ColumnType.CATEGORICAL)
         else:
             out.append(ColumnType.TEXT)
@@ -322,6 +322,11 @@ def _check_term(dataset: Dataset, term: Term) -> None:
         raise ColumnTypeError(f"{term.label()}: ordered comparison needs a numerical column")
     if ctype is ColumnType.NUMERICAL and not isinstance(term.value, (int, float)):
         raise ColumnTypeError(f"{term.label()}: numerical column compared against {term.value!r}")
+    try:
+        _eq_target(dataset, term)
+    except OverflowError:  # an int beyond the float range
+        raise ColumnTypeError(f"numerical column {term.attribute!r} compared against an "
+                              "int beyond the float range") from None
 
 
 def _eq_target(dataset: Dataset, term: Term) -> Cell:

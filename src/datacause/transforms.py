@@ -25,7 +25,7 @@ from .profiles import (
     outlier_flags,
     pearson_correlation,
     shape_regex,
-    text_signature,
+    text_runs,
     violation,
 )
 from .tabular import ColumnType, Dataset, count_where, mean, population_stddev, select_where
@@ -149,16 +149,8 @@ def _runs(value: str, pattern: tuple[str, ...]) -> list[str] | None:
     if value.isascii():
         match = shape_regex(pattern).fullmatch(value)
         return match and list(match.groups())
-    if text_signature(value) != pattern:
-        return None
-    text, i = [], 0
-    for cls in pattern:
-        j = i + 1
-        while cls != "other" and j < len(value) and text_signature(value[j]) == (cls,):
-            j += 1
-        text.append(value[i:j])
-        i = j
-    return text
+    classes, text = zip(*text_runs(value))  # a non-ASCII value is never empty
+    return list(text) if classes == pattern else None
 
 
 def _fit_text(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:

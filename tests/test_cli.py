@@ -330,6 +330,31 @@ def test_diff_people(capsys):
         assert 0.0 <= row["violation"] <= 1.0
 
 
+def test_diff_reports_no_coverage_nor_benefit_where_coverage_raises(capsys, monkeypatch):
+    from datacause.errors import TransformFailure
+    real = datacause.cli.coverage
+
+    def coverage_or_fail(dataset, triplet, **kwargs):
+        if triplet.profile.kind.value == "missing_rate":
+            raise TransformFailure("forced failure", best_violation=1.0)
+        return real(dataset, triplet, **kwargs)
+
+    monkeypatch.setattr(datacause.cli, "coverage", coverage_or_fail)
+    code, report = run(capsys, [
+        "diff",
+        "--pass", str(FIXTURES / "people_pass.csv"),
+        "--fail", str(FIXTURES / "people_fail.csv"),
+    ])
+    assert code == 0
+    rows = report["discriminative"]
+    assert any(row["id"].startswith("missing_rate(") for row in rows)
+    for row in rows:
+        failed = row["id"].startswith("missing_rate(")
+        assert (row["coverage"] is None) == failed
+        assert (row["benefit"] is None) == failed
+        assert 0.0 <= row["violation"] <= 1.0
+
+
 def test_diff_self_is_empty(capsys):
     code, report = run(capsys, [
         "diff",

@@ -1054,3 +1054,83 @@ def test_each_explanation_starts_from_no_repairs(monkeypatch):
     _, _, oracle = generate(income_spec(seed=1, with_skew=True))
     explain(d_pass, d_fail, oracle, EngineConfig(tau=0.3, seed=1))
     assert calls == first + first
+
+
+# --- repairs and violations that raise ------------------------------------------------
+
+
+def two_missing_columns_pair():
+    """Text columns ``a`` and ``b``; the failing copy hides three cells of ``a``
+    and one of ``b``, so the candidates are ``missing_rate(a)#impute`` and
+    ``missing_rate(b)#impute``, with ``a`` of the higher benefit."""
+    cells = [f"r{i:02d}" for i in range(12)]
+    d_pass = from_columns([(c, ColumnType.TEXT, cells) for c in ("a", "b")])
+    d_fail = from_columns([("a", ColumnType.TEXT, [None] * 3 + cells[3:]),
+                           ("b", ColumnType.TEXT, [None] + cells[1:])])
+    return d_pass, d_fail
+
+
+def complete(dataset):
+    """The columns of ``dataset`` without a missing cell."""
+    return tuple(c for c in dataset.attributes if None not in dataset.column(c))
+
+
+def test_group_test_notes_a_singleton_it_cannot_transform(monkeypatch):
+    # each repair helps alone and neither passes, so both singletons are
+    # descended into; the second is repaired on the first one's result
+    monkeypatch.setattr(engine, "best_bisection", _halves_in_sorted_order)
+    real = engine.transform
+
+    def transform_or_fail(dataset, triplet, **kwargs):
+        if triplet.profile.attributes() == ("b",) and "a" in complete(dataset):
+            raise TransformFailure("forced failure", best_violation=1.0)
+        return real(dataset, triplet, **kwargs)
+
+    monkeypatch.setattr(engine, "transform", transform_or_fail)
+    d_pass, d_fail = two_missing_columns_pair()
+    scores = {(): 1.0, ("a",): 0.6, ("b",): 0.6, ("a", "b"): 0.0}
+    oracle = CallableOracle(lambda d: scores[complete(d)])
+    with pytest.raises(NoExplanationFound, match="collected repairs only reach 0.6") as err:
+        explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2, algorithm="group_test"))
+    assert err.value.log.notes == [
+        "singleton missing_rate(b)#impute untransformable: forced failure"]
+
+
+def test_greedy_drops_a_candidate_whose_violation_raises(monkeypatch):
+    real = engine.violation
+
+    def violation_or_fail(dataset, profile):
+        if profile.attributes() == ("b",) and "a" in complete(dataset):
+            raise DegenerateInputError("forced failure")
+        return real(dataset, profile)
+
+    monkeypatch.setattr(engine, "violation", violation_or_fail)
+    d_pass, d_fail = two_missing_columns_pair()
+    oracle = CallableOracle(lambda d: 0.0 if "a" in complete(d) else 1.0)
+    result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.2))
+    assert result.triplet_ids() == ("missing_rate(a)#impute",)
+    assert result.interventions == 1
+    assert result.log.notes == [
+        "missing_rate(b)#impute dropped, violation unavailable: forced failure"]
+
+
+def test_decision_tree_reads_a_violation_error_as_unsatisfied(monkeypatch):
+    # read as unsatisfied, ``a`` does not separate the passing dataset from
+    # the failing one, so the tree tries ``b`` first; read as satisfied, it
+    # would try ``a`` first and spend a second intervention
+    d_pass, d_fail = two_missing_columns_pair()
+    real, raised = engine.violation, []
+
+    def violation_or_fail(dataset, profile):
+        if profile.attributes() == ("a",) and dataset.fingerprint == d_pass.fingerprint:
+            raised.append(profile)
+            raise DegenerateInputError("forced failure")
+        return real(dataset, profile)
+
+    monkeypatch.setattr(engine, "violation", violation_or_fail)
+    oracle = CallableOracle(lambda d: 0.0 if "b" in complete(d) else 1.0)
+    result = decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail, oracle,
+                                   EngineConfig(tau=0.2))
+    assert raised
+    assert result.triplet_ids() == ("missing_rate(b)#impute",)
+    assert result.interventions == 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import stat
 import sys
+import tempfile
 import textwrap
 
 import pytest
@@ -83,6 +84,30 @@ def test_subprocess_round_trip(tmp_path):
     oracle = SubprocessOracle(spec, seed=7)
     assert oracle.evaluate(dataset_with_target(["0", "4", "1", "-1"])) == 0.5
     assert oracle.evaluate(dataset_with_target(["-1", "1"])) == 0.0
+
+
+@pytest.mark.parametrize("exit_code, error", [(0, None), (3, OracleFailureError)])
+def test_subprocess_input_csv_is_removed_after_each_call(tmp_path, monkeypatch, exit_code, error):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    seen = tmp_path / "seen.txt"
+    spec = spec_for(tmp_path, f"""\
+        import sys
+        with open({str(seen)!r}, "w") as fh:
+            fh.write(sys.argv[1])
+        print(0.0)
+        sys.exit({exit_code})
+        """)
+    oracle = SubprocessOracle(spec)
+    if error is None:
+        assert oracle.evaluate(dataset_with_target(["1"])) == 0.0
+    else:
+        with pytest.raises(error):
+            oracle.evaluate(dataset_with_target(["1"]))
+    path = seen.read_text()
+    assert path.startswith(str(temp)) and path.endswith(".csv")
+    assert list(temp.iterdir()) == []
 
 
 def test_subprocess_cache_counts_invocations(tmp_path):

@@ -8,7 +8,7 @@ from statistics import NormalDist
 import pytest
 
 from conftest import random_dataset
-from datacause.errors import ColumnTypeError, DegenerateInputError, DomainError
+from datacause.errors import ColumnTypeError, DegenerateInputError, DomainError, SchemaError
 from datacause.profiles import (
     ChiSquareBound,
     CorrelationBound,
@@ -427,6 +427,18 @@ def test_enumerate_requires_support_in_both_datasets():
     assert labels == ["a=x", "a=y"]
 
 
+def test_enumerate_rejects_mismatched_schemas(people_fail):
+    other = from_columns([("a", ColumnType.CATEGORICAL, ["x", "y"])])
+    with pytest.raises(SchemaError, match="selectivity enumeration needs a shared schema"):
+        enumerate_selectivity_predicates(people_fail, other)
+
+
+def test_enumerate_on_an_empty_dataset_is_empty(people_fail):
+    empty = people_fail.take_rows([])
+    assert enumerate_selectivity_predicates(people_fail, empty) == []
+    assert enumerate_selectivity_predicates(empty, people_fail) == []
+
+
 def test_selectivity_profile_round_trip(people_pass, people_fail):
     predicates = enumerate_selectivity_predicates(people_pass, people_fail)
     profiles = [p for p in discover_profiles(people_pass, predicates)
@@ -444,6 +456,9 @@ def test_text_signature_runs():
     assert text_signature("a-b") == ("letters", "other", "letters")
     assert text_signature("a--b") == ("letters", "other", "other", "letters")
     assert text_signature("") == ()
+    # str.isdigit and str.isalpha decide a class, so non-ASCII digits count as digits
+    assert text_signature("x²y") == ("letters", "digits", "letters")
+    assert text_signature("٣٤abc") == ("digits", "letters")
 
 
 def test_domain_text_rejects_an_unknown_run_class():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import string
 from bisect import bisect_left
@@ -10,7 +11,7 @@ from collections import Counter
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from datacause import tabular  # noqa: E402
 from datacause.errors import (  # noqa: E402
@@ -89,6 +90,51 @@ _TERMS = st.one_of(
               st.sampled_from([0.0, 1, 2.5, -3.0, 10.0])),
     st.builds(Term, st.just("c"), st.just("eq"), st.sampled_from(["a", "b", "", "z"])),
 )
+
+
+def _infer_types_cell_by_cell(raw_columns):
+    """Column typing as :func:`tabular.infer_types` documents it, deciding
+    on every present cell, repeats included."""
+    def parses_as_real(cell):
+        try:
+            return math.isfinite(float(cell))
+        except ValueError:
+            return False
+
+    out = []
+    for col in raw_columns:
+        present = [c for c in col if c is not None]
+        numericish = sum(1 for c in present if parses_as_real(c))
+        if numericish == len(present):
+            out.append(ColumnType.NUMERICAL)
+        elif numericish == 0 and len(set(present)) <= max(20.0, 0.05 * len(col)):
+            out.append(ColumnType.CATEGORICAL)
+        else:
+            out.append(ColumnType.TEXT)
+    return out
+
+
+_REAL_CELLS = st.one_of(st.sampled_from(["1.5", "-0", "1e5", "1_0", " 3 ", "٣"]),
+                        st.integers(-30, 30).map(str))
+_OTHER_CELLS = st.one_of(st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400", "0x1", "x", ""]),
+                         st.text(alphabet="ab", min_size=1, max_size=4))
+
+
+@st.composite
+def _raw_column(draw):
+    """Raw cells of only reals, of no reals, or of both, repeated up to 30
+    times, so that some columns are long enough for a cutoff of 5% of the
+    rows to pass 20."""
+    cells = draw(st.sampled_from([_REAL_CELLS, _OTHER_CELLS, _REAL_CELLS | _OTHER_CELLS]))
+    return draw(st.lists(st.none() | cells, max_size=40)) * draw(st.integers(1, 30))
+
+
+@settings(deadline=None)
+@given(st.lists(_raw_column(), min_size=1, max_size=3))
+@example([[f"w{i}" for i in range(20)]])  # as many distinct cells as the cutoff of 20
+@example([[f"w{i}" for i in range(21)] * 20])  # as many as 5% of the rows
+def test_infer_types_decides_on_distinct_cells_as_on_every_cell(raw_columns):
+    assert tabular.infer_types(raw_columns) == _infer_types_cell_by_cell(raw_columns)
 
 
 @settings(deadline=None)

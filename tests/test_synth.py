@@ -167,6 +167,42 @@ def test_spec_validation_errors():
                       planted_causes=(PlantedCause("missing", "p1"),)))
 
 
+def causes(*pairs):
+    return tuple(PlantedCause(kind, attribute) for kind, attribute in pairs)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: spec(decoys=97), "too many decoys for the row count"),
+    (lambda: spec(tau=1.5), r"tau must lie in \[0, 1\]"),
+    (lambda: build_builtin_oracle("domain-remap", {}),
+     "domain-remap oracle needs at least one cause attribute"),
+    (lambda: build_builtin_oracle("interaction-pair", {"attributes": "p1"}),
+     "interaction-pair oracle needs exactly two attributes"),
+    (lambda: build_builtin_oracle("missing-flag", {}), "missing-flag oracle needs an attribute"),
+    (lambda: build_builtin_oracle("nope", {}), "unknown builtin oracle family 'nope'"),
+    (lambda: generate(spec(planted_causes=causes(("domain", "t1"), ("dependence", "t2")))),
+     "domain-remap supports domain/missing causes, got 'dependence'"),
+    (lambda: generate(spec(oracle_family="dependence-bias",
+                           planted_causes=causes(("selectivity", "usage_class")))),
+     "dependence-bias needs exactly one dependence cause"),
+    (lambda: generate(spec(oracle_family="dependence-bias",
+                           planted_causes=causes(("dependence", "target"),
+                                                 ("selectivity", "c2")))),
+     "the selectivity cause attribute is 'usage_class'"),
+    (lambda: generate(spec(oracle_family="skew-timeout",
+                           planted_causes=causes(("missing", "plate_type")))),
+     "skew-timeout plants exactly one selectivity cause"),
+    (lambda: generate(spec(oracle_family="interaction-pair", cause_logic="disjunctive",
+                           planted_causes=causes(("missing", "p1"), ("missing", "p2")))),
+     "interaction-pair is conjunctive by construction"),
+], ids=["decoys", "tau", "domain-remap-oracle", "interaction-pair-oracle",
+        "missing-flag-oracle", "unknown-family", "domain-remap-kind", "dependence-bias-kinds",
+        "dependence-bias-skew", "skew-timeout-kinds", "interaction-pair-logic"])
+def test_scenario_spec_errors(build, message):
+    with pytest.raises(ScenarioSpecError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("fields", [
     {"n_rows": "200"}, {"n_rows": 200.0}, {"n_rows": True},
     {"n_attributes": "2"}, {"n_attributes": -2}, {"n_attributes": 1.5},

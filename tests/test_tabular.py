@@ -18,6 +18,7 @@ from datacause.tabular import (
     load_csv,
     mean,
     population_stddev,
+    count_where,
     save_csv,
     select_where,
 )
@@ -175,6 +176,24 @@ def test_non_numeric_cell_in_numerical_column_raises_column_type_error(cell):
 def test_ordered_term_with_non_numeric_value_is_rejected(people_fail, comparator):
     with pytest.raises(ColumnTypeError):
         select_where(people_fail, Predicate((Term("age", comparator, "abc"),)))
+
+
+def test_int_cell_beyond_the_float_range_raises_column_type_error():
+    with pytest.raises(ColumnTypeError, match="non-finite value in numerical column 'x'"):
+        from_columns([("x", ColumnType.NUMERICAL, [1.0, 10 ** 400])])
+
+
+@pytest.mark.parametrize("comparator", ["eq", "le", "ge"])
+@pytest.mark.parametrize("where", [count_where, select_where])
+def test_term_value_beyond_the_float_range_raises_column_type_error(where, comparator):
+    dataset = from_columns([("x", ColumnType.NUMERICAL, [1.0, 2.0])])
+    with pytest.raises(ColumnTypeError, match="beyond the float range"):
+        where(dataset, Predicate((Term("x", comparator, -10 ** 400),)))
+
+
+def test_with_column_of_the_wrong_length_rejected(people_fail):
+    with pytest.raises(SchemaError, match=r"unequal lengths: \[9, 10\]"):
+        people_fail.with_column("age", [0.0] * 9)
 
 
 def test_predicate_arity_limits():

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import random_dataset
+import datacause.transforms as transforms
 from datacause.errors import TransformFailure, ValidationError
 from datacause.profiles import (
     ChiSquareBound,
@@ -122,6 +123,18 @@ def test_repairs_near_the_float_limit_raise_transform_failure(tid):
     if t.transform_id == "add_noise":
         with pytest.raises(TransformFailure):
             coverage(extreme, t)
+
+
+def test_repair_that_leaves_violation_behind_raises_transform_failure(monkeypatch):
+    # a repair that returns its input unchanged misses its postcondition
+    _, rows_touched = transforms.REPAIRS["impute"]
+    monkeypatch.setitem(transforms.REPAIRS, "impute", (lambda dataset, _, **__: dataset,
+                                                       rows_touched))
+    d = from_columns([("x", ColumnType.CATEGORICAL, ["a", None, "b", None])])
+    with pytest.raises(TransformFailure, match=r"^missing_rate\(x\)#impute left violation 0.5$") \
+            as err:
+        transform(d, triplet(MissingRate("x", 0.0)))
+    assert err.value.best_violation == 0.5
 
 
 def test_linear_map_whose_scale_overflows_raises_transform_failure():
