@@ -253,11 +253,11 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
         raise SchemaError("pass and fail datasets must share a schema")
     predicates = enumerate_selectivity_predicates(d_pass, d_fail)
     profiles_pass = discover_profiles(d_pass, predicates)
-    profiles_fail = {p.identity(): p for p in discover_profiles(d_fail, predicates)}
+    profiles_fail = {p.label(): p for p in discover_profiles(d_fail, predicates)}
 
     discriminative: list[Profile] = []
     for profile in profiles_pass:
-        twin = profiles_fail.get(profile.identity())
+        twin = profiles_fail.get(profile.label())
         if twin is not None and profile.same_parameters(twin):
             continue
         if profile.significant(d_fail):
@@ -583,10 +583,10 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
     if fail_score <= config.tau:
         raise ValidationError("failing dataset already scores within tau")
     with _Run(oracle, config) as run:
-        unique: dict[tuple, Profile] = {}
+        unique: dict[str, Profile] = {}
         for d in passing:
             for t in discriminative_pvts(d, d_fail):
-                unique.setdefault(t.profile.identity(), t.profile)
+                unique.setdefault(t.profile.label(), t.profile)
         if not unique:
             raise NoExplanationFound("no discriminative profiles to learn from")
         profiles = sorted(unique.values(), key=lambda p: p.sort_key)
@@ -612,13 +612,8 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
             return True
 
         def repair_set(conj: tuple[int, ...]) -> list[PvtTriplet] | None:
-            chosen = []
-            for f in conj:
-                picked = next(filter(transforms_d_fail, variants[f]), None)
-                if picked is None:
-                    return None
-                chosen.append(picked)
-            return chosen
+            chosen = [next(filter(transforms_d_fail, variants[f]), None) for f in conj]
+            return None if None in chosen else chosen
 
         rows = [(features_of(d), ok) for d, ok in labeled]
         tested: set[tuple[int, ...]] = set()

@@ -27,6 +27,7 @@ from .tabular import (
     Predicate,
     Term,
     count_where,
+    label_text,
     unit_scale,
 )
 
@@ -54,36 +55,30 @@ class Profile:
     """Base class; concrete kinds are the frozen dataclasses below.
 
     Each kind scores itself in ``_score``, which :func:`violation` calls
-    once the dataset is known to be non-empty, and lists the transform
-    variants that repair it in ``repairs``, in preference order.
+    once the dataset is known to be non-empty. A profile's label names the
+    constraint it is, leaving out what it learned: two profiles of one kind
+    on the same attributes or predicate share a label, and no other two do.
     """
 
     kind: ProfileKind
-    repairs: tuple[str, ...]
 
     def attributes(self) -> tuple[str, ...]:
         return (self.attribute,)
 
     def label(self) -> str:
-        return f"{self.kind.value}({','.join(self.attributes())})"
-
-    def identity(self) -> tuple:
-        """Key identifying which constraint this is, ignoring learned parameters."""
-        return (self.kind.value, self.attributes())
-
-    def parameters(self) -> tuple:
-        """Learned parameters, compared with tolerance between datasets."""
-        return tuple(_plain(getattr(self, f.name)) for f in fields(self)
-                     if f.name not in _SUBJECT_FIELDS)
+        return f"{self.kind.value}({','.join(map(label_text, self.attributes()))})"
 
     @property
     def sort_key(self) -> tuple:
         return (self.attributes(), self.kind.value, self.label())
 
     def same_parameters(self, other: "Profile") -> bool:
-        if self.identity() != other.identity():
-            return False
-        for a, b in zip(self.parameters(), other.parameters()):
+        """Whether ``other``, a profile with this one's label, has the same
+        fields: floats within ``PARAM_TOLERANCE``, others equal. Discovery
+        writes a dependence's columns in schema order, so that two datasets'
+        twins agree on them."""
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
             if isinstance(a, float) or isinstance(b, float):
                 if abs(float(a) - float(b)) > PARAM_TOLERANCE:
                     return False
@@ -102,10 +97,6 @@ class Profile:
 
     def _score(self, dataset: Dataset) -> float:
         raise NotImplementedError
-
-
-#: fields naming what a profile constrains rather than what it learned
-_SUBJECT_FIELDS = ("attribute", "predicate", "left", "right")
 
 
 def _plain(value):
@@ -148,7 +139,6 @@ class DomainCategorical(DomainBound):
     values: frozenset[str]
 
     kind = ProfileKind.DOMAIN_CATEGORICAL
-    repairs = ("remap",)
     column_type = ColumnType.CATEGORICAL
 
     def __post_init__(self):
@@ -167,7 +157,6 @@ class DomainNumerical(DomainBound):
     upper: float
 
     kind = ProfileKind.DOMAIN_NUMERICAL
-    repairs = ("linear_map", "winsorize")
     column_type = ColumnType.NUMERICAL
 
     def __post_init__(self):
@@ -189,7 +178,6 @@ class DomainText(DomainBound):
     max_len: int
 
     kind = ProfileKind.DOMAIN_TEXT
-    repairs = ("fit_length",)
     column_type = ColumnType.TEXT
 
     def __post_init__(self):
@@ -217,7 +205,6 @@ class OutlierBound(RowCountBound):
     threshold: float
 
     kind = ProfileKind.OUTLIER
-    repairs = ("replace_with_mean",)
     column_type = ColumnType.NUMERICAL
 
     def offending(self, dataset):
@@ -230,7 +217,6 @@ class MissingRate(RowCountBound):
     threshold: float
 
     kind = ProfileKind.MISSING
-    repairs = ("impute",)
 
     def offending(self, dataset):
         return dataset.column(self.attribute).missing
@@ -242,16 +228,12 @@ class SelectivityBound(RowCountBound):
     threshold: float
 
     kind = ProfileKind.SELECTIVITY
-    repairs = ("resample",)
 
     def attributes(self):
         return self.predicate.attributes()
 
     def label(self):
         return f"{self.kind.value}({self.predicate.label()})"
-
-    def identity(self):
-        return (self.kind.value, self.predicate.label())
 
     def offending(self, dataset):
         return count_where(dataset, self.predicate)
@@ -284,7 +266,6 @@ class ChiSquareBound(DependenceBound):
     """Chi-square statistic between two categorical columns stays below ``limit``."""
 
     kind = ProfileKind.CHI2
-    repairs = ("shuffle",)
 
     def _score(self, dataset):
         return self.violation_at(chi_square_statistic(dataset, self.left, self.right))
@@ -306,7 +287,6 @@ class CorrelationBound(DependenceBound):
     """Absolute Pearson correlation between two numerical columns stays below ``limit``."""
 
     kind = ProfileKind.PCC
-    repairs = ("add_noise",)
 
     def _score(self, dataset):
         return self.violation_at(pearson_correlation(dataset, self.left, self.right))

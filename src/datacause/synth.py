@@ -20,7 +20,6 @@ from .oracle import CallableOracle, MalfunctionOracle
 from .profiles import chi_square_from_counts, contingency_table
 from .tabular import ColumnType, Dataset, from_columns
 
-FAMILIES = ("domain-remap", "dependence-bias", "skew-timeout", "interaction-pair")
 CAUSE_KINDS = ("domain", "missing", "dependence", "selectivity")
 CAUSE_LOGICS = ("conjunctive", "disjunctive")
 
@@ -77,6 +76,7 @@ class ScenarioSpec:
             raise ScenarioSpecError("too many decoys for the row count")
         if not 0.0 <= self.tau <= 1.0:
             raise ScenarioSpecError("tau must lie in [0, 1]")
+        _GENERATORS[self.oracle_family][1](self)
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "planted_causes": list(map(asdict, self.planted_causes))}
@@ -362,12 +362,15 @@ def _two_point_column(name: str, n_rows: int, masked: int, rng: random.Random):
                  _mask_cells(rng, cells, masked, protected={0, 1}))
 
 
-def _domain_remap_pairs(spec: ScenarioSpec, rng: random.Random):
-    n = spec.n_rows
+def _domain_remap_causes(spec: ScenarioSpec) -> None:
     for cause in spec.planted_causes:
         if cause.kind not in ("domain", "missing"):
             raise ScenarioSpecError(
                 f"domain-remap supports domain/missing causes, got {cause.kind!r}")
+
+
+def _domain_remap_pairs(spec: ScenarioSpec, rng: random.Random):
+    n = spec.n_rows
     units = _units((c.kind, c.attribute) for c in spec.planted_causes)
     pairs = []
     for attribute, kinds in sorted(units.items()):
@@ -383,15 +386,20 @@ def _domain_remap_pairs(spec: ScenarioSpec, rng: random.Random):
     return pairs
 
 
-def _dependence_bias_pairs(spec: ScenarioSpec, rng: random.Random):
-    n = spec.n_rows
-    dependence = [c for c in spec.planted_causes if c.kind == "dependence"]
-    skew = [c for c in spec.planted_causes if c.kind == "selectivity"]
-    if len(dependence) != 1 or len(spec.planted_causes) - len(dependence) - len(skew):
+def _dependence_bias_causes(spec: ScenarioSpec) -> None:
+    if sorted(c.kind for c in spec.planted_causes) not in (
+            ["dependence"], ["dependence", "selectivity"]):
         raise ScenarioSpecError(
             "dependence-bias needs exactly one dependence cause and optionally "
             "one selectivity cause")
-    target = dependence[0].attribute
+    if any(c.kind == "selectivity" and c.attribute != "usage_class"
+           for c in spec.planted_causes):
+        raise ScenarioSpecError("the selectivity cause attribute is 'usage_class'")
+
+
+def _dependence_bias_pairs(spec: ScenarioSpec, rng: random.Random):
+    n = spec.n_rows
+    target = next(c.attribute for c in spec.planted_causes if c.kind == "dependence")
     protected = _alternating(n, "u", "v")
     features = {"c1": protected}
     for j in range(2, 7):
@@ -416,18 +424,19 @@ def _dependence_bias_pairs(spec: ScenarioSpec, rng: random.Random):
     pairs = [_pair(target, ColumnType.CATEGORICAL, pass_target, fail_target)]
     for name, cells in features.items():
         pairs.append(_pair(name, ColumnType.CATEGORICAL, cells, cells))
-    if skew:
-        if skew[0].attribute != "usage_class":
-            raise ScenarioSpecError("the selectivity cause attribute is 'usage_class'")
+    if any(c.kind == "selectivity" for c in spec.planted_causes):
         pairs.append(_pair("usage_class", ColumnType.CATEGORICAL,
                            _hot_head(n, 0.2, "hi", "lo"), _hot_head(n, 0.6, "hi", "lo")))
     return pairs
 
 
+def _skew_timeout_causes(spec: ScenarioSpec) -> None:
+    if [c.kind for c in spec.planted_causes] != ["selectivity"]:
+        raise ScenarioSpecError("skew-timeout plants exactly one selectivity cause")
+
+
 def _skew_timeout_pairs(spec: ScenarioSpec, rng: random.Random):
     n = spec.n_rows
-    if len(spec.planted_causes) != 1 or spec.planted_causes[0].kind != "selectivity":
-        raise ScenarioSpecError("skew-timeout plants exactly one selectivity cause")
     attribute = spec.planted_causes[0].attribute
     return [_pair(attribute, ColumnType.CATEGORICAL,
                   _hot_head(n, 0.2, "black", "white"), _hot_head(n, 0.7, "black", "white")),
@@ -435,12 +444,15 @@ def _skew_timeout_pairs(spec: ScenarioSpec, rng: random.Random):
             _two_point_column("sensor_gain", n, max(2, n // 10), rng)]
 
 
-def _interaction_pair_pairs(spec: ScenarioSpec, rng: random.Random):
-    n = spec.n_rows
-    if len(spec.planted_causes) != 2 or any(c.kind != "missing" for c in spec.planted_causes):
+def _interaction_pair_causes(spec: ScenarioSpec) -> None:
+    if [c.kind for c in spec.planted_causes] != ["missing", "missing"]:
         raise ScenarioSpecError("interaction-pair plants exactly two missing causes")
     if spec.cause_logic != "conjunctive":
         raise ScenarioSpecError("interaction-pair is conjunctive by construction")
+
+
+def _interaction_pair_pairs(spec: ScenarioSpec, rng: random.Random):
+    n = spec.n_rows
     pairs = []
     for cause in sorted(spec.planted_causes, key=lambda c: c.attribute):
         cells = _alternating(n, "u", "v")
@@ -451,19 +463,21 @@ def _interaction_pair_pairs(spec: ScenarioSpec, rng: random.Random):
     return pairs
 
 
-#: family -> (seed salt, column-pair generator)
+#: family -> (seed salt, the check that the family can plant a spec's causes,
+#: which raises ScenarioSpecError, column-pair generator)
 _GENERATORS = {
-    "domain-remap": (17, _domain_remap_pairs),
-    "dependence-bias": (29, _dependence_bias_pairs),
-    "skew-timeout": (43, _skew_timeout_pairs),
-    "interaction-pair": (59, _interaction_pair_pairs),
+    "domain-remap": (17, _domain_remap_causes, _domain_remap_pairs),
+    "dependence-bias": (29, _dependence_bias_causes, _dependence_bias_pairs),
+    "skew-timeout": (43, _skew_timeout_causes, _skew_timeout_pairs),
+    "interaction-pair": (59, _interaction_pair_causes, _interaction_pair_pairs),
 }
+FAMILIES = tuple(_GENERATORS)
 
 
 def generate(spec: ScenarioSpec) -> tuple[Dataset, Dataset, MalfunctionOracle]:
     """Build (passing dataset, failing dataset, oracle) for a scenario; the
     oracle is the one :func:`oracle_argument` names."""
-    salt, family_pairs = _GENERATORS[spec.oracle_family]
+    salt, _, family_pairs = _GENERATORS[spec.oracle_family]
     rng = random.Random(spec.seed * 1_000_003 + salt)
     pairs = family_pairs(spec, rng)
     pairs += [(col, col) for col in _filler_columns(rng, spec.n_rows, spec.n_attributes)]

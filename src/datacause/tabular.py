@@ -282,6 +282,16 @@ def save_csv(dataset: Dataset, path) -> None:
 
 _COMPARATORS = ("eq", "le", "ge")
 _COMPARATOR_SYMBOL = {"eq": "=", "le": "<=", "ge": ">="}
+#: characters that separate the parts of a label; a name or value holding one
+#: is written as a JSON string, so that distinct constraints get distinct labels
+_LABEL_SEPARATORS = frozenset('",()&=<>')
+
+
+def label_text(value: Cell) -> str:
+    """``value`` as a label writes it: as is, or as a JSON string when it
+    holds one of ``",()&=<>``."""
+    text = str(value)
+    return text if _LABEL_SEPARATORS.isdisjoint(text) else json.dumps(text, ensure_ascii=False)
 
 
 @dataclass(frozen=True)
@@ -293,9 +303,15 @@ class Term:
     def __post_init__(self):
         if self.comparator not in _COMPARATORS:
             raise PredicateError(f"unknown comparator {self.comparator!r}")
+        try:
+            str(self.value)
+        except ValueError as exc:  # an int past the interpreter's int-to-text digit limit
+            raise PredicateError(f"value compared with {self.attribute!r} has no text form: "
+                                 f"{exc}") from None
 
     def label(self) -> str:
-        return f"{self.attribute}{_COMPARATOR_SYMBOL[self.comparator]}{self.value}"
+        return (f"{label_text(self.attribute)}{_COMPARATOR_SYMBOL[self.comparator]}"
+                f"{label_text(self.value)}")
 
 
 @dataclass(frozen=True)

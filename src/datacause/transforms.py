@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import math
 import random
+import struct
+import sys
 import zlib
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 from .errors import ColumnTypeError, TransformFailure, ValidationError
 from .profiles import (
     Profile,
+    ProfileKind,
     chi_square_from_counts,
     joint_counts,
     outlier_flags,
@@ -33,6 +36,8 @@ from .tabular import ColumnType, Dataset, count_where, mean, population_stddev, 
 POSTCONDITION_TOL = 1e-9
 #: passes or seeded attempts an iterative repair makes before it gives up
 MAX_ITERATIONS = 40
+#: the most rows a dataset can have: CPython allocates no longer list
+MAX_ROWS = sys.maxsize // struct.calcsize("P")
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class PvtTriplet:
     transform_id: str
     perturb: str | None = None  # attribute rewritten by dependence transforms
 
-    @property
+    @cached_property  # the profile is frozen, so its label never changes
     def id(self) -> str:
         return f"{self.profile.label()}#{self.transform_id}"
 
@@ -58,7 +63,7 @@ Repair = Callable[[Dataset, PvtTriplet], Dataset]
 
 def make_triplets(profile: Profile, perturb: str | None = None) -> list[PvtTriplet]:
     """One triplet per repair variant of the profile's kind, preference order."""
-    return [PvtTriplet(profile, variant, perturb) for variant in profile.repairs]
+    return [PvtTriplet(profile, variant, perturb) for variant in REPAIRS[profile.kind]]
 
 
 def _derive_seed(seed: int, *parts: str) -> int:
@@ -246,9 +251,13 @@ def _resample_plan(dataset: Dataset, profile: Profile) -> int:
         s = step * k
         return step * (count + s - int(threshold * (n + s))) >= 0
 
+    room = MAX_ROWS - n  # the most rows a repair can add
     size = 1
     while not reached(size):
-        size *= 2
+        if size >= room:
+            raise TransformFailure(f"meeting {profile.label()} needs more rows than a list holds",
+                                   best_violation=violation(dataset, profile))
+        size = min(2 * size, room)
     size = step * bisect_left(range(size + 1), True, lo=size // 2, key=reached)
     if size == -n:
         raise TransformFailure(f"meeting {profile.label()} would delete every row",
@@ -288,18 +297,14 @@ def _balanced_reassignment(groups: dict[str, list[int]], values: list[str],
             col_left[v] -= base
             remainders.append((ideal - base, g, v))
     remainders.sort(key=lambda t: (-t[0], t[1], t[2]))
+    # the rows and the columns have equal totals still to fill, so each pass
+    # over the cells fills at least one
     while any(d > 0 for d in row_left.values()):
-        progressed = False
         for _, g, v in remainders:
             if row_left[g] > 0 and col_left[v] > 0:
                 cells[(g, v)] += 1
                 row_left[g] -= 1
                 col_left[v] -= 1
-                progressed = True
-                if not any(d > 0 for d in row_left.values()):
-                    break
-        if not progressed:  # pragma: no cover - feasibility always holds
-            break
     assignment: dict[int, str] = {}
     for g, rows in groups.items():
         shuffled = list(rows)
@@ -441,26 +446,27 @@ def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, repair: Repair) -> 
     return changed / dataset.row_count
 
 
-#: variant name -> (repair, coverage formula); a kind lists its variants in
-#: ``Profile.repairs``
+#: profile kind -> variant -> (repair, coverage formula), the variants of
+#: each kind in preference order
 REPAIRS = {
-    "remap": (_remap, _offending_rows),
-    "linear_map": (_linear_map, _linear_map_coverage),
-    "winsorize": (_winsorize, _offending_rows),
-    "fit_length": (_fit_text, _offending_rows),
-    "replace_with_mean": (_replace_outliers, _offending_rows),
-    "impute": (_impute_missing, _offending_rows),
-    "resample": (_resample_selectivity, _resample_coverage),
-    "shuffle": (_decorrelate_chi2, _dry_run_coverage),
-    "add_noise": (_decorrelate_pcc, _dry_run_coverage),
+    ProfileKind.DOMAIN_CATEGORICAL: {"remap": (_remap, _offending_rows)},
+    ProfileKind.DOMAIN_NUMERICAL: {"linear_map": (_linear_map, _linear_map_coverage),
+                                   "winsorize": (_winsorize, _offending_rows)},
+    ProfileKind.DOMAIN_TEXT: {"fit_length": (_fit_text, _offending_rows)},
+    ProfileKind.OUTLIER: {"replace_with_mean": (_replace_outliers, _offending_rows)},
+    ProfileKind.MISSING: {"impute": (_impute_missing, _offending_rows)},
+    ProfileKind.SELECTIVITY: {"resample": (_resample_selectivity, _resample_coverage)},
+    ProfileKind.CHI2: {"shuffle": (_decorrelate_chi2, _dry_run_coverage)},
+    ProfileKind.PCC: {"add_noise": (_decorrelate_pcc, _dry_run_coverage)},
 }
 
 
 def _variant(triplet: PvtTriplet):
     try:
-        return REPAIRS[triplet.transform_id]
+        return REPAIRS[triplet.profile.kind][triplet.transform_id]
     except KeyError:
-        raise ValidationError(f"unknown transform id {triplet.transform_id!r}") from None
+        raise ValidationError(f"unknown transform id {triplet.transform_id!r} for "
+                              f"{triplet.profile.kind.value}") from None
 
 
 # --- public operations ------------------------------------------------------

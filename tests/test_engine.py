@@ -88,6 +88,25 @@ def test_people_diff_contains_paper_profiles(people_pass, people_fail):
                for t in sel)
 
 
+def test_discriminative_ids_name_one_candidate_each_when_names_hold_commas():
+    # without quoting, the chi-square profiles of (a, "b,c") and ("a,b", c)
+    # would both be named chi_square_dependence(a,b,c)
+    n = 40
+    u_v = ["u" if i % 2 == 0 else "v" for i in range(n)]
+    p_q = ["p" if i % 4 < 2 else "q" for i in range(n)]  # independent of u_v
+    x_y = ["x" if i % 4 < 2 else "y" for i in range(n)]
+    r_s = ["r" if i % 2 == 0 else "s" for i in range(n)]  # independent of x_y
+    names = ("a", "b,c", "a,b", "c")
+    d_pass = from_columns([(a, ColumnType.CATEGORICAL, cells)
+                           for a, cells in zip(names, (u_v, p_q, x_y, r_s))])
+    d_fail = from_columns([(a, ColumnType.CATEGORICAL, cells)
+                           for a, cells in zip(names, (u_v, u_v, x_y, x_y))])
+    ids = [t.id for t in discriminative_pvts(d_pass, d_fail)]
+    assert len(ids) == len(set(ids))
+    assert {'chi_square_dependence(a,"b,c")#shuffle',
+            'chi_square_dependence("a,b",c)#shuffle'} <= set(ids)
+
+
 def test_discriminative_self_empty(people_fail):
     assert discriminative_pvts(people_fail, people_fail) == []
 

@@ -27,7 +27,7 @@ from datacause.profiles import (
     text_signature,
     violation,
 )
-from datacause.tabular import ColumnType, from_columns
+from datacause.tabular import ColumnType, Predicate, Term, from_columns
 
 
 def profile_map(profiles):
@@ -446,6 +446,16 @@ def test_selectivity_profile_round_trip(people_pass, people_fail):
     by_label = {p.predicate.label(): p for p in profiles}
     target = by_label["gender=F&high_expenditure=yes"]
     assert target.threshold == pytest.approx(4 / 9)
+
+
+def test_labels_quote_names_and_values_holding_separators():
+    assert ChiSquareBound("a", "b,c", 0.0).label() == 'chi_square_dependence(a,"b,c")'
+    assert ChiSquareBound("a,b", "c", 0.0).label() == 'chi_square_dependence("a,b",c)'
+    predicate = Predicate((Term("x=1", "eq", 'say "hi"'), Term("y", "le", 2.5)))
+    assert SelectivityBound(predicate, 0.1).label() == \
+        r'selectivity("x=1"="say \"hi\""&y<=2.5)'
+    assert MissingRate("a b#c é", 0.0).label() == "missing_rate(a b#c é)"
+    assert DomainCategorical("(x)", frozenset({"1"})).label() == 'domain_categorical("(x)")'
 
 
 # --- text patterns ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import string
@@ -23,8 +24,14 @@ from datacause.errors import (  # noqa: E402
 from datacause.profiles import (  # noqa: E402
     MIN_SUPPORT,
     SELECTIVITY_GAP,
+    ChiSquareBound,
+    CorrelationBound,
     DependenceBound,
+    DomainCategorical,
+    DomainNumerical,
     DomainText,
+    MissingRate,
+    OutlierBound,
     SelectivityBound,
     contingency_table,
     discover_profiles,
@@ -45,6 +52,7 @@ from datacause.tabular import (  # noqa: E402
     select_where,
 )
 from datacause.transforms import (  # noqa: E402
+    MAX_ROWS,
     POSTCONDITION_TOL,
     PvtTriplet,
     _resample_plan,
@@ -482,9 +490,14 @@ def _stepping_resample_plan(dataset, profile) -> int:
         def reached(s: int) -> bool:
             return int(profile.threshold * (n + s)) - s - count <= 0
 
+        room = MAX_ROWS - n
         size = 1
         while not reached(size):
-            size *= 2
+            if size >= room:
+                raise TransformFailure(
+                    f"meeting {profile.label()} needs more rows than a list holds",
+                    best_violation=violation(dataset, profile))
+            size = min(2 * size, room)
         size = bisect_left(range(size + 1), True, lo=size // 2, key=reached)
     return size
 
@@ -504,6 +517,7 @@ def selectivity_cases(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(selectivity_cases())
+@example((1536, 1, 0.9999999999999999))  # would grow the dataset past any list's length
 def test_resample_plan_matches_stepping_drops(case):
     n, count, threshold = case
     dataset = from_columns([("c", ColumnType.CATEGORICAL, ["hot"] * count + ["cold"] * (n - count))])
@@ -514,7 +528,7 @@ def test_resample_plan_matches_stepping_drops(case):
         with pytest.raises(TransformFailure) as again:
             _resample_plan(dataset, profile)
         assert (str(again.value), again.value.best_violation) == (str(err), err.best_violation)
-        assert count == n
+        assert count == n or "more rows than a list holds" in str(err)
     else:
         assert _resample_plan(dataset, profile) == expected
 
@@ -574,3 +588,74 @@ def test_runs_of_a_conforming_value_join_back_to_it(value, other):
     assert "".join(runs) == value
     assert [text_signature(run) for run in runs] == [(cls,) for cls in pattern]
     assert (_runs(value, other) is None) == (other != pattern)
+
+
+# --- labels: one per constraint, whatever the names ------------------------------
+
+#: names and values from letters, a backslash, a hash and every separator of a label
+LABEL_TEXT = st.text(alphabet='ab\\#",()&=<>', min_size=1, max_size=5)
+TERMS = st.builds(Term, LABEL_TEXT, st.sampled_from(["eq", "le", "ge"]),
+                  st.one_of(LABEL_TEXT, st.just(""), st.integers(-9, 9)))
+
+
+@st.composite
+def any_profiles(draw):
+    """A profile of any kind on drawn names, with fixed parameters."""
+    a = draw(LABEL_TEXT)
+    b = draw(LABEL_TEXT.filter(lambda b: b != a))
+    terms = draw(st.lists(TERMS, min_size=1, max_size=2))
+    return draw(st.sampled_from([
+        MissingRate(a, 0.0), DomainCategorical(a, frozenset({"v"})), DomainNumerical(a, 0.0, 1.0),
+        DomainText(a, None, 0, 1), OutlierBound(a, 1.5, 0.0), ChiSquareBound(a, b, 0.0),
+        CorrelationBound(a, b, 0.0), SelectivityBound(Predicate(tuple(terms)), 0.0)]))
+
+
+def _parts(profile) -> tuple:
+    """A profile's kind, then its names and values with the separators
+    between them, in the order its label writes them."""
+    if isinstance(profile, SelectivityBound):
+        symbol = {"eq": "=", "le": "<=", "ge": ">="}
+        terms = [(t.attribute, symbol[t.comparator], str(t.value))
+                 for t in profile.predicate.terms]
+        parts = [*terms[0], *(part for term in terms[1:] for part in ("&", *term))]
+    else:
+        first, *rest = profile.attributes()
+        parts = [first, *(part for name in rest for part in (",", name))]
+    return (profile.kind.value, *parts)
+
+
+_PLAIN_PART = re.compile(r'[^",()&=<>]*')
+_SEPARATOR = re.compile(r"<=|>=|[,&=]")
+
+
+def _read_label(label: str) -> tuple:
+    """A label read back into its kind, then its names and values with the
+    separators between them: a part that opens with a quote is a JSON
+    string, and any other runs up to the next separator."""
+    kind, _, body = label.partition("(")
+    assert body.endswith(")"), label
+    body, out, i = body[:-1], [kind], 0
+    while True:
+        if body.startswith('"', i):
+            text, i = json.JSONDecoder().raw_decode(body, i)
+        else:
+            text = _PLAIN_PART.match(body, i).group()
+            i += len(text)
+        out.append(text)
+        if i == len(body):
+            return tuple(out)
+        separator = _SEPARATOR.match(body, i)
+        assert separator, label
+        out.append(separator.group())
+        i = separator.end()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(any_profiles(), min_size=1, max_size=4))
+def test_labels_and_ids_read_back_so_distinct_profiles_have_distinct_ones(profiles):
+    for p in profiles:
+        assert _read_label(p.label()) == _parts(p)
+        for t in make_triplets(p):
+            assert t.id.rpartition("#") == (p.label(), "#", t.transform_id)
+    # hence two profiles share a label iff they are one constraint
+    assert len({p.label() for p in profiles}) == len(set(map(_parts, profiles)))

@@ -203,6 +203,26 @@ def test_scenario_spec_errors(build, message):
         build()
 
 
+@pytest.mark.parametrize("family, planted, message", [
+    # ground_truth's oracle string needs the dependence cause
+    ("dependence-bias", [("selectivity", "usage_class")],
+     "dependence-bias needs exactly one dependence cause"),
+    # a second selectivity cause would be listed as a unit with nothing planted on it
+    ("dependence-bias", [("dependence", "target"), ("selectivity", "usage_class"),
+                         ("selectivity", "c2")],
+     "dependence-bias needs exactly one dependence cause and optionally one selectivity"),
+    # the oracle string would name a scenario that cannot be generated
+    ("skew-timeout", [("domain", "plate_type")],
+     "skew-timeout plants exactly one selectivity cause"),
+    ("interaction-pair", [("missing", "p1"), ("domain", "p2")],
+     "interaction-pair plants exactly two missing causes"),
+], ids=["no-dependence", "second-selectivity", "skew-domain", "interaction-domain"])
+def test_spec_whose_family_cannot_plant_its_causes_is_rejected_at_construction(
+        family, planted, message):
+    with pytest.raises(ScenarioSpecError, match=message):
+        spec(oracle_family=family, planted_causes=causes(*planted))
+
+
 @pytest.mark.parametrize("fields", [
     {"n_rows": "200"}, {"n_rows": 200.0}, {"n_rows": True},
     {"n_attributes": "2"}, {"n_attributes": -2}, {"n_attributes": 1.5},

@@ -4,10 +4,11 @@ import copy
 import csv
 import pickle
 import random
+import sys
 
 import pytest
 
-from datacause.errors import ColumnTypeError, CsvParseError, SchemaError
+from datacause.errors import ColumnTypeError, CsvParseError, PredicateError, SchemaError
 from datacause.tabular import (
     ColumnType,
     Dataset,
@@ -189,6 +190,17 @@ def test_term_value_beyond_the_float_range_raises_column_type_error(where, compa
     dataset = from_columns([("x", ColumnType.NUMERICAL, [1.0, 2.0])])
     with pytest.raises(ColumnTypeError, match="beyond the float range"):
         where(dataset, Predicate((Term("x", comparator, -10 ** 400),)))
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter writes an int of any length as text")
+@pytest.mark.parametrize("comparator", ["eq", "le"])
+@pytest.mark.parametrize("where", [count_where, select_where])
+def test_term_value_with_no_text_form_raises_predicate_error(where, comparator):
+    dataset = from_columns([("c", ColumnType.CATEGORICAL, ["a", "b"])])
+    huge = 10 ** (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(PredicateError, match="value compared with 'c' has no text form"):
+        where(dataset, Predicate((Term("c", comparator, huge),)))
 
 
 def test_with_column_of_the_wrong_length_rejected(people_fail):

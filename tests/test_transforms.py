@@ -16,6 +16,7 @@ from datacause.profiles import (
     DomainText,
     MissingRate,
     OutlierBound,
+    ProfileKind,
     SelectivityBound,
     chi_square_from_counts,
     chi_square_statistic,
@@ -27,7 +28,9 @@ from datacause.profiles import (
 from datacause.tabular import ColumnType, Predicate, Term, from_columns, select_where
 from datacause.transforms import (
     MAX_ITERATIONS,
+    MAX_ROWS,
     POSTCONDITION_TOL,
+    REPAIRS,
     PvtTriplet,
     _balanced_reassignment,
     _decorrelate_chi2,
@@ -127,9 +130,9 @@ def test_repairs_near_the_float_limit_raise_transform_failure(tid):
 
 def test_repair_that_leaves_violation_behind_raises_transform_failure(monkeypatch):
     # a repair that returns its input unchanged misses its postcondition
-    _, rows_touched = transforms.REPAIRS["impute"]
-    monkeypatch.setitem(transforms.REPAIRS, "impute", (lambda dataset, _, **__: dataset,
-                                                       rows_touched))
+    variants = transforms.REPAIRS[ProfileKind.MISSING]
+    _, rows_touched = variants["impute"]
+    monkeypatch.setitem(variants, "impute", (lambda dataset, _, **__: dataset, rows_touched))
     d = from_columns([("x", ColumnType.CATEGORICAL, ["a", None, "b", None])])
     with pytest.raises(TransformFailure, match=r"^missing_rate\(x\)#impute left violation 0.5$") \
             as err:
@@ -260,6 +263,19 @@ def test_selectivity_growth_near_threshold_one_is_counted_without_stepping():
     assert coverage(d, triplet(profile)) == 1.0
 
 
+@pytest.mark.parametrize("operation", [
+    lambda d, t: _resample_plan(d, t.profile), coverage, transform])
+def test_selectivity_growth_past_the_longest_list_raises_transform_failure(operation):
+    # 1 of 1 536 rows satisfies and the bound allows all but about 1 row in
+    # 2**53: the repair would need more rows than a list can hold
+    d = sel_dataset(hot=1, cold=1535)
+    profile = sel_profile(0.9999999999999999)
+    with pytest.raises(TransformFailure, match="needs more rows than a list holds") as err:
+        operation(d, triplet(profile))
+    assert err.value.best_violation == violation(d, profile)
+    assert MAX_ROWS < 2 ** 63
+
+
 # --- dependence -----------------------------------------------------------------------
 
 
@@ -286,6 +302,64 @@ def test_chi2_balanced_fallback_reaches_zero_limit():
     profile = ChiSquareBound("a", "b", 0.0)
     fixed = transform(d, triplet(profile), seed=3)
     assert chi_square_statistic(fixed, "a", "b") == pytest.approx(0.0, abs=1e-12)
+
+
+def _reference_balanced_reassignment(groups, values, rng):
+    """The balanced reassignment with its earlier fill loop, which checked
+    after each fill whether every row was full and stopped a pass that
+    filled nothing."""
+    n = len(values)
+    value_counts = Counter(values)
+    cells = {}
+    row_left = {g: len(rows) for g, rows in groups.items()}
+    col_left = dict(value_counts)
+    remainders = []
+    for g, rows in groups.items():
+        for v, cnt in value_counts.items():
+            ideal = len(rows) * cnt / n
+            base = int(ideal)
+            cells[(g, v)] = base
+            row_left[g] -= base
+            col_left[v] -= base
+            remainders.append((ideal - base, g, v))
+    remainders.sort(key=lambda t: (-t[0], t[1], t[2]))
+    while any(d > 0 for d in row_left.values()):
+        progressed = False
+        for _, g, v in remainders:
+            if row_left[g] > 0 and col_left[v] > 0:
+                cells[(g, v)] += 1
+                row_left[g] -= 1
+                col_left[v] -= 1
+                progressed = True
+                if not any(d > 0 for d in row_left.values()):
+                    break
+        if not progressed:
+            break
+    assignment = {}
+    for g, rows in groups.items():
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        cursor = 0
+        for v in sorted(value_counts):
+            for _ in range(cells[(g, v)]):
+                assignment[shuffled[cursor]] = v
+                cursor += 1
+    return assignment
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_balanced_reassignment_matches_the_earlier_fill_loop(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    anchors = [rng.choice("uvwxy"[:rng.randint(1, 5)]) for _ in range(n)]
+    values = [rng.choice("abcdefg"[:rng.randint(1, 7)]) for _ in range(n)]
+    groups = {}
+    for i, a in enumerate(anchors):
+        groups.setdefault(a, []).append(i)
+    assignment = _balanced_reassignment(groups, values, random.Random(seed))
+    assert assignment == _reference_balanced_reassignment(groups, values, random.Random(seed))
+    assert sorted(assignment) == list(range(n))
+    assert Counter(assignment.values()) == Counter(values)
 
 
 def test_chi2_perturb_override():
@@ -565,6 +639,26 @@ def test_remap_override_outside_domain_rejected():
     profile = DomainCategorical("target", frozenset({"-1", "1"}))
     with pytest.raises(TransformFailure):
         transform(d, triplet(profile), remap_overrides={"target": {"0": "99"}})
+
+
+@pytest.mark.parametrize("operation", [transform, coverage])
+@pytest.mark.parametrize("profile, variant", [
+    (MissingRate("zip_code", 0.0), "remap"),
+    (DomainCategorical("zip_code", frozenset({"a"})), "impute"),
+    (MissingRate("age", 0.0), "linear_map"),
+    (ChiSquareBound("zip_code", "gender", 0.0), "add_noise"),
+])
+def test_variant_of_another_kind_raises_validation_error(people_fail, operation, profile,
+                                                         variant):
+    with pytest.raises(ValidationError, match=f"unknown transform id '{variant}' for "
+                                              f"{profile.kind.value}"):
+        operation(people_fail, PvtTriplet(profile, variant))
+
+
+def test_repair_table_lists_every_kind_in_preference_order():
+    assert set(REPAIRS) == set(ProfileKind)
+    assert [t.transform_id for t in make_triplets(DomainNumerical("x", 0.0, 1.0))] == \
+        ["linear_map", "winsorize"]
 
 
 @pytest.mark.parametrize("operation", [transform, coverage])
