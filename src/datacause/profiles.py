@@ -7,6 +7,7 @@ another dataset breaks it. Violation scores always land in [0, 1].
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -333,10 +334,9 @@ def text_signature(value: str) -> tuple[str, ...]:
 #: class never matches, just as text_signature never returns one
 _RUN_REGEX = {"digits": "([0-9]+)(?![0-9])", "letters": "([A-Za-z]+)(?![A-Za-z])",
               "other": "([^A-Za-z0-9])"}
-#: compiled shape regex per signature; it holds patterns only, never data
-_SHAPE_REGEX: dict[tuple[str, ...], re.Pattern] = {}
 
 
+@functools.cache  # keyed by signatures only, never by data
 def shape_regex(pattern: tuple[str, ...]) -> re.Pattern:
     """Regex that fullmatches an ASCII string iff its signature is ``pattern``;
     group k is the string's k-th run.
@@ -344,10 +344,7 @@ def shape_regex(pattern: tuple[str, ...]) -> re.Pattern:
     Only for ASCII: ``str.isdigit`` and ``str.isalpha`` also accept
     characters such as ``²`` and ``é``, which the regex classes leave out.
     """
-    regex = _SHAPE_REGEX.get(pattern)
-    if regex is None:
-        regex = _SHAPE_REGEX[pattern] = re.compile("".join(_RUN_REGEX[c] for c in pattern))
-    return regex
+    return re.compile("".join(_RUN_REGEX[c] for c in pattern))
 
 
 def matches_pattern(value: str, pattern: tuple[str, ...] | None) -> bool:

@@ -62,7 +62,7 @@ class ScenarioSpec:
                 isinstance(c, PlantedCause) for c in self.planted_causes):
             raise ScenarioSpecError("planted_causes must hold PlantedCause values, "
                                     f"got {self.planted_causes!r}")
-        if self.oracle_family not in FAMILIES:
+        if not isinstance(self.oracle_family, str) or self.oracle_family not in _GENERATORS:
             raise ScenarioSpecError(f"unknown oracle family {self.oracle_family!r}")
         if self.cause_logic not in CAUSE_LOGICS:
             raise ScenarioSpecError(f"unknown cause logic {self.cause_logic!r}")
@@ -362,11 +362,31 @@ def _two_point_column(name: str, n_rows: int, masked: int, rng: random.Random):
                  _mask_cells(rng, cells, masked, protected={0, 1}))
 
 
+def _numbered(name: str, prefix: str, width: int, count: int) -> bool:
+    """Whether ``name`` is ``f"{prefix}{i:0{width}d}"`` for an ``i`` in ``range(count)``."""
+    digits = name[len(prefix):]
+    return (name.startswith(prefix) and digits.isascii() and digits.isdigit()
+            and f"{int(digits):0{width}d}" == digits and int(digits) < count)
+
+
+def _check_own_columns(spec: ScenarioSpec, causes, names=(), numbered=()) -> None:
+    """Raise ScenarioSpecError when one of ``causes`` names a column that the
+    family adds itself: one of ``names``, one of the ``(prefix, width, count)``
+    runs of ``numbered`` or a filler column."""
+    numbered = (*numbered, ("filler_", 2, spec.n_attributes))
+    for cause in causes:
+        if cause.attribute in names or any(_numbered(cause.attribute, *run) for run in numbered):
+            raise ScenarioSpecError(f"{spec.oracle_family} adds a column named "
+                                    f"{cause.attribute!r} itself, so no cause can name it")
+
+
 def _domain_remap_causes(spec: ScenarioSpec) -> None:
     for cause in spec.planted_causes:
         if cause.kind not in ("domain", "missing"):
             raise ScenarioSpecError(
                 f"domain-remap supports domain/missing causes, got {cause.kind!r}")
+    _check_own_columns(spec, spec.planted_causes, ("review_note", "extra_flag"),
+                       [("noise_", 3, spec.decoys)])
 
 
 def _domain_remap_pairs(spec: ScenarioSpec, rng: random.Random):
@@ -395,6 +415,11 @@ def _dependence_bias_causes(spec: ScenarioSpec) -> None:
     if any(c.kind == "selectivity" and c.attribute != "usage_class"
            for c in spec.planted_causes):
         raise ScenarioSpecError("the selectivity cause attribute is 'usage_class'")
+    features = [f"c{j}" for j in range(1, 7)]
+    if len(spec.planted_causes) == 2:
+        features.append("usage_class")
+    _check_own_columns(spec, [c for c in spec.planted_causes if c.kind == "dependence"],
+                       features)
 
 
 def _dependence_bias_pairs(spec: ScenarioSpec, rng: random.Random):
@@ -433,6 +458,7 @@ def _dependence_bias_pairs(spec: ScenarioSpec, rng: random.Random):
 def _skew_timeout_causes(spec: ScenarioSpec) -> None:
     if [c.kind for c in spec.planted_causes] != ["selectivity"]:
         raise ScenarioSpecError("skew-timeout plants exactly one selectivity cause")
+    _check_own_columns(spec, spec.planted_causes, ("capture_note", "sensor_gain"))
 
 
 def _skew_timeout_pairs(spec: ScenarioSpec, rng: random.Random):
@@ -449,6 +475,9 @@ def _interaction_pair_causes(spec: ScenarioSpec) -> None:
         raise ScenarioSpecError("interaction-pair plants exactly two missing causes")
     if spec.cause_logic != "conjunctive":
         raise ScenarioSpecError("interaction-pair is conjunctive by construction")
+    if spec.planted_causes[0].attribute == spec.planted_causes[1].attribute:
+        raise ScenarioSpecError("interaction-pair plants its two causes on two attributes")
+    _check_own_columns(spec, spec.planted_causes, numbered=[("zz_note_", 1, max(2, spec.decoys))])
 
 
 def _interaction_pair_pairs(spec: ScenarioSpec, rng: random.Random):
@@ -471,7 +500,6 @@ _GENERATORS = {
     "skew-timeout": (43, _skew_timeout_causes, _skew_timeout_pairs),
     "interaction-pair": (59, _interaction_pair_causes, _interaction_pair_pairs),
 }
-FAMILIES = tuple(_GENERATORS)
 
 
 def generate(spec: ScenarioSpec) -> tuple[Dataset, Dataset, MalfunctionOracle]:

@@ -280,8 +280,8 @@ def save_csv(dataset: Dataset, path) -> None:
 
 # --- predicates -----------------------------------------------------------
 
-_COMPARATORS = ("eq", "le", "ge")
-_COMPARATOR_SYMBOL = {"eq": "=", "le": "<=", "ge": ">="}
+#: comparator -> (its symbol in a label, the test a present cell passes)
+_COMPARATORS = {"eq": ("=", operator.eq), "le": ("<=", operator.le), "ge": (">=", operator.ge)}
 #: characters that separate the parts of a label; a name or value holding one
 #: is written as a JSON string, so that distinct constraints get distinct labels
 _LABEL_SEPARATORS = frozenset('",()&=<>')
@@ -299,19 +299,22 @@ class Term:
     attribute: str
     comparator: str  # eq | le | ge
     value: Cell
+    #: the value as its label writes it; it takes part in equality, so that equal
+    #: terms label alike: 1, 1.0 and True differ, and so do 0.0 and -0.0
+    value_text: str = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.comparator not in _COMPARATORS:
+        if not isinstance(self.comparator, str) or self.comparator not in _COMPARATORS:
             raise PredicateError(f"unknown comparator {self.comparator!r}")
         try:
-            str(self.value)
+            object.__setattr__(self, "value_text", str(self.value))
         except ValueError as exc:  # an int past the interpreter's int-to-text digit limit
             raise PredicateError(f"value compared with {self.attribute!r} has no text form: "
                                  f"{exc}") from None
 
     def label(self) -> str:
-        return (f"{label_text(self.attribute)}{_COMPARATOR_SYMBOL[self.comparator]}"
-                f"{label_text(self.value)}")
+        return (f"{label_text(self.attribute)}{_COMPARATORS[self.comparator][0]}"
+                f"{label_text(self.value_text)}")
 
 
 @dataclass(frozen=True)
@@ -332,57 +335,53 @@ class Predicate:
         return "&".join(t.label() for t in self.terms)
 
 
-def _check_term(dataset: Dataset, term: Term) -> None:
+def _target(dataset: Dataset, term: Term) -> Cell:
+    """The float or text that the cells of ``term``'s column are compared with."""
     ctype = dataset.type_of(term.attribute)
-    if term.comparator in ("le", "ge") and ctype is not ColumnType.NUMERICAL:
-        raise ColumnTypeError(f"{term.label()}: ordered comparison needs a numerical column")
-    if ctype is ColumnType.NUMERICAL and not isinstance(term.value, (int, float)):
+    if ctype is not ColumnType.NUMERICAL:
+        if term.comparator != "eq":
+            raise ColumnTypeError(f"{term.label()}: ordered comparison needs a numerical column")
+        if not isinstance(term.value, str):
+            raise ColumnTypeError(f"{term.label()}: {ctype.value} column compared against "
+                                  f"{term.value!r}")
+        return term.value_text
+    if not isinstance(term.value, (int, float)):
         raise ColumnTypeError(f"{term.label()}: numerical column compared against {term.value!r}")
     try:
-        _eq_target(dataset, term)
+        return float(term.value)
     except OverflowError:  # an int beyond the float range
         raise ColumnTypeError(f"numerical column {term.attribute!r} compared against an "
                               "int beyond the float range") from None
 
 
-def _eq_target(dataset: Dataset, term: Term) -> Cell:
-    if dataset.type_of(term.attribute) is ColumnType.NUMERICAL:
-        return float(term.value)
-    return str(term.value)
-
-
-def _satisfies(dataset: Dataset, term: Term, cells: Sequence[Cell]) -> Iterable[bool]:
+def _satisfies(term: Term, target: Cell, cells: Sequence[Cell]) -> Iterable[bool]:
     """Per cell of ``cells`` (of the term's column), whether it satisfies
-    ``term``; a missing cell never does."""
-    if term.comparator == "eq":
-        return map(operator.eq, cells, repeat(_eq_target(dataset, term)))
-    bound = float(term.value)
-    compare = operator.le if term.comparator == "le" else operator.ge
-    return (v is not None and compare(v, bound) for v in cells)
+    ``term``, whose target is ``target``; a missing cell never does."""
+    compare = _COMPARATORS[term.comparator][1]
+    if compare is operator.eq:  # no target equals a missing cell
+        return map(compare, cells, repeat(target))
+    return (v is not None and compare(v, target) for v in cells)
 
 
 def select_where(dataset: Dataset, predicate: Predicate) -> set[int]:
     """Indices of rows satisfying every term; missing tested cells never satisfy."""
-    for term in predicate.terms:
-        _check_term(dataset, term)
+    targets = [_target(dataset, term) for term in predicate.terms]
     return set.intersection(*(
-        set(compress(count(), _satisfies(dataset, t, dataset.column(t.attribute))))
-        for t in predicate.terms))
+        set(compress(count(), _satisfies(t, target, dataset.column(t.attribute))))
+        for t, target in zip(predicate.terms, targets)))
 
 
 def count_where(dataset: Dataset, predicate: Predicate) -> int:
     """``len(select_where(dataset, predicate))``, counted without building
     the row set: a first term narrows the last term's column to its rows."""
-    for term in predicate.terms:
-        _check_term(dataset, term)
-    *narrowing, last = predicate.terms  # at most one narrowing term
+    *narrowing, (last, target) = [(t, _target(dataset, t)) for t in predicate.terms]
     cells = dataset.column(last.attribute)
-    if narrowing:
-        first = narrowing[0]
-        cells = list(compress(cells, _satisfies(dataset, first, dataset.column(first.attribute))))
+    for first, first_target in narrowing:  # at most one narrowing term
+        cells = list(compress(cells, _satisfies(first, first_target,
+                                                dataset.column(first.attribute))))
     if last.comparator == "eq":
-        return cells.count(_eq_target(dataset, last))
-    return sum(_satisfies(dataset, last, cells))
+        return cells.count(target)
+    return sum(_satisfies(last, target, cells))
 
 
 def unit_scale(values: Sequence[float]) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import struct
 import sys
 import zlib
@@ -72,9 +73,7 @@ def _derive_seed(seed: int, *parts: str) -> int:
 
 
 def _mode(values) -> str:
-    counts = Counter(values)
-    top = max(counts.values())
-    return min(v for v, count in counts.items() if count == top)
+    return min(statistics.multimode(values))
 
 
 # --- repairs ---------------------------------------------------------------
@@ -119,23 +118,17 @@ def _linear_map(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
     lo, hi = min(present), max(present)
     if lo == profile.lower and hi == profile.upper:
         return dataset
-    if lo == hi:
-        # degenerate observed range: clip the single level into the bounds
-        def move(v):
-            return min(max(v, profile.lower), profile.upper)
-    else:
-        scale = (profile.upper - profile.lower) / (hi - lo)
-        if math.isinf(hi - lo) or not math.isfinite(scale):
-            raise TransformFailure(
-                f"mapping [{lo:.6g}, {hi:.6g}] onto [{profile.lower:.6g}, "
-                f"{profile.upper:.6g}] overflows", best_violation=violation(dataset, profile))
-
-        def move(v):
-            mapped = profile.lower + (v - lo) * scale
-            return min(max(mapped, profile.lower), profile.upper)
-
-    return dataset.with_column(profile.attribute,
-                               [move(v) if v is not None else None for v in col])
+    if lo == hi:  # degenerate observed range: clip the single level into the bounds
+        return _winsorize(dataset, triplet)
+    scale = (profile.upper - profile.lower) / (hi - lo)
+    if math.isinf(hi - lo) or not math.isfinite(scale):
+        raise TransformFailure(
+            f"mapping [{lo:.6g}, {hi:.6g}] onto [{profile.lower:.6g}, "
+            f"{profile.upper:.6g}] overflows", best_violation=violation(dataset, profile))
+    return dataset.with_column(profile.attribute, [
+        None if v is None else min(max(profile.lower + (v - lo) * scale, profile.lower),
+                                   profile.upper)
+        for v in col])
 
 
 def _winsorize(dataset: Dataset, triplet: PvtTriplet, **_) -> Dataset:
@@ -423,8 +416,7 @@ def _linear_map_coverage(dataset: Dataset, triplet: PvtTriplet, **_) -> float:
     if lo == profile.lower and hi == profile.upper:
         return 0.0
     if lo == hi:
-        moved = sum(1 for v in present if not profile.lower <= v <= profile.upper)
-        return moved / n
+        return profile.offending(dataset) / n
     return len(present) / n
 
 

@@ -171,6 +171,43 @@ def test_count_where_is_the_size_of_select_where(data):
     assert count_where(dataset, predicate) == len(select_where(dataset, predicate))
 
 
+#: values that compare equal across types (1, 1.0, True; 0.0, -0.0) and text
+#: that reads like one of them
+_TERM_VALUES = [None, 0, 0.0, -0.0, 1, 1.0, True, False, 2.5, "1", "1.0", "True", "None", "a"]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_equal_terms_have_equal_labels_and_select_the_same_rows(data):
+    n = data.draw(st.integers(0, 12))
+    text_cells = st.lists(st.sampled_from([None, "1", "1.0", "True", "None", "a"]),
+                          min_size=n, max_size=n)
+    dataset = from_columns([
+        ("x", ColumnType.NUMERICAL, data.draw(_cells(ColumnType.NUMERICAL, n))),
+        ("c", ColumnType.CATEGORICAL, data.draw(text_cells)),
+        ("t", ColumnType.TEXT, data.draw(text_cells)),
+    ])
+    attribute = data.draw(st.sampled_from(dataset.attributes))
+    comparator = data.draw(st.sampled_from(["eq", "le", "ge"]))
+    first = Term(attribute, comparator, data.draw(st.sampled_from(_TERM_VALUES)))
+    second = Term(attribute, comparator, data.draw(st.sampled_from(
+        [v for v in _TERM_VALUES if Term(attribute, comparator, v) == first])))
+    assert hash(first) == hash(second)
+    assert first.label() == second.label()
+    outcomes = []
+    for term in (first, second):
+        predicate = Predicate((term,))
+        try:
+            rows = select_where(dataset, predicate)
+        except ColumnTypeError as exc:
+            outcomes.append(str(exc))
+            continue
+        assert rows == _row_reference(dataset, predicate)
+        assert count_where(dataset, predicate) == len(rows)
+        outcomes.append(rows)
+    assert outcomes[0] == outcomes[1]
+
+
 @settings(deadline=None)
 @given(specs(), specs())
 def test_fingerprint_equal_exactly_when_content_is(spec_a, spec_b):

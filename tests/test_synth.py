@@ -223,6 +223,35 @@ def test_spec_whose_family_cannot_plant_its_causes_is_rejected_at_construction(
         spec(oracle_family=family, planted_causes=causes(*planted))
 
 
+@pytest.mark.parametrize("family, planted, fields", [
+    ("dependence-bias", [("dependence", "c1")], {}),
+    ("dependence-bias", [("dependence", "usage_class"), ("selectivity", "usage_class")], {}),
+    ("skew-timeout", [("selectivity", "capture_note")], {}),
+    ("domain-remap", [("domain", "review_note")], {}),
+    ("domain-remap", [("domain", "noise_000")], {"decoys": 2}),
+    ("domain-remap", [("domain", "filler_00")], {"n_attributes": 1}),
+    ("interaction-pair", [("missing", "p1"), ("missing", "p1")], {}),
+], ids=["dependence-c1", "dependence-usage-class", "skew-capture-note", "domain-review-note",
+        "domain-decoy", "domain-filler", "interaction-same-attribute"])
+def test_cause_on_a_column_the_family_adds_is_rejected_at_construction(family, planted, fields):
+    with pytest.raises(ScenarioSpecError):
+        spec(oracle_family=family, planted_causes=causes(*planted), **fields)
+
+
+@pytest.mark.parametrize("family, planted, fields", [
+    ("dependence-bias", [("dependence", "usage_class")], {}),
+    ("dependence-bias", [("dependence", "c7")], {}),
+    ("domain-remap", [("domain", "noise_002")], {"decoys": 2}),
+    ("domain-remap", [("domain", "noise_00")], {"decoys": 2}),
+    ("domain-remap", [("domain", "filler_0")], {"n_attributes": 1}),
+    ("interaction-pair", [("missing", "zz_note_2"), ("missing", "p1")], {}),
+], ids=repr)
+def test_cause_beside_the_columns_the_family_adds_is_generated(family, planted, fields):
+    generated = spec(oracle_family=family, planted_causes=causes(*planted), **fields)
+    d_pass, _, _ = generate(generated)
+    assert {c.attribute for c in generated.planted_causes} <= set(d_pass.attributes)
+
+
 @pytest.mark.parametrize("fields", [
     {"n_rows": "200"}, {"n_rows": 200.0}, {"n_rows": True},
     {"n_attributes": "2"}, {"n_attributes": -2}, {"n_attributes": 1.5},

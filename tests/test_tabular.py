@@ -179,6 +179,16 @@ def test_ordered_term_with_non_numeric_value_is_rejected(people_fail, comparator
         select_where(people_fail, Predicate((Term("age", comparator, "abc"),)))
 
 
+@pytest.mark.parametrize("ctype", [ColumnType.CATEGORICAL, ColumnType.TEXT])
+@pytest.mark.parametrize("value", [None, 1, 1.0, True])
+@pytest.mark.parametrize("where", [count_where, select_where])
+def test_categorical_or_text_column_compared_against_a_non_text_value_is_rejected(
+        where, value, ctype):
+    dataset = from_columns([("c", ctype, ["1", "1.0", "None", "True", None])])
+    with pytest.raises(ColumnTypeError, match=f"{ctype.value} column compared against"):
+        where(dataset, Predicate((Term("c", "eq", value),)))
+
+
 def test_int_cell_beyond_the_float_range_raises_column_type_error():
     with pytest.raises(ColumnTypeError, match="non-finite value in numerical column 'x'"):
         from_columns([("x", ColumnType.NUMERICAL, [1.0, 10 ** 400])])
