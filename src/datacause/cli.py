@@ -121,6 +121,15 @@ def _make_oracle(argument: str, timeout: float, seed: int) -> MalfunctionOracle:
     return SubprocessOracle(ExternalOracleSpec(tuple(command), timeout=timeout), seed=seed)
 
 
+def _read_json(path: str, error: type[DatacauseError], what: str):
+    """The JSON value in the file at ``path``; a file that is not JSON or not
+    UTF-8 raises ``error``, saying that it is not ``what``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise error(f"{path}: not {what}: {exc}") from None
+
+
 def _run_report(args, body) -> int:
     """Run ``body(args, report, human)`` and emit its report.
 
@@ -171,12 +180,7 @@ def _explain(args, report: dict, human: list[str] | None) -> None:
     d_pass = load_csv(args.pass_csv)
     d_fail = load_csv(args.fail_csv)
     oracle = _make_oracle(args.oracle, args.oracle_timeout, args.seed)
-    remap = None
-    if args.remap:
-        try:
-            remap = json.loads(Path(args.remap).read_text(encoding="utf-8"))
-        except ValueError as exc:  # invalid JSON or UTF-8
-            raise ValidationError(f"{args.remap}: not a JSON remap file: {exc}") from None
+    remap = _read_json(args.remap, ValidationError, "a JSON remap file") if args.remap else None
     config = EngineConfig(
         tau=args.tau, seed=args.seed,
         max_interventions=args.max_interventions,
@@ -246,11 +250,8 @@ def _diff(args, report: dict, human: list[str] | None) -> None:
 
 def _synth(args, report: dict, human: list[str] | None) -> None:
     report["config"] = {"spec": args.spec, "out_dir": args.out_dir}
-    try:
-        spec_data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid JSON or UTF-8
-        raise ScenarioSpecError(f"{args.spec}: not a JSON scenario spec: {exc}") from None
-    spec = ScenarioSpec.from_json_dict(spec_data)
+    spec = ScenarioSpec.from_json_dict(_read_json(args.spec, ScenarioSpecError,
+                                                  "a JSON scenario spec"))
     d_pass, d_fail, _ = generate(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

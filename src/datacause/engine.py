@@ -171,8 +171,8 @@ class _Run:
         self.config = config
         self.log = log if log is not None else InterventionLog()
         self.repairs = {} if repairs is None else repairs
-        # group evaluations that failed to reduce, for A3 diagnostics
-        self._flat_groups: list[frozenset[str]] = []
+        # members of group evaluations that failed to reduce, for A3 diagnostics
+        self._flat_members: set[str] = set()
 
     def __enter__(self) -> "_Run":
         return self
@@ -197,10 +197,10 @@ class _Run:
 
     def _check_a3(self, triplet_ids: tuple[str, ...], pre: float, post: float) -> None:
         if len(triplet_ids) >= 2 and post >= pre:
-            self._flat_groups.append(frozenset(triplet_ids))
+            self._flat_members.update(triplet_ids)
         elif len(triplet_ids) == 1 and post < pre:
             member = triplet_ids[0]
-            if any(member in group for group in self._flat_groups):
+            if member in self._flat_members:
                 self.log.notes.append(
                     f"group-testing assumption violated: {member} reduces the "
                     f"score but a composed group containing it did not")
@@ -359,18 +359,18 @@ def _minimize(run: _Run, x_star, d_fail: Dataset, baseline: float) -> list[PvtTr
 
 
 def _finalize(run: _Run, members: list[PvtTriplet], d_fail: Dataset,
-              repaired: Dataset, fail_score: float) -> Explanation:
+              fail_score: float) -> Explanation:
     """Make a set the oracle has seen pass deletion-minimal and report it.
 
-    ``repaired`` is ``members`` composed on ``d_fail``. The minimality probes
-    reuse the run's repairs but, as under :func:`make_minimal`, keep a
-    group-testing assumption check of their own. The closing query is a
-    cache hit that runs the run's check on the final set.
+    The minimality probes reuse the run's repairs but, as under
+    :func:`make_minimal`, keep a group-testing assumption check of their
+    own. The search or a probe composed the final set on ``d_fail``, so
+    composing it again takes each repair from the run; the closing query is
+    a cache hit that runs the run's check on it.
     """
     probes = _Run(run.oracle, run.config, run.log, run.repairs)
     x_star = _minimize(probes, members, d_fail, fail_score)
-    if len(x_star) < len(members):
-        repaired = run.compose(x_star, d_fail).dataset
+    repaired = run.compose(x_star, d_fail).dataset
     final_score = run.query(repaired, tuple(t.id for t in x_star), fail_score)
     return Explanation(
         triplets=tuple(x_star),
@@ -384,7 +384,7 @@ def _finalize(run: _Run, members: list[PvtTriplet], d_fail: Dataset,
 
 
 def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
-            fail_score: float) -> tuple[list[PvtTriplet], Dataset]:
+            fail_score: float) -> list[PvtTriplet]:
     """One repair at a time: among triplets adjacent to a highest-degree
     attribute, try the highest-benefit one; keep it only if the score drops.
 
@@ -428,7 +428,7 @@ def _greedy(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
                 del remaining[t.id]
             elif touched.intersection(t.profile.attributes()):
                 benefit[t.id] = _safe_benefit(run, t, current)
-    return accepted, current
+    return accepted
 
 
 # --- group testing -------------------------------------------------------------
@@ -478,7 +478,7 @@ def _group_test(run: _Run, xs: list[PvtTriplet], dataset: Dataset,
 
 
 def _group_testing(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
-                   fail_score: float) -> tuple[list[PvtTriplet], Dataset]:
+                   fail_score: float) -> list[PvtTriplet]:
     """Group testing over the candidates, then one check that the repairs it
     collected pass together.
 
@@ -502,7 +502,7 @@ def _group_testing(run: _Run, candidates: list[PvtTriplet], d_fail: Dataset,
     if verify > config.tau:
         raise NoExplanationFound(
             f"collected repairs only reach {verify:.4g}, above tau {config.tau:.4g}")
-    return found, composed.dataset
+    return found
 
 
 def explain(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
@@ -520,8 +520,8 @@ def explain(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle,
         if not candidates:
             raise NoExplanationFound("no discriminative profiles between the datasets")
         search = _greedy if config.algorithm == "greedy" else _group_testing
-        members, repaired = search(run, candidates, d_fail, fail_score)
-        return _finalize(run, members, d_fail, repaired, fail_score)
+        members = search(run, candidates, d_fail, fail_score)
+        return _finalize(run, members, d_fail, fail_score)
 
 
 # --- decision-tree extension ---------------------------------------------------
@@ -632,7 +632,7 @@ def decision_tree_explain(labeled, d_fail: Dataset, oracle: MalfunctionOracle,
                 if score is None:
                     continue
                 if score <= config.tau:
-                    return _finalize(run, triplets, d_fail, repaired, fail_score)
+                    return _finalize(run, triplets, d_fail, fail_score)
                 rows.append((features_of(repaired), False))
                 break
             else:

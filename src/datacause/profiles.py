@@ -29,7 +29,7 @@ from .tabular import (
     Term,
     count_where,
     label_text,
-    unit_scale,
+    moments,
 )
 
 _ZERO_SNAP = 1e-12  # absorbs float roundoff so satisfied profiles score exactly 0.0
@@ -384,10 +384,8 @@ def outlier_flags(values: Sequence[float | None], k: float) -> list[bool]:
     present = [v for v in values if v is not None]
     if not present:
         return [False] * len(values)
-    unit = unit_scale(present)
-    present = [v * unit for v in present]
-    mean = sum(present) / len(present)
-    sd = math.sqrt(sum((v - mean) ** 2 for v in present) / len(present))
+    unit, _, mean, squares = moments(present)
+    sd = math.sqrt(squares / len(present))
     if sd == 0.0:
         return [False] * len(values)
     return [v is not None and abs(v * unit - mean) > k * sd for v in values]
@@ -467,14 +465,8 @@ def pearson_correlation(dataset: Dataset, a_j: str, a_k: str) -> float:
     if len(xs) < 2:
         raise DegenerateInputError(
             f"correlation of {a_j!r} and {a_k!r} needs at least 2 complete pairs")
-    n = len(xs)
-    ux, uy = unit_scale(xs), unit_scale(ys)
-    xs = [x * ux for x in xs]
-    ys = [y * uy for y in ys]
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
+    _, xs, mx, vx = moments(xs)
+    _, ys, my, vy = moments(ys)
     if vx == 0.0 or vy == 0.0:
         return 0.0
     cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))

@@ -24,6 +24,15 @@ CAUSE_KINDS = ("domain", "missing", "dependence", "selectivity")
 CAUSE_LOGICS = ("conjunctive", "disjunctive")
 
 
+def _check_types(spec, fields) -> None:
+    """Raise ScenarioSpecError unless each (name, types, kind) of ``fields``
+    names a field of ``spec`` that holds one of ``types`` and is no bool."""
+    for name, types, kind in fields:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ScenarioSpecError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PlantedCause:
     kind: str
@@ -51,13 +60,9 @@ class ScenarioSpec:
     tau: float = 0.2
 
     def __post_init__(self):
-        for name, types, kind in (("n_rows", int, "an integer"),
-                                  ("n_attributes", int, "an integer"),
-                                  ("seed", int, "an integer"), ("decoys", int, "an integer"),
-                                  ("tau", (int, float), "a number")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ScenarioSpecError(f"{name} must be {kind}, got {value!r}")
+        _check_types(self, (("n_rows", int, "an integer"), ("n_attributes", int, "an integer"),
+                            ("seed", int, "an integer"), ("decoys", int, "an integer"),
+                            ("tau", (int, float), "a number")))
         if not isinstance(self.planted_causes, (tuple, list)) or not all(
                 isinstance(c, PlantedCause) for c in self.planted_causes):
             raise ScenarioSpecError("planted_causes must hold PlantedCause values, "
@@ -84,8 +89,7 @@ class ScenarioSpec:
     @staticmethod
     def from_json_dict(data: dict) -> "ScenarioSpec":
         try:
-            causes = tuple(PlantedCause(c["kind"], c["attribute"])
-                           for c in data["planted_causes"])
+            causes = tuple(PlantedCause(**c) for c in data["planted_causes"])
             return ScenarioSpec(**{**data, "planted_causes": causes})
         except (KeyError, TypeError) as exc:
             raise ScenarioSpecError(f"malformed scenario spec: {exc}") from exc
@@ -356,10 +360,10 @@ def _note_columns(rng: random.Random, name: str, n_rows: int, short_fraction: fl
     return _pair(name, ColumnType.TEXT, passing, failing)
 
 
-def _two_point_column(name: str, n_rows: int, masked: int, rng: random.Random):
+def _two_point_column(name: str, n_rows: int, rng: random.Random):
     cells = _alternating(n_rows, 0.0, 100.0)
     return _pair(name, ColumnType.NUMERICAL, cells,
-                 _mask_cells(rng, cells, masked, protected={0, 1}))
+                 _mask_cells(rng, cells, max(2, n_rows // 10), protected={0, 1}))
 
 
 def _numbered(name: str, prefix: str, width: int, count: int) -> bool:
@@ -400,7 +404,7 @@ def _domain_remap_pairs(spec: ScenarioSpec, rng: random.Random):
             bad = _mask_cells(rng, bad, max(2, n // 10))
         pairs.append(_pair(attribute, ColumnType.CATEGORICAL, good, bad))
     pairs.append(_note_columns(rng, "review_note", n))
-    pairs.append(_two_point_column("extra_flag", n, max(2, n // 10), rng))
+    pairs.append(_two_point_column("extra_flag", n, rng))
     for d in range(spec.decoys):
         pairs.append(_decoy_text_column(rng, f"noise_{d:03d}", n, 2 + d))
     return pairs
@@ -467,7 +471,7 @@ def _skew_timeout_pairs(spec: ScenarioSpec, rng: random.Random):
     return [_pair(attribute, ColumnType.CATEGORICAL,
                   _hot_head(n, 0.2, "black", "white"), _hot_head(n, 0.7, "black", "white")),
             _note_columns(rng, "capture_note", n, short_fraction=0.5),
-            _two_point_column("sensor_gain", n, max(2, n // 10), rng)]
+            _two_point_column("sensor_gain", n, rng)]
 
 
 def _interaction_pair_causes(spec: ScenarioSpec) -> None:
@@ -545,6 +549,11 @@ class PairedCauseScenario:
     seed: int = 0
     tau: float = 0.2
     logic: str = "disjunctive"
+
+    def __post_init__(self):
+        _check_types(self, (("units", int, "an integer"), ("junk_attributes", int, "an integer")))
+        if self.junk_attributes < 0:
+            raise ScenarioSpecError("junk_attributes must be >= 0")
 
 
 def generate_paired(scenario: PairedCauseScenario) -> tuple[Dataset, Dataset, MalfunctionOracle]:

@@ -94,6 +94,13 @@ class _Schema(tuple):
         return _check_schema, (tuple(self), self.types, len(self))
 
 
+def _column_type(name: str, ctype) -> ColumnType:
+    try:
+        return ColumnType(ctype)
+    except ValueError:
+        raise SchemaError(f"unknown column type {ctype!r} of attribute {name!r}") from None
+
+
 def _check_schema(attributes, types, width: int) -> _Schema:
     if len(attributes) != len(types) or len(attributes) != width:
         raise SchemaError("attributes, types and columns must have equal length")
@@ -105,7 +112,7 @@ def _check_schema(attributes, types, width: int) -> _Schema:
             raise SchemaError(f"duplicate attribute name: {name!r}")
         seen.add(name)
     schema = _Schema(attributes)
-    schema.types = tuple(ColumnType(t) for t in types)
+    schema.types = tuple(map(_column_type, attributes, types))
     schema.position = dict(zip(schema, count()))
     blob = json.dumps([[n, t.value] for n, t in zip(schema, schema.types)],
                       separators=(",", ":"), ensure_ascii=False)
@@ -404,11 +411,18 @@ def mean(values: Sequence[float]) -> float:
     return m
 
 
+def moments(values: Iterable[float]) -> tuple[float, list[float], float, float]:
+    """``(unit, scaled, mean, squares)``: the :func:`unit_scale` of ``values``,
+    the values times it, and the mean of those and the sum of their squared
+    deviations from it, which cannot overflow."""
+    scaled = list(values)
+    unit = unit_scale(scaled)
+    scaled = [v * unit for v in scaled]
+    m = sum(scaled) / len(scaled)
+    return unit, scaled, m, sum((v - m) ** 2 for v in scaled)
+
+
 def population_stddev(values: Iterable[float]) -> float:
-    """Population standard deviation, taken on the values scaled by
-    :func:`unit_scale` so that no square can overflow."""
-    vals = list(values)
-    unit = unit_scale(vals)
-    vals = [v * unit for v in vals]
-    m = sum(vals) / len(vals)
-    return math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals)) / unit
+    """Population standard deviation, taken on the scaled :func:`moments`."""
+    unit, scaled, _, squares = moments(values)
+    return math.sqrt(squares / len(scaled)) / unit

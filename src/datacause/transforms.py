@@ -298,15 +298,13 @@ def _balanced_reassignment(groups: dict[str, list[int]], values: list[str],
                 cells[(g, v)] += 1
                 row_left[g] -= 1
                 col_left[v] -= 1
+    # each group's cells sum to its row count, so every row gets a value
     assignment: dict[int, str] = {}
     for g, rows in groups.items():
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        cursor = 0
-        for v in sorted(value_counts):
-            for _ in range(cells[(g, v)]):
-                assignment[shuffled[cursor]] = v
-                cursor += 1
+        assignment.update(zip(shuffled, [v for v in sorted(value_counts)
+                                         for _ in range(cells[(g, v)])]))
     return assignment
 
 
@@ -347,18 +345,15 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> 
     rng = random.Random(_derive_seed(seed, "chi2-balance", profile.label()))
     groups: dict[str, list[int]] = {}
     values: list[str] = []
-    rows: list[int] = []
     for i, (a, b) in enumerate(zip(anchor, source)):
         if a is None or b is None:
             continue
         groups.setdefault(a, []).append(i)
         values.append(b)
-        rows.append(i)
     if values:
-        assignment = _balanced_reassignment(groups, values, rng)
         column = list(source)
-        for i in rows:
-            column[i] = assignment[i]
+        for i, v in _balanced_reassignment(groups, values, rng).items():
+            column[i] = v
         stat = stat_of(column)
         if stat <= profile.limit + 1e-12:
             return dataset.with_column(target, column)

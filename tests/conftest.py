@@ -9,6 +9,15 @@ from datacause.tabular import ColumnType, Dataset, from_columns, load_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+try:
+    from hypothesis import settings
+except ImportError:  # without the optional hypothesis the property tests skip
+    pass
+else:
+    # ``--hypothesis-profile=thorough``: 1 000 examples for each property that
+    # sets no max_examples of its own
+    settings.register_profile("thorough", max_examples=1000, deadline=None)
+
 
 @pytest.fixture(scope="session")
 def people_fail() -> Dataset:

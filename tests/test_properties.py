@@ -38,6 +38,8 @@ from datacause.profiles import (  # noqa: E402
     enumerate_selectivity_predicates,
     joint_counts,
     matches_pattern,
+    outlier_flags,
+    pearson_correlation,
     shape_regex,
     text_signature,
     violation,
@@ -49,7 +51,9 @@ from datacause.tabular import (  # noqa: E402
     Term,
     count_where,
     from_columns,
+    population_stddev,
     select_where,
+    unit_scale,
 )
 from datacause.transforms import (  # noqa: E402
     MAX_ROWS,
@@ -696,3 +700,72 @@ def test_labels_and_ids_read_back_so_distinct_profiles_have_distinct_ones(profil
             assert t.id.rpartition("#") == (p.label(), "#", t.transform_id)
     # hence two profiles share a label iff they are one constraint
     assert len({p.label() for p in profiles}) == len(set(map(_parts, profiles)))
+
+
+# --- moments: the bits of the inline formulas they replaced ----------------------
+
+
+def _inline_stddev(values):
+    vals = list(values)
+    unit = unit_scale(vals)
+    vals = [v * unit for v in vals]
+    m = sum(vals) / len(vals)
+    return math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals)) / unit
+
+
+def _inline_outlier_flags(values, k):
+    present = [v for v in values if v is not None]
+    if not present:
+        return [False] * len(values)
+    unit = unit_scale(present)
+    present = [v * unit for v in present]
+    mean = sum(present) / len(present)
+    sd = math.sqrt(sum((v - mean) ** 2 for v in present) / len(present))
+    if sd == 0.0:
+        return [False] * len(values)
+    return [v is not None and abs(v * unit - mean) > k * sd for v in values]
+
+
+def _inline_pearson(xs, ys):
+    n = len(xs)
+    ux, uy = unit_scale(xs), unit_scale(ys)
+    xs = [x * ux for x in xs]
+    ys = [y * uy for y in ys]
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    vx = sum((x - mx) ** 2 for x in xs)
+    vy = sum((y - my) ** 2 for y in ys)
+    if vx == 0.0 or vy == 0.0:
+        return 0.0
+    r = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / math.sqrt(vx * vy)
+    return 1.0 if r > 1.0 - 1e-12 else -1.0 if r < -1.0 + 1e-12 else r
+
+
+@st.composite
+def _magnitudes(draw, min_size=1, missing=False):
+    """Finite floats up to +-1.7e308: any of them, or a mantissa times a
+    binary exponent the column shares, from subnormal to the float limit."""
+    exponent = draw(st.integers(-1074, 1023))
+    value = st.one_of(st.floats(-1.7e308, 1.7e308),
+                      st.builds(math.ldexp, st.floats(-1.0, 1.0), st.just(exponent)))
+    return draw(st.lists(st.none() | value if missing else value, min_size=min_size,
+                         max_size=12))
+
+
+@settings(deadline=None)
+@given(_magnitudes(), _magnitudes(missing=True), st.sampled_from([0.5, 1.5, 3.0]))
+@example([5e-324, 0.0, -5e-324], [1.7e308, -1.7e308, None, 0.0], 1.5)
+def test_stddev_and_outlier_flags_keep_the_inline_bits(values, cells, k):
+    assert population_stddev(values).hex() == _inline_stddev(values).hex()
+    assert outlier_flags(cells, k) == _inline_outlier_flags(cells, k)
+
+
+@settings(deadline=None)
+@given(_magnitudes(min_size=2).flatmap(
+    lambda xs: st.tuples(st.just(xs), _magnitudes(min_size=len(xs)).map(lambda ys: ys[:len(xs)]))))
+@example(([5e-324, 1e-323, 0.0], [1.7e308, -1.7e308, 1.0]))
+def test_pearson_correlation_keeps_the_inline_bits(pair):
+    xs, ys = pair
+    dataset = from_columns([("x", ColumnType.NUMERICAL, xs), ("y", ColumnType.NUMERICAL, ys)])
+    xs, ys = list(dataset.column("x")), list(dataset.column("y"))
+    assert pearson_correlation(dataset, "x", "y").hex() == _inline_pearson(xs, ys).hex()

@@ -418,3 +418,30 @@ def test_failing_columns_equal_to_passing_ones_are_shared():
     assert shared == [f"c{j}" for j in range(1, 7)] + ["filler_00", "filler_01"]
     rebuilt = from_columns([(a, t, list(d_fail.column(a))) for a, t in d_fail.schema])
     assert d_fail.fingerprint == rebuilt.fingerprint
+
+
+@pytest.mark.parametrize("cause", [
+    {"kind": "domain", "attribute": "target", "logic": "disjunctive"},
+    {"kind": "domain", "attribute": "target", "atribute": "t2"},
+    {"kind": "domain"},
+    ["domain", "target"],
+], ids=repr)
+def test_spec_json_cause_with_unknown_or_missing_keys_rejected(cause):
+    data = {"oracle_family": "domain-remap", "planted_causes": [cause]}
+    with pytest.raises(ScenarioSpecError, match="malformed scenario spec"):
+        ScenarioSpec.from_json_dict(data)
+
+
+@pytest.mark.parametrize("fields", [{"units": 1.5}, {"units": "2"}, {"units": True},
+                                    {"junk_attributes": "2"}, {"junk_attributes": 2.0},
+                                    {"junk_attributes": False}, {"junk_attributes": -1}],
+                         ids=repr)
+def test_paired_scenario_counts_must_be_integers_and_junk_not_negative(fields):
+    with pytest.raises(ScenarioSpecError):
+        PairedCauseScenario(**fields)
+
+
+def test_paired_scenario_without_junk_adds_no_junk_column():
+    d_pass, d_fail, _ = generate_paired(PairedCauseScenario(units=1, junk_attributes=0))
+    assert not [a for a in d_pass.attributes if a.startswith("junk_")]
+    assert d_pass.same_schema(d_fail)

@@ -359,3 +359,18 @@ def test_mean_and_stddev_stay_finite_near_the_float_limit():
     assert population_stddev([1.7e308, -1.7e308]) == 1.7e308
     assert mean([1.0, 2.0, 4.0]) == 7.0 / 3.0
     assert population_stddev([1.0, 3.0]) == 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Dataset(("a",), ("bogus",), ((1.0,),)),
+    lambda: from_columns([("a", None, [1.0])]),
+    lambda: from_columns([("b", ColumnType.TEXT, ["x"]), ("a", "Numerical", [1.0])]),
+], ids=["bogus", "none", "wrong_case"])
+def test_unknown_column_type_raises_schema_error_naming_it(build):
+    with pytest.raises(SchemaError, match=r"unknown column type .* of attribute 'a'"):
+        build()
+
+
+def test_column_types_given_by_value_are_accepted():
+    d = Dataset(("a", "b"), ("numerical", "text"), ((1.0,), ("x",)))
+    assert d.types == (ColumnType.NUMERICAL, ColumnType.TEXT)
