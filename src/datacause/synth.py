@@ -13,6 +13,7 @@ import inspect
 import math
 import random
 import string
+import struct
 from dataclasses import asdict, dataclass
 
 from .errors import ScenarioSpecError
@@ -105,8 +106,42 @@ def _as_number(cell) -> float | None:
         return None
 
 
+# Text cells are decoded in bulk from the words that one draw per cell would
+# read, so the cells and the state left behind are the same: ``choice`` of 26
+# letters takes a word's top 5 bits, ``randrange(26 ** 9)`` a whole word plus
+# the next word's top 11 bits as bits 32-42, and both draw again when the value
+# is too large. Each round draws for the cells still missing only, so no word
+# is read that the per-cell draws would not have read.
+
+#: a word's top byte below 208 gives the letter of its top five bits; the
+#: bytes from 208 up, which ``choice`` would draw again, are deleted
+_LETTER_OF_TOP_BYTE = bytes(97 + (b >> 3) if b < 208 else 0 for b in range(256))
+_REDRAWN_TOP_BYTES = bytes(range(208, 256))
+#: one 64-bit lane (two words, low first) of the masks that keep a lane's
+#: first word and the top 11 bits of its second, shifted down to bit 0
+_FIRST_WORD, _TOP_11_BITS = b"\xff\xff\xff\xff\0\0\0\0", b"\xff\x07\0\0\0\0\0\0"
+
+
 def _letters(rng: random.Random, length: int) -> str:
-    return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
+    """What ``length`` calls of ``rng.choice(string.ascii_lowercase)`` give."""
+    out = b""
+    while len(out) < length:
+        need = length - len(out)
+        top_bytes = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+        out += top_bytes.translate(_LETTER_OF_TOP_BYTE, _REDRAWN_TOP_BYTES)
+    return out.decode("ascii")
+
+
+def _below_26_pow_9(rng: random.Random, count: int) -> list[int]:
+    """What ``count`` calls of ``rng.randrange(26 ** 9)`` give."""
+    out: list[int] = []
+    while len(out) < count:
+        need = count - len(out)
+        lanes = rng.getrandbits(64 * need)
+        first, top = (int.from_bytes(m * need, "little") for m in (_FIRST_WORD, _TOP_11_BITS))
+        values = (lanes & first | (lanes >> 53 & top) << 32).to_bytes(8 * need, "little")
+        out += filter((26 ** 9).__gt__, struct.unpack(f"<{need}Q", values))
+    return out
 
 
 #: every two-letter string, at the index it has as a two-digit base-26 number
@@ -116,11 +151,9 @@ _LETTER_PAIRS = [a + b for b in string.ascii_lowercase for a in string.ascii_low
 
 def _fixed_width_token(index: int) -> str:
     """The low ten base-26 digits of ``index`` as letters, low digit first."""
-    out = []
-    for _ in range(5):
-        index, pair = divmod(index, 676)
-        out.append(_LETTER_PAIRS[pair])
-    return "".join(out)
+    p = _LETTER_PAIRS
+    return (p[index % 676] + p[index // 676 % 676] + p[index // 676 ** 2 % 676]
+            + p[index // 676 ** 3 % 676] + p[index // 676 ** 4 % 676])
 
 
 def _mask_cells(rng: random.Random, cells: list, count: int,
@@ -344,7 +377,7 @@ def _filler_columns(rng: random.Random, n_rows: int, count: int):
 
 def _decoy_text_column(rng: random.Random, name: str, n_rows: int, masked: int):
     """Same-shape text column in both datasets; the failing copy hides cells."""
-    cells = [_fixed_width_token(rng.randrange(26 ** 9)) for _ in range(n_rows)]
+    cells = list(map(_fixed_width_token, _below_26_pow_9(rng, n_rows)))
     failing = _mask_cells(rng, cells, masked)
     return _pair(name, ColumnType.TEXT, cells, failing)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import string
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,24 @@ def missing_columns_pair(columns: int, seed: int, rows: int = 12) -> tuple[Datas
         failing.append((f"c{j}", ColumnType.TEXT,
                         [None if i in hidden else v for i, v in enumerate(cells)]))
     return from_columns(passing), from_columns(failing)
+
+
+# --- scenario text cells, one random call per cell: the references that
+# datacause.synth's bulk draws must equal, cell for cell and state for state
+
+
+def per_call_letters(rng: random.Random, length: int) -> str:
+    return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
+
+
+def per_call_decoy_draws(rng: random.Random, count: int) -> list[int]:
+    return [rng.randrange(26 ** 9) for _ in range(count)]
+
+
+def divmod_token(index: int) -> str:
+    """The low ten base-26 digits of ``index`` as letters, low digit first."""
+    out = []
+    for _ in range(5):
+        index, digits = divmod(index, 676)
+        out.append(string.ascii_lowercase[digits % 26] + string.ascii_lowercase[digits // 26])
+    return "".join(out)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 import string
 from bisect import bisect_left
@@ -14,6 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from conftest import divmod_token, per_call_decoy_draws, per_call_letters  # noqa: E402
 from datacause import tabular  # noqa: E402
 from datacause.errors import (  # noqa: E402
     ColumnTypeError,
@@ -44,6 +46,7 @@ from datacause.profiles import (  # noqa: E402
     text_signature,
     violation,
 )
+from datacause.synth import _below_26_pow_9, _fixed_width_token, _letters  # noqa: E402
 from datacause.tabular import (  # noqa: E402
     ColumnType,
     Dataset,
@@ -769,3 +772,23 @@ def test_pearson_correlation_keeps_the_inline_bits(pair):
     dataset = from_columns([("x", ColumnType.NUMERICAL, xs), ("y", ColumnType.NUMERICAL, ys)])
     xs, ys = list(dataset.column("x")), list(dataset.column("y"))
     assert pearson_correlation(dataset, "x", "y").hex() == _inline_pearson(xs, ys).hex()
+
+
+# --- scenario text cells: the bulk draws against one random call per cell -------
+
+
+@given(st.integers(0, 2 ** 64 - 1), st.integers(0, 130), st.integers(0, 300))
+def test_bulk_text_draws_equal_one_draw_per_cell(seed, length, count):
+    bulk, per_call = random.Random(seed), random.Random(seed)
+    assert _letters(bulk, length) == per_call_letters(per_call, length)
+    assert bulk.getstate() == per_call.getstate()
+    assert _below_26_pow_9(bulk, count) == per_call_decoy_draws(per_call, count)
+    assert bulk.getstate() == per_call.getstate()
+
+
+@given(st.integers(min_value=0))
+@example(26 ** 9 - 1)
+@example(26 ** 10 - 1)
+@example(26 ** 10)
+def test_fixed_width_token_equals_the_divmod_loop(index):
+    assert _fixed_width_token(index) == divmod_token(index)

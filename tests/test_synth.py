@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from conftest import divmod_token, per_call_decoy_draws, per_call_letters
+from datacause.cli import main
 from datacause.engine import benefit_score, discriminative_pvts
 from datacause.errors import ScenarioSpecError
 from datacause.synth import (
@@ -12,6 +15,9 @@ from datacause.synth import (
     PairedCauseScenario,
     PlantedCause,
     ScenarioSpec,
+    _below_26_pow_9,
+    _fixed_width_token,
+    _letters,
     adversarial_rank_scenario,
     build_builtin_oracle,
     generate,
@@ -409,6 +415,40 @@ def test_generated_cells_are_pinned(name):
     assert got[:2] == (pass_digest, fail_digest)
     assert got[2:] == (pytest.approx(pass_score, abs=1e-12),
                        pytest.approx(fail_score, abs=1e-12))
+
+
+def test_benchmark_scale_scenarios_are_pinned(tmp_path):
+    """The cells of gt-wide's first scenario and the CSVs that cli-subprocess's
+    ``datacause synth`` writes at seed 0, as one draw per cell made them."""
+    d_pass, d_fail, _ = generate(spec(n_rows=260, decoys=125))
+    assert (_cells_digest(d_pass), _cells_digest(d_fail)) == (
+        "037da03e42aae88d5e34eabafc3ae75b0c26939ec1d063aa4a9bf18fa760acc9",
+        "a87c8a8ef535ed1805157e4c16ef92de444bed31d7f47ecc9066e3d032009dee")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec(n_rows=1000, decoys=20).to_json_dict()),
+                         encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in ("pass.csv", "fail.csv")}
+    assert digests == {
+        "pass.csv": "142ef597cc1fda47c7bea454199d636043d452928ce8895eb43a28601d830a53",
+        "fail.csv": "6d3929c7b22b366ed1b84937e26d8184386ab7049606accafd623b9455d6b61a"}
+
+
+def test_bulk_text_draws_equal_one_draw_per_cell():
+    for seed in range(40):
+        for length in (0, 1, 2, 5, 25, 26, 30, 64, 115, 120, 130):
+            bulk, per_call = random.Random(seed), random.Random(seed)
+            assert _letters(bulk, length) == per_call_letters(per_call, length)
+            assert bulk.getstate() == per_call.getstate()
+        for count in (0, 1, 2, 3, 20, 125, 260, 300):
+            bulk, per_call = random.Random(seed), random.Random(seed)
+            assert _below_26_pow_9(bulk, count) == per_call_decoy_draws(per_call, count)
+            assert bulk.getstate() == per_call.getstate()
+    rng = random.Random(0)
+    for index in [0, 675, 676, 26 ** 9 - 1, 26 ** 10 - 1, 26 ** 10, 10 ** 40] + [
+            rng.randrange(26 ** 12) for _ in range(2000)]:
+        assert _fixed_width_token(index) == divmod_token(index)
 
 
 def test_failing_columns_equal_to_passing_ones_are_shared():
