@@ -225,18 +225,28 @@ def infer_types(raw_columns: Sequence[Sequence[str | None]]) -> list[ColumnType]
     column where only some cells parse as reals is mixed content and falls
     through to text. Otherwise the column is categorical while its distinct
     count stays below ``max(20, 5% of rows)`` and text beyond that.
+
+    Each column is decided on its distinct present cells, and parsing stops
+    once the type is settled: the numerical test stops at the first cell
+    that is no real; a column past the distinct-count cutoff is then text
+    with no further parse; and the categorical test stops at the first cell
+    that is a real.
     """
     out = []
     for col in raw_columns:
         distinct = set(col) - {None}  # each decision holds for every cell iff for these
-        numericish = sum(map(_parses_as_real, distinct))
-        if numericish == len(distinct):
+        if all(map(_parses_as_real, distinct)):
             out.append(ColumnType.NUMERICAL)
-        elif numericish == 0 and len(distinct) <= max(20.0, 0.05 * len(col)):
+        elif (len(distinct) <= max(20.0, 0.05 * len(col))
+              and not any(map(_parses_as_real, distinct))):
             out.append(ColumnType.CATEGORICAL)
         else:
             out.append(ColumnType.TEXT)
     return out
+
+
+#: each cell that ingestion reads as missing, mapped to ``None``
+_MISSING = dict.fromkeys(("", *MISSING_LITERALS))
 
 
 def load_csv(path) -> Dataset:
@@ -255,34 +265,51 @@ def load_csv(path) -> Dataset:
                 raise CsvParseError(f"{path}: empty file, header row required") from None
             if len(set(header)) != len(header):
                 raise SchemaError(f"{path}: duplicate header")
-            raw: list[list[str | None]] = [[] for _ in header]
+            rows = []  # each checked as it is read, before the reader parses the next
             for row_index, row in enumerate(reader, start=1):
                 if len(row) != len(header):
                     raise CsvParseError(
                         f"{path}: row {row_index} has {len(row)} cells, expected {len(header)}",
                         row_index=row_index,
                     )
-                for col, cell in zip(raw, row):
-                    col.append(None if cell == "" or cell in MISSING_LITERALS else cell)
+                rows.append(row)
     except UnicodeDecodeError:
         raise CsvParseError(f"{path}: not valid UTF-8") from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    types = infer_types(raw)
-    return Dataset(tuple(header), tuple(types), tuple(tuple(col) for col in raw))
+    raw = [tuple(map(_MISSING.get, col, col)) for col in zip(*rows)] or [()] * len(header)
+    return Dataset(tuple(header), tuple(infer_types(raw)), tuple(raw))
+
+
+def _needs_quotes(text: str) -> bool:
+    """Whether ``csv.writer`` quotes a field holding ``text``, doubling its quotes."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _fields(cells: list[str]) -> list[str]:
+    """The fields of ``cells`` as ``csv.writer`` writes them; a column with
+    nothing to quote is tested once and not per cell."""
+    if not _needs_quotes("".join(cells)):
+        return cells
+    return ['"' + t.replace('"', '""') + '"' if _needs_quotes(t) else t for t in cells]
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write a dataset as UTF-8 CSV; missing cells become empty cells."""
-    columns = [
-        ["" if v is None else repr(v) for v in col] if ctype is ColumnType.NUMERICAL
-        else ["" if v is None else v for v in col]
-        for col, ctype in zip(dataset.columns, dataset.types)
-    ]
+    """Write a dataset as UTF-8 CSV; missing cells become empty cells.
+
+    The bytes are those of ``csv.writer`` on Python 3.11 and later, on
+    every Python: a text cell holding NUL is written unquoted.
+    """
+    fields = []
+    for col, ctype in zip(dataset.columns, dataset.types):
+        cells = map({None: ""}.get, col, col) if col.missing else col
+        # str of a float is its repr, and other cells are already text
+        fields.append(_fields(list(map(str, cells) if ctype is ColumnType.NUMERICAL else cells)))
+    lines = [",".join(_fields(list(map(str, dataset.attributes)))), *map(",".join, zip(*fields))]
+    if len(fields) == 1:  # a row of one empty field is written as "", not as an empty row
+        lines = [line or '""' for line in lines]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.attributes)
-        writer.writerows(zip(*columns))
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 # --- predicates -----------------------------------------------------------

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import csv
+import io
+import math
 import random
 import string
+import sys
 from pathlib import Path
 
 import pytest
 
-from datacause.tabular import ColumnType, Dataset, from_columns, load_csv
+from datacause.errors import CsvParseError, SchemaError
+from datacause.tabular import MISSING_LITERALS, ColumnType, Dataset, from_columns, load_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -94,3 +99,84 @@ def divmod_token(index: int) -> str:
         index, digits = divmod(index, 676)
         out.append(string.ascii_lowercase[digits % 26] + string.ascii_lowercase[digits // 26])
     return "".join(out)
+
+
+# --- CSV in and out, one cell at a time: the references that
+# datacause.tabular's column-wise reader and writer must equal
+
+
+def per_cell_infer_types(raw_columns) -> list[ColumnType]:
+    """Column typing that parses every distinct present cell of a column."""
+    def parses_as_real(cell):
+        try:
+            return math.isfinite(float(cell))
+        except ValueError:
+            return False
+
+    out = []
+    for col in raw_columns:
+        distinct = set(col) - {None}
+        numericish = sum(map(parses_as_real, distinct))
+        if numericish == len(distinct):
+            out.append(ColumnType.NUMERICAL)
+        elif numericish == 0 and len(distinct) <= max(20.0, 0.05 * len(col)):
+            out.append(ColumnType.CATEGORICAL)
+        else:
+            out.append(ColumnType.TEXT)
+    return out
+
+
+def per_cell_load_csv(path) -> Dataset:
+    """``load_csv`` with ``csv.reader`` appending each cell to its column."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvParseError(f"{path}: empty file, header row required") from None
+            if len(set(header)) != len(header):
+                raise SchemaError(f"{path}: duplicate header")
+            raw: list[list[str | None]] = [[] for _ in header]
+            for row_index, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise CsvParseError(
+                        f"{path}: row {row_index} has {len(row)} cells, expected {len(header)}",
+                        row_index=row_index,
+                    )
+                for col, cell in zip(raw, row):
+                    col.append(None if cell == "" or cell in MISSING_LITERALS else cell)
+    except UnicodeDecodeError:
+        raise CsvParseError(f"{path}: not valid UTF-8") from None
+    except csv.Error as exc:
+        raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    types = per_cell_infer_types(raw)
+    return Dataset(tuple(header), tuple(types), tuple(tuple(col) for col in raw))
+
+
+#: stands in for NUL where csv.writer cannot write it (before Python 3.11); like
+#: NUL on 3.11 and later, it is written unquoted
+_NUL_STAND_IN = "\ue000"
+
+
+def csv_writer_bytes(dataset: Dataset) -> bytes:
+    """The bytes ``csv.writer`` writes for ``dataset``, formatting each cell
+    on its own: a numerical cell as its repr, a missing one as empty. Every
+    Python gives the bytes of 3.11 and later, where a field holding NUL is
+    written unquoted."""
+    columns = [
+        ["" if v is None else repr(v) for v in col] if ctype is ColumnType.NUMERICAL
+        else ["" if v is None else v for v in col]
+        for col, ctype in zip(dataset.columns, dataset.types)
+    ]
+    header = list(dataset.attributes)
+    rows = [header, *map(list, zip(*columns))]
+    stand_in = sys.version_info < (3, 11)
+    if stand_in:
+        if any(_NUL_STAND_IN in cell for row in rows for cell in row):
+            raise ValueError("a cell holds the stand-in for NUL")
+        rows = [[cell.replace("\0", _NUL_STAND_IN) for cell in row] for row in rows]
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    text = out.getvalue()
+    return (text.replace(_NUL_STAND_IN, "\0") if stand_in else text).encode("utf-8")

@@ -7,7 +7,9 @@ import math
 import random
 import re
 import string
+import tempfile
 from bisect import bisect_left
+from pathlib import Path
 from collections import Counter
 
 import pytest
@@ -15,7 +17,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from conftest import divmod_token, per_call_decoy_draws, per_call_letters  # noqa: E402
+from conftest import (  # noqa: E402
+    csv_writer_bytes,
+    divmod_token,
+    per_call_decoy_draws,
+    per_call_letters,
+)
 from datacause import tabular  # noqa: E402
 from datacause.errors import (  # noqa: E402
     ColumnTypeError,
@@ -55,6 +62,7 @@ from datacause.tabular import (  # noqa: E402
     count_where,
     from_columns,
     population_stddev,
+    save_csv,
     select_where,
     unit_scale,
 )
@@ -150,6 +158,62 @@ def _raw_column(draw):
 @example([[f"w{i}" for i in range(21)] * 20])  # as many as 5% of the rows
 def test_infer_types_decides_on_distinct_cells_as_on_every_cell(raw_columns):
     assert tabular.infer_types(raw_columns) == _infer_types_cell_by_cell(raw_columns)
+
+
+#: the cells that float() reads in ways a type test could get wrong
+_REAL_HAZARDS = ["nan", "NaN", "inf", "-inf", "1e400", "1_0", " 3 ", "0x1", "\u0663"]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_infer_types_agrees_on_real_hazards_around_the_categorical_cutoff(data):
+    rows = data.draw(st.sampled_from([40, 420, 1000]))  # cutoffs of 20, 21 and 50
+    cutoff = int(max(20.0, 0.05 * rows))
+    hazards = data.draw(st.lists(st.sampled_from(_REAL_HAZARDS), max_size=3, unique=True))
+    filler = data.draw(st.sampled_from(["w{}", "{}", "{}.5"]))  # words or reals
+    n_distinct = data.draw(st.sampled_from([cutoff - 1, cutoff, cutoff + 1]))
+    distinct = hazards + [filler.format(i) for i in range(n_distinct - len(hazards))]
+    missing = data.draw(st.integers(0, rows - n_distinct))
+    column = [distinct[i % n_distinct] for i in range(rows - missing)] + [None] * missing
+    assert len(column) == rows and len(set(column) - {None}) == n_distinct
+    assert tabular.infer_types([column]) == _infer_types_cell_by_cell([column])
+
+
+#: names and text cells are drawn over these: what csv.writer quotes, what
+#: load_csv reads as missing, NUL and non-ASCII
+_CSV_HAZARDS = st.text(alphabet=[",", '"', "\r", "\n", " ", "N", "A", "\0", "\u00e9", "\u4e2d",
+                                 "a"], max_size=5)
+_WRITER_REALS = st.one_of(st.sampled_from([5e-324, 1e16, 1.7e308, -0.0]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _csv_datasets(draw):
+    """One to three columns of any type, of zero or more rows, with names and
+    text cells over ``_CSV_HAZARDS``."""
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 8))
+    names = draw(st.lists(_CSV_HAZARDS.filter(bool), min_size=1, max_size=3, unique=True))
+    spec = []
+    for name in names:
+        ctype = draw(st.sampled_from(list(ColumnType)))
+        cell = _WRITER_REALS if ctype is ColumnType.NUMERICAL else _CSV_HAZARDS | st.just("NA")
+        spec.append((name, ctype, draw(st.lists(st.none() | cell, min_size=n, max_size=n))))
+    return from_columns(spec)
+
+
+@settings(deadline=None)
+@given(_csv_datasets())
+@example(from_columns([("a", ColumnType.TEXT, [""])]))
+@example(from_columns([("a", ColumnType.CATEGORICAL, [None])]))
+@example(from_columns([("a", ColumnType.NUMERICAL, [])]))
+@example(from_columns([("x\0", ColumnType.TEXT, ["\0", "a\0,b"]),
+                       ("n", ColumnType.NUMERICAL, [5e-324, 1e16])]))
+@example(from_columns([("n", ColumnType.NUMERICAL, [1.7e308, None])]))
+def test_save_csv_writes_the_bytes_of_csv_writer(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        save_csv(dataset, path)
+        assert path.read_bytes() == csv_writer_bytes(dataset)
 
 
 @settings(deadline=None)

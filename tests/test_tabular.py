@@ -8,7 +8,14 @@ import sys
 
 import pytest
 
-from datacause.errors import ColumnTypeError, CsvParseError, PredicateError, SchemaError
+from conftest import csv_writer_bytes, per_cell_load_csv
+from datacause.errors import (
+    ColumnTypeError,
+    CsvParseError,
+    DatacauseError,
+    PredicateError,
+    SchemaError,
+)
 from datacause.tabular import (
     ColumnType,
     Dataset,
@@ -374,3 +381,125 @@ def test_unknown_column_type_raises_schema_error_naming_it(build):
 def test_column_types_given_by_value_are_accepted():
     d = Dataset(("a", "b"), ("numerical", "text"), ((1.0,), ("x",)))
     assert d.types == (ColumnType.NUMERICAL, ColumnType.TEXT)
+
+
+# --- the column-wise CSV reader and writer against their per-cell references
+
+def _load_outcome(load, path):
+    """What ``load`` makes of ``path``: the dataset's parts, or its error."""
+    try:
+        d = load(path)
+    except DatacauseError as exc:
+        return type(exc), str(exc), getattr(exc, "row_index", None)
+    return d.attributes, d.types, d.columns, d.fingerprint
+
+
+_OVERSIZE = b"x" * (csv.field_size_limit() + 1)
+
+_CSV_INPUTS = {
+    "bom": b"\xef\xbb\xbfa,b\r\n1,x\r\n2,y\r\n",
+    "missing_literals": b"a,b,c\nNULL,1,\nnull,NA,x\nNA,,y\n,3,NULL\n",
+    "quoted_newlines": b'a,b\n"x\ny",1\n"p\r\nq",2\n"",""\n',
+    "short_row_first": b"a,b\n1\n2,3\n4,5\n",
+    "short_row_in_the_middle": b"a,b\n1,2\n3\n4,5\n",
+    "long_row_last": b"a,b\n1,2\n3,4\n5,6,7\n",
+    "short_row_before_an_oversize_field": b"a,b\n1,2\n3\n4," + _OVERSIZE + b"\n",
+    "oversize_field_before_a_short_row": b"a,b\n1," + _OVERSIZE + b"\n3\n",
+    "header_only": b"a,b,c\n",
+    "header_only_without_newline": b"a,b,c",
+    "not_utf8": "a,b\ncaf\u00e9,1\n".encode("latin-1"),
+    "empty": b"",
+    "duplicate_header": b"a,a\n1,2\n",
+    "blank_line": b"a\n\n1\n",
+    "no_columns": b"\n\n",
+    "one_column_with_empty_cells": b'a\n""\nx\n""\n',
+    "real_hazards": "a,b\nnan,1e400\n1_0, 3 \n0x1,\u0663\ninf,-inf\n".encode(),
+    "reals": b"a,b\n1.5,-0\n1e5,2\n",
+    "at_the_categorical_cutoff": ("a\n" + "".join(f"w{i}\n" for i in range(20))).encode(),
+    "past_the_categorical_cutoff": ("a\n" + "".join(f"w{i}\n" for i in range(21))).encode(),
+}
+
+
+@pytest.mark.parametrize("content", _CSV_INPUTS.values(), ids=_CSV_INPUTS.keys())
+def test_load_csv_matches_the_per_cell_loader(tmp_path, content):
+    path = tmp_path / "in.csv"
+    path.write_bytes(content)
+    assert _load_outcome(load_csv, path) == _load_outcome(per_cell_load_csv, path)
+
+
+#: raw cells that are reals, missing markers, or text that float() or the
+#: csv dialect treats specially
+_RAW_CELLS = ["1.5", "-0", "1e5", "1_0", " 3 ", "\u0663", "nan", "inf", "1e400", "0x1", "x", "",
+              "NA", "NULL", "null", '"', ",", "a b", "\n", "\u00e9"]
+
+
+def _random_csv(rng: random.Random) -> str:
+    width = rng.randint(1, 4)
+    header = [f"c{j}" for j in range(width)]
+    distinct = rng.sample(_RAW_CELLS, rng.randint(1, 6)) + [f"w{i}" for i in range(rng.randint(0, 25))]
+    lines = []
+    for row in [header] + [[rng.choice(distinct) for _ in range(width)]
+                           for _ in range(rng.randint(0, 40))]:
+        if rng.random() < 0.02:  # now and then a row of the wrong length
+            row = row[:-1] if rng.random() < 0.5 else row + ["z"]
+        lines.append(",".join('"' + c.replace('"', '""') + '"'
+                              if any(ch in c for ch in ',"\n') or rng.random() < 0.1 else c
+                              for c in row))
+    return rng.choice(["\n", "\r\n"]).join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_load_csv_matches_the_per_cell_loader_on_seeded_files(tmp_path, seed):
+    path = tmp_path / "in.csv"
+    path.write_text(_random_csv(random.Random(seed)), encoding="utf-8", newline="")
+    assert _load_outcome(load_csv, path) == _load_outcome(per_cell_load_csv, path)
+
+
+#: names and text cells are drawn over these: what csv.writer quotes, what
+#: load_csv reads as missing, NUL and non-ASCII
+_WRITER_ALPHABET = [",", '"', "\r", "\n", " ", "N", "A", "\0", "\u00e9", "\u4e2d", "a"]
+_REALS = [5e-324, 1e16, 1.7e308, -1.7e308, 0.1, -0.0, 1.0, 2.5e-7, 123456789.125]
+
+
+def _random_dataset(rng: random.Random) -> Dataset:
+    rows = rng.choice([0, 1, rng.randint(2, 12)])
+    spec = []
+    for j in range(rng.choice([1, 1, 2, 3])):
+        name = f"{j}" + "".join(rng.choices(_WRITER_ALPHABET, k=rng.randint(0, 4)))
+        ctype = rng.choice(list(ColumnType))
+        if ctype is ColumnType.NUMERICAL:
+            cells = [rng.choice(_REALS + [None]) for _ in range(rows)]
+        else:
+            cells = [rng.choice([None, "", "NA", "".join(rng.choices(_WRITER_ALPHABET,
+                                                                       k=rng.randint(1, 5)))])
+                     for _ in range(rows)]
+        spec.append((name, ctype, cells))
+    return from_columns(spec)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_save_csv_writes_the_bytes_of_csv_writer_on_seeded_datasets(tmp_path, seed):
+    dataset = _random_dataset(random.Random(seed))
+    save_csv(dataset, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == csv_writer_bytes(dataset)
+
+
+@pytest.mark.parametrize("cells, written", [
+    ([""], b'a\r\n""\r\n'),
+    ([None], b'a\r\n""\r\n'),
+    (["", "x", None], b'a\r\n""\r\nx\r\n""\r\n'),
+    ([], b"a\r\n"),
+], ids=["empty", "missing", "empty_missing_and_present", "no_rows"])
+def test_save_csv_writes_a_lone_empty_field_quoted(tmp_path, cells, written):
+    dataset = from_columns([("a", ColumnType.TEXT, cells)])
+    save_csv(dataset, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == written == csv_writer_bytes(dataset)
+
+
+def test_save_csv_writes_a_text_cell_holding_nul_unquoted(tmp_path):
+    # csv.writer before Python 3.11 raises on NUL ("need to escape, but no
+    # escapechar set"); every Python now writes it as 3.11 does
+    dataset = from_columns([("note", ColumnType.TEXT, ["a\0b", None]),
+                            ("n", ColumnType.NUMERICAL, [1.5, None])])
+    save_csv(dataset, tmp_path / "nul.csv")
+    assert (tmp_path / "nul.csv").read_bytes() == b"note,n\r\na\x00b,1.5\r\n,\r\n"
