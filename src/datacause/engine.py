@@ -37,7 +37,7 @@ from .profiles import (
     enumerate_selectivity_predicates,
     violation,
 )
-from .tabular import Dataset
+from .tabular import TALLIES, Dataset
 from .transforms import (
     POSTCONDITION_TOL,
     PvtTriplet,
@@ -162,6 +162,11 @@ class _Run:
     ``repairs``. The key holds the triplet itself, since its id leaves out
     the learned parameters and the perturbed attribute; seed and overrides
     are the run's. A run given the ``repairs`` of another shares them.
+
+    Entered, the run also counts each tuple of dataset columns once: it
+    opens :data:`~datacause.tabular.TALLIES` for every
+    :func:`~datacause.tabular.tally` made inside it, and closes it on exit,
+    so nothing counted outlives the run.
     """
 
     def __init__(self, oracle: MalfunctionOracle, config: EngineConfig,
@@ -175,9 +180,11 @@ class _Run:
         self._flat_members: set[str] = set()
 
     def __enter__(self) -> "_Run":
+        self._tallies = TALLIES.set({})
         return self
 
     def __exit__(self, exc_type, exc, traceback) -> None:
+        TALLIES.reset(self._tallies)
         if isinstance(exc, (NoExplanationFound, OracleError)):
             exc.log = self.log
 

@@ -30,6 +30,7 @@ from .tabular import (
     count_where,
     label_text,
     moments,
+    tally,
 )
 
 _ZERO_SNAP = 1e-12  # absorbs float roundoff so satisfied profiles score exactly 0.0
@@ -407,10 +408,12 @@ def violation(dataset: Dataset, profile: Profile) -> float:
 
 def joint_counts(left: Sequence, right: Sequence) -> Counter:
     """Counts of the (left, right) cell pairs where both cells are present, in
-    the order each pair first occurs."""
-    table = Counter(zip(left, right))
-    for pair in [pair for pair in table if None in pair]:
-        del table[pair]
+    the order each pair first occurs: the :func:`~datacause.tabular.tally` of
+    the two columns, which a run counts once, less the pairs holding a missing
+    cell. The result may be that shared tally, so it must never be changed."""
+    table = tally(left, right)
+    if any(None in pair for pair in table):
+        return Counter({pair: c for pair, c in table.items() if None not in pair})
     return table
 
 
@@ -597,11 +600,11 @@ def enumerate_selectivity_predicates(d_pass: Dataset, d_fail: Dataset) -> list[P
         return []
     n_pass, n_fail = d_pass.row_count, d_fail.row_count
 
-    def tally(group: tuple[str, ...]) -> list[Counter]:
+    def tallies(group: tuple[str, ...]) -> list[Counter]:
         """Per dataset, the number of rows taking each value combination of ``group``."""
-        return [Counter(zip(*(d.column(a) for a in group))) for d in (d_pass, d_fail)]
+        return [tally(*map(d.column, group)) for d in (d_pass, d_fail)]
 
-    singles = {(a,): tally((a,)) for a, t in sorted(d_pass.schema)
+    singles = {(a,): tallies((a,)) for a, t in sorted(d_pass.schema)
                if t is ColumnType.CATEGORICAL}
     eligible: dict[str, list[str]] = {}
     for (a,), (c_pass, c_fail) in singles.items():
@@ -611,7 +614,7 @@ def enumerate_selectivity_predicates(d_pass: Dataset, d_fail: Dataset) -> list[P
             eligible[a] = keep
     out: list[Predicate] = []
     for group in [(a,) for a in eligible] + list(combinations(eligible, 2)):
-        c_pass, c_fail = singles.get(group) or tally(group)
+        c_pass, c_fail = singles.get(group) or tallies(group)
         for values in product(*(eligible[a] for a in group)):
             if abs(c_pass[values] / n_pass - c_fail[values] / n_fail) >= SELECTIVITY_GAP:
                 out.append(Predicate(tuple(Term(a, "eq", v) for a, v in zip(group, values))))

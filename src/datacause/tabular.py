@@ -12,6 +12,8 @@ import hashlib
 import json
 import math
 import operator
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count, repeat
@@ -62,7 +64,11 @@ def _normalize(name: str, ctype: ColumnType, col: Iterable[Cell]) -> _Cells:
             raise ColumnTypeError(f"non-finite value in numerical column {name!r}")
     else:
         cells = [None if v is None else str(v) for v in col]
-    return _hashed(ctype, cells)
+    try:
+        return _hashed(ctype, cells)
+    except UnicodeEncodeError:  # a text cell holding a lone surrogate
+        raise ColumnTypeError(f"{ctype.value} column {name!r} holds a cell with no UTF-8 "
+                              "form") from None
 
 
 def _hashed(ctype: ColumnType, cells: list) -> _Cells:
@@ -110,6 +116,11 @@ def _check_schema(attributes, types, width: int) -> _Schema:
             raise SchemaError("attribute names must be non-empty")
         if name in seen:
             raise SchemaError(f"duplicate attribute name: {name!r}")
+        if isinstance(name, str) and not name.isascii():
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which the fingerprint cannot hash
+                raise SchemaError(f"attribute name {name!r} has no UTF-8 form") from None
         seen.add(name)
     schema = _Schema(attributes)
     schema.types = tuple(map(_column_type, attributes, types))
@@ -312,6 +323,37 @@ def save_csv(dataset: Dataset, path) -> None:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
+# --- tallies --------------------------------------------------------------
+
+#: the tallies an engine run has counted, keyed by the digests of their
+#: columns; ``None`` outside a run. The run sets it and resets it on exit, so
+#: nothing counted outlives the run.
+TALLIES: ContextVar[dict[tuple[bytes, ...], Counter] | None] = ContextVar("TALLIES",
+                                                                         default=None)
+
+
+def tally(*columns: Sequence[Cell]) -> Counter:
+    """``Counter(zip(*columns))``: the rows taking each value tuple of
+    ``columns``, in the order each tuple first occurs.
+
+    Within a run (:data:`TALLIES`), the tally of dataset columns is counted
+    once and then shared: equal digests mean equal cells, and a pair's tally
+    is served transposed from its reverse, which keeps the first-occurrence
+    order. So the result must never be changed. A column that is a plain
+    list has no digest and is always counted.
+    """
+    memo = TALLIES.get()
+    if memo is None or not all(isinstance(c, _Cells) for c in columns):
+        return Counter(zip(*columns))
+    key = tuple(c.digest for c in columns)
+    table = memo.get(key)
+    if table is None:
+        reverse = memo.get(key[::-1]) if len(key) == 2 else None
+        table = memo[key] = (Counter(zip(*columns)) if reverse is None
+                             else Counter({(b, a): c for (a, b), c in reverse.items()}))
+    return table
+
+
 # --- predicates -----------------------------------------------------------
 
 #: comparator -> (its symbol in a label, the test a present cell passes)
@@ -406,16 +448,19 @@ def select_where(dataset: Dataset, predicate: Predicate) -> set[int]:
 
 
 def count_where(dataset: Dataset, predicate: Predicate) -> int:
-    """``len(select_where(dataset, predicate))``, counted without building
-    the row set: a first term narrows the last term's column to its rows."""
-    *narrowing, (last, target) = [(t, _target(dataset, t)) for t in predicate.terms]
-    cells = dataset.column(last.attribute)
-    for first, first_target in narrowing:  # at most one narrowing term
-        cells = list(compress(cells, _satisfies(first, first_target,
-                                                dataset.column(first.attribute))))
-    if last.comparator == "eq":
-        return cells.count(target)
-    return sum(_satisfies(last, target, cells))
+    """``len(select_where(dataset, predicate))``, read off the :func:`tally`
+    of the predicate's columns: the rows of every value tuple that satisfies
+    each term, where a missing cell never does. A predicate of equality terms
+    on distinct columns is one lookup."""
+    attributes = predicate.attributes()
+    tests = [(attributes.index(t.attribute), _COMPARATORS[t.comparator][1], _target(dataset, t))
+             for t in predicate.terms]
+    table = tally(*map(dataset.column, attributes))
+    if len(tests) == len(attributes) and all(test is operator.eq for _, test, _ in tests):
+        return table[tuple(target for _, _, target in tests)]
+    return sum(c for values, c in table.items()
+               if all(values[i] is not None and test(values[i], target)
+                      for i, test, target in tests))
 
 
 def unit_scale(values: Sequence[float]) -> float:

@@ -9,6 +9,7 @@ the best violation it achieved. Seeded kinds are deterministic per
 from __future__ import annotations
 
 import math
+import operator
 import random
 import statistics
 import struct
@@ -428,7 +429,7 @@ def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, repair: Repair) -> 
     changed = 0
     for before, after in zip(dataset.columns, result.columns):
         if before != after:
-            changed = sum(1 for a, b in zip(before, after) if a != b)
+            changed = sum(map(operator.ne, before, after))
             break
     return changed / dataset.row_count
 

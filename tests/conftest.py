@@ -6,12 +6,28 @@ import math
 import random
 import string
 import sys
+from collections import Counter
+from itertools import compress
 from pathlib import Path
 
 import pytest
 
-from datacause.errors import CsvParseError, SchemaError
-from datacause.tabular import MISSING_LITERALS, ColumnType, Dataset, from_columns, load_csv
+from datacause.engine import EngineConfig, _Run
+from datacause.errors import CsvParseError, DatacauseError, SchemaError
+from datacause.profiles import joint_counts
+from datacause.tabular import (
+    MISSING_LITERALS,
+    TALLIES,
+    ColumnType,
+    Dataset,
+    Predicate,
+    Term,
+    _satisfies,
+    _target,
+    count_where,
+    from_columns,
+    load_csv,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -180,3 +196,90 @@ def csv_writer_bytes(dataset: Dataset) -> bytes:
     csv.writer(out).writerows(rows)
     text = out.getvalue()
     return (text.replace(_NUL_STAND_IN, "\0") if stand_in else text).encode("utf-8")
+
+
+# --- counting, one call at a time: the references that datacause.tabular's
+# run-shared tally must equal through count_where and profiles.joint_counts
+
+
+def narrowing_count_where(dataset: Dataset, predicate: Predicate) -> int:
+    """``count_where`` counted on the cells: a first term narrows the last
+    term's column to its rows."""
+    *narrowing, (last, target) = [(t, _target(dataset, t)) for t in predicate.terms]
+    cells = dataset.column(last.attribute)
+    for first, first_target in narrowing:
+        cells = list(compress(cells, _satisfies(first, first_target,
+                                                dataset.column(first.attribute))))
+    if last.comparator == "eq":
+        return cells.count(target)
+    return sum(_satisfies(last, target, cells))
+
+
+def filtered_joint_counts(left, right) -> Counter:
+    """``joint_counts`` as a fresh ``Counter(zip(...))`` with the pairs that
+    hold a missing cell deleted."""
+    table = Counter(zip(left, right))
+    for pair in [pair for pair in table if None in pair]:
+        del table[pair]
+    return table
+
+
+#: the columns of the counting checks, the cells each type draws from (missing,
+#: repeated, and 0.0 beside -0.0 and 1 beside 1.0), and the attributes,
+#: comparators and values their terms draw from: equal targets across types,
+#: text, a missing value, an int beyond the float range and an unknown attribute
+COUNT_COLUMNS = (("x", ColumnType.NUMERICAL), ("y", ColumnType.NUMERICAL),
+                 ("c", ColumnType.CATEGORICAL), ("d", ColumnType.CATEGORICAL),
+                 ("t", ColumnType.TEXT))
+COUNT_CELLS = {ColumnType.NUMERICAL: (None, 0.0, -0.0, 1, 1.0, 2.5, -3.0),
+               ColumnType.CATEGORICAL: (None, "a", "b", "", "0.0"),
+               ColumnType.TEXT: (None, "a", "b b", "0.0")}
+COUNT_TERMS = (("x", "y", "c", "d", "t", "nope"), ("eq", "le", "ge"),
+               (0.0, -0.0, 1, 1.0, True, 2.5, -3.0, "a", "b", "", "0.0", None, 10 ** 400))
+#: two terms on one attribute, -0.0 targets, one pair in both orders and an
+#: ordered term on a categorical column
+COUNT_PREDICATES = tuple(Predicate(terms) for terms in (
+    (Term("x", "le", 1.0), Term("x", "ge", -0.0)),
+    (Term("c", "eq", "a"), Term("c", "eq", "a")),
+    (Term("c", "eq", "a"), Term("c", "eq", "b")),
+    (Term("x", "eq", -0.0),),
+    (Term("x", "eq", 0), Term("x", "eq", -0.0)),
+    (Term("c", "eq", "a"), Term("d", "eq", "b")),
+    (Term("d", "eq", "b"), Term("c", "eq", "a")),
+    (Term("y", "ge", 1), Term("c", "eq", "")),
+    (Term("c", "le", 1.0), Term("x", "eq", 1.0)),
+))
+
+
+def _outcome(count, *args):
+    try:
+        return count(*args)
+    except DatacauseError as exc:
+        return type(exc), str(exc)
+
+
+def assert_counts_match_the_references(dataset: Dataset, predicates) -> None:
+    """``count_where`` and ``joint_counts`` give the references' counts, items
+    and item order, or the same error, outside an engine run and inside two.
+    In each run every predicate is counted twice and every pair of columns in
+    both orientations, the one first in one run and the other in the other,
+    so that later calls are served from the run's tallies, some transposed."""
+    pairs = [(a, b) for a in dataset.attributes for b in dataset.attributes]
+    expected = [_outcome(narrowing_count_where, dataset, p) for p in predicates]
+    tables = [list(filtered_joint_counts(dataset.column(a), dataset.column(b)).items())
+              for a, b in pairs]
+
+    def check_counts():
+        assert [_outcome(count_where, dataset, p) for p in predicates] == expected
+
+    def check_tables():
+        assert [list(joint_counts(dataset.column(a), dataset.column(b)).items())
+                for a, b in pairs] == tables
+
+    check_counts()
+    check_tables()
+    for order in ((check_counts, check_tables), (check_tables, check_counts)):
+        with _Run(None, EngineConfig(tau=0.5)):
+            for check in order * 2:
+                check()
+        assert TALLIES.get() is None

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 from functools import partial
 
 import pytest
 
 from conftest import missing_columns_pair, random_dataset
 import datacause.engine as engine
+import datacause.tabular as tabular
 import datacause.transforms as transforms
 from datacause.cli import main as cli_main
 from datacause.engine import (
@@ -20,6 +23,7 @@ from datacause.engine import (
 from datacause.errors import (
     DegenerateInputError,
     NoExplanationFound,
+    OracleError,
     SchemaError,
     TransformFailure,
     ValidationError,
@@ -40,8 +44,10 @@ from datacause.synth import (
     ScenarioSpec,
     adversarial_rank_scenario,
     build_builtin_oracle,
+    builtin_oracle,
     generate,
     generate_paired,
+    ground_truth,
 )
 from datacause.tabular import ColumnType, Predicate, Term, from_columns, save_csv
 from datacause.transforms import compose, coverage, make_triplets
@@ -1153,3 +1159,127 @@ def test_decision_tree_reads_a_violation_error_as_unsatisfied(monkeypatch):
     assert raised
     assert result.triplet_ids() == ("missing_rate(b)#impute",)
     assert result.interventions == 1
+
+
+# --- the run's tallies -------------------------------------------------------
+
+
+def _scoring(d_pass, d_fail, other, seen):
+    """An oracle passing ``d_pass``, failing ``d_fail`` and giving ``other``
+    to every other dataset, noting whether a run's tallies were open."""
+    def score(dataset):
+        seen.append(tabular.TALLIES.get() is not None)
+        return {d_pass.fingerprint: 0.0, d_fail.fingerprint: 0.9}.get(dataset.fingerprint, other)
+    return CallableOracle(score)
+
+
+@pytest.mark.parametrize("other, raised", [
+    (0.0, None), (0.9, NoExplanationFound), (2.0, OracleError)])
+def test_tallies_are_open_only_while_an_explain_runs(other, raised):
+    d_pass, d_fail, _ = generate(income_spec(1, with_skew=True))
+    seen = []
+    oracle = _scoring(d_pass, d_fail, other, seen)
+    config = EngineConfig(tau=0.3, seed=1)
+    if raised is None:
+        explain(d_pass, d_fail, oracle, config)
+    else:
+        with pytest.raises(raised):
+            explain(d_pass, d_fail, oracle, config)
+    assert tabular.TALLIES.get() is None
+    # the baselines are scored before the run opens, every intervention inside it
+    assert seen[:2] == [False, False] and len(seen) > 2 and all(seen[2:])
+    with pytest.raises(ValidationError):
+        explain(d_fail, d_fail, oracle, config)
+    assert tabular.TALLIES.get() is None
+
+
+def test_the_tree_and_the_minimality_scan_open_tallies_for_their_run_only():
+    d_pass, d_fail, _ = generate(income_spec(1, with_skew=True))
+    config = EngineConfig(tau=0.3, seed=1)
+    for search in (
+            lambda oracle: decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail,
+                                                 oracle, config),
+            lambda oracle: make_minimal(discriminative_pvts(d_pass, d_fail)[:3], d_fail,
+                                        oracle, config)):
+        seen = []
+        search(_scoring(d_pass, d_fail, 0.0, seen))
+        assert tabular.TALLIES.get() is None
+        assert seen[0] is False and len(seen) > 1 and all(seen[1:])
+
+
+def test_a_run_counts_each_column_tuple_once_and_a_second_run_counts_them_again(monkeypatch):
+    built = []
+
+    class CountingCounter(Counter):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tabular, "Counter", CountingCounter)
+    spec = income_spec(1, with_skew=True)
+    d_pass, d_fail, _ = generate(spec)
+    config = EngineConfig(tau=spec.tau, seed=spec.seed)
+    counts = []
+    for _ in range(2):
+        built.clear()
+        explain(d_pass, d_fail, builtin_oracle(ground_truth(spec)["oracle"]), config)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+    built.clear()
+    discriminative_pvts(d_pass, d_fail)
+    unshared = len(built)
+    built.clear()
+    with engine._Run(None, config):
+        discriminative_pvts(d_pass, d_fail)
+        assert len(built) == len(tabular.TALLIES.get()) < unshared
+
+
+#: the first scenario of the gt-wide and greedy-deps benchmark pools at seed 0,
+#: per search: (triplet ids, interventions, repaired fingerprint), or the error
+#: class and message, and the sha256 of the log's JSON
+BENCHMARK_SCALE = {
+    "gt-wide": (ScenarioSpec("domain-remap", (PlantedCause("domain", "target"),), n_rows=260,
+                             seed=0, decoys=125), {
+        "greedy": ((("domain_categorical(target)#remap",), 1,
+                    "5bf628757ad66cd670d705a0b207442762ac91570ba7758134ac5a87aed017a6"),
+                   "ff73f8fd58f1b2c604078eb2c1eadecb7bae9926b5e13df2a8fc59f479f163a3"),
+        "group_test": ((("domain_categorical(target)#remap",), 9,
+                        "5bf628757ad66cd670d705a0b207442762ac91570ba7758134ac5a87aed017a6"),
+                       "04dc8cfb71ea304c022b9c830df5a817bd7960587277cec0fc09a2bfe9defee5"),
+        "group_test_random": ((("domain_categorical(target)#remap",), 9,
+                               "5bf628757ad66cd670d705a0b207442762ac91570ba7758134ac5a87aed017a6"),
+                              "04dc8cfb71ea304c022b9c830df5a817bd7960587277cec0fc09a2bfe9defee5"),
+    }),
+    "greedy-deps": (ScenarioSpec("dependence-bias", (PlantedCause("dependence", "target"),
+                                                     PlantedCause("selectivity", "usage_class")),
+                                 n_rows=2000, seed=0, tau=0.3), {
+        "greedy": ((("chi_square_dependence(c3,target)#shuffle",
+                     "selectivity(usage_class=hi)#resample"), 3,
+                    "e1331b59b1ecc25edc464a99bcc6164512576eb3cc467dae511edc08d3cc78ca"),
+                   "a469f46ff4afe58918f54e45492246014dc0371b098503c2cf96a0e52947dd43"),
+        "group_test": (("NoExplanationFound", "collected repairs only reach 0.4726, above tau 0.3"),
+                       "ab516331fce39a7146b511e4e45a7ad5e4b680665287394f8ec1e3a03f15c2dc"),
+        "group_test_random": ((("selectivity(c2=v&target=neg)#resample",
+                                "selectivity(c3=v&usage_class=lo)#resample",
+                                "chi_square_dependence(c4,target)#shuffle"), 12,
+                               "512b1723221c6081324d0a6d0a0728ebd3ee24297729ed66ebcf4da8a0ba84a5"),
+                              "f2e9bf3816695f8adbab42f9bf0bd439be2cb2fd37ff2e0458065906b8b92734"),
+    }),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_SCALE))
+def test_benchmark_scale_explanations_are_pinned(workload):
+    spec, pinned = BENCHMARK_SCALE[workload]
+    d_pass, d_fail, _ = generate(spec)
+    for algorithm, expected in pinned.items():
+        config = EngineConfig(tau=spec.tau, seed=spec.seed, algorithm=algorithm)
+        try:
+            result = explain(d_pass, d_fail, builtin_oracle(ground_truth(spec)["oracle"]), config)
+        except NoExplanationFound as exc:
+            outcome, log = (type(exc).__name__, str(exc)), exc.log
+        else:
+            outcome = (result.triplet_ids(), result.interventions, result.repaired_fingerprint)
+            log = result.log
+        digest = hashlib.sha256(json.dumps(log.to_json_dict(), sort_keys=True).encode()).hexdigest()
+        assert (outcome, digest) == expected, algorithm

@@ -18,6 +18,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
+    COUNT_CELLS,
+    COUNT_COLUMNS,
+    COUNT_PREDICATES,
+    COUNT_TERMS,
+    assert_counts_match_the_references,
     csv_writer_bytes,
     divmod_token,
     per_call_decoy_draws,
@@ -240,6 +245,19 @@ def test_count_where_is_the_size_of_select_where(data):
     ])
     predicate = Predicate(tuple(data.draw(st.lists(_TERMS, min_size=1, max_size=2))))
     assert count_where(dataset, predicate) == len(select_where(dataset, predicate))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_run_shared_tallies_count_as_the_per_call_references(data):
+    n = data.draw(st.integers(0, 15))
+    dataset = from_columns([
+        (name, ctype, data.draw(st.lists(st.sampled_from(COUNT_CELLS[ctype]),
+                                         min_size=n, max_size=n)))
+        for name, ctype in COUNT_COLUMNS])
+    terms = st.lists(st.builds(Term, *map(st.sampled_from, COUNT_TERMS)), min_size=1, max_size=2)
+    predicates = data.draw(st.lists(terms.map(lambda ts: Predicate(tuple(ts))), max_size=6))
+    assert_counts_match_the_references(dataset, predicates + list(COUNT_PREDICATES))
 
 
 #: values that compare equal across types (1, 1.0, True; 0.0, -0.0) and text

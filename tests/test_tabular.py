@@ -8,7 +8,15 @@ import sys
 
 import pytest
 
-from conftest import csv_writer_bytes, per_cell_load_csv
+from conftest import (
+    COUNT_CELLS,
+    COUNT_COLUMNS,
+    COUNT_PREDICATES,
+    COUNT_TERMS,
+    assert_counts_match_the_references,
+    csv_writer_bytes,
+    per_cell_load_csv,
+)
 from datacause.errors import (
     ColumnTypeError,
     CsvParseError,
@@ -503,3 +511,32 @@ def test_save_csv_writes_a_text_cell_holding_nul_unquoted(tmp_path):
                             ("n", ColumnType.NUMERICAL, [1.5, None])])
     save_csv(dataset, tmp_path / "nul.csv")
     assert (tmp_path / "nul.csv").read_bytes() == b"note,n\r\na\x00b,1.5\r\n,\r\n"
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_run_shared_tallies_count_as_the_per_call_references_on_seeded_datasets(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 15)
+    dataset = from_columns([(name, ctype, [rng.choice(COUNT_CELLS[ctype]) for _ in range(n)])
+                            for name, ctype in COUNT_COLUMNS])
+    predicates = [Predicate(tuple(Term(*map(rng.choice, COUNT_TERMS))
+                                  for _ in range(rng.randint(1, 2))))
+                  for _ in range(8)]
+    assert_counts_match_the_references(dataset, predicates + list(COUNT_PREDICATES))
+
+
+@pytest.mark.parametrize("ctype", [ColumnType.CATEGORICAL, ColumnType.TEXT])
+@pytest.mark.parametrize("cell", ["\ud800", "x\udcff"])
+def test_a_cell_holding_a_lone_surrogate_raises_column_type_error_naming_its_column(
+        ctype, cell):
+    # the fingerprint hashes cells as UTF-8, which a lone surrogate has no form in
+    with pytest.raises(ColumnTypeError, match=f"{ctype.value} column 'note' holds a cell"):
+        from_columns([("note", ctype, ["ok", cell])])
+    dataset = from_columns([("note", ctype, ["ok", "fine"])])
+    with pytest.raises(ColumnTypeError, match="column 'note' holds a cell"):
+        dataset.with_column("note", [None, cell])
+
+
+def test_an_attribute_named_by_a_lone_surrogate_raises_schema_error_naming_it():
+    with pytest.raises(SchemaError, match=r"attribute name '\\ud800' has no UTF-8 form"):
+        from_columns([("ok", ColumnType.TEXT, ["a"]), ("\ud800", ColumnType.TEXT, ["b"])])
