@@ -34,7 +34,7 @@ from .graph import attribute_degrees, attribute_graph_to_dot
 from .oracle import ExternalOracleSpec, MalfunctionOracle, SubprocessOracle
 from .profiles import discover_profiles, violation
 from .synth import ScenarioSpec, builtin_oracle, generate, ground_truth
-from .tabular import load_csv, save_csv
+from .tabular import TallyScope, load_csv, save_csv
 from .transforms import coverage
 
 REPORT_SCHEMA_VERSION = 1
@@ -135,7 +135,8 @@ def _run_report(args, body) -> int:
 
     The one place that builds a report, maps an error to its exit code,
     writes ``--report`` and prints. ``human`` is the list of ``--human``
-    lines, or None for JSON output; the body sets ``report["config"]``.
+    lines, or None for JSON output; the body sets ``report["config"]``. The
+    body runs in one :class:`TallyScope`, so it counts each column tuple once.
     """
     started = time.monotonic()
     report = {
@@ -146,7 +147,8 @@ def _run_report(args, body) -> int:
     }
     human: list[str] | None = [] if args.human else None
     try:
-        body(args, report, human)
+        with TallyScope():
+            body(args, report, human)
     except (DatacauseError, OSError) as exc:
         report["exit_status"] = next(code for kinds, code in _EXIT_CODES
                                      if isinstance(exc, kinds))

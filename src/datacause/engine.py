@@ -37,7 +37,7 @@ from .profiles import (
     enumerate_selectivity_predicates,
     violation,
 )
-from .tabular import TALLIES, Dataset
+from .tabular import Dataset, TallyScope
 from .transforms import (
     POSTCONDITION_TOL,
     PvtTriplet,
@@ -148,7 +148,7 @@ class Explanation:
         }
 
 
-class _Run:
+class _Run(TallyScope):
     """Per-run state: the run's interventions, their budget and their log,
     and the repairs it has made.
 
@@ -163,10 +163,8 @@ class _Run:
     the learned parameters and the perturbed attribute; seed and overrides
     are the run's. A run given the ``repairs`` of another shares them.
 
-    Entered, the run also counts each tuple of dataset columns once: it
-    opens :data:`~datacause.tabular.TALLIES` for every
-    :func:`~datacause.tabular.tally` made inside it, and closes it on exit,
-    so nothing counted outlives the run.
+    A run is a :class:`~datacause.tabular.TallyScope`: entered, it counts
+    each tuple of dataset columns once, and nothing counted outlives it.
     """
 
     def __init__(self, oracle: MalfunctionOracle, config: EngineConfig,
@@ -179,12 +177,8 @@ class _Run:
         # members of group evaluations that failed to reduce, for A3 diagnostics
         self._flat_members: set[str] = set()
 
-    def __enter__(self) -> "_Run":
-        self._tallies = TALLIES.set({})
-        return self
-
     def __exit__(self, exc_type, exc, traceback) -> None:
-        TALLIES.reset(self._tallies)
+        super().__exit__(exc_type, exc, traceback)
         if isinstance(exc, (NoExplanationFound, OracleError)):
             exc.log = self.log
 

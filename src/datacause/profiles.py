@@ -604,17 +604,16 @@ def enumerate_selectivity_predicates(d_pass: Dataset, d_fail: Dataset) -> list[P
         """Per dataset, the number of rows taking each value combination of ``group``."""
         return [tally(*map(d.column, group)) for d in (d_pass, d_fail)]
 
-    singles = {(a,): tallies((a,)) for a, t in sorted(d_pass.schema)
-               if t is ColumnType.CATEGORICAL}
     eligible: dict[str, list[str]] = {}
-    for (a,), (c_pass, c_fail) in singles.items():
+    for a in sorted(a for a, t in d_pass.schema if t is ColumnType.CATEGORICAL):
+        c_pass, c_fail = tallies((a,))
         keep = sorted(v for (v,), c in c_pass.items() if v is not None
                       and c / n_pass >= MIN_SUPPORT and c_fail[(v,)] / n_fail >= MIN_SUPPORT)
         if keep:
             eligible[a] = keep
     out: list[Predicate] = []
     for group in [(a,) for a in eligible] + list(combinations(eligible, 2)):
-        c_pass, c_fail = singles.get(group) or tallies(group)
+        c_pass, c_fail = tallies(group)
         for values in product(*(eligible[a] for a in group)):
             if abs(c_pass[values] / n_pass - c_fail[values] / n_fail) >= SELECTIVITY_GAP:
                 out.append(Predicate(tuple(Term(a, "eq", v) for a, v in zip(group, values))))

@@ -156,11 +156,9 @@ def _fixed_width_token(index: int) -> str:
             + p[index // 676 ** 3 % 676] + p[index // 676 ** 4 % 676])
 
 
-def _mask_cells(rng: random.Random, cells: list, count: int,
-                protected: set[int] = frozenset()) -> list:
-    eligible = [i for i in range(len(cells)) if i not in protected]
+def _mask_cells(rng: random.Random, cells: list, count: int) -> list:
     out = list(cells)
-    for i in rng.sample(eligible, count):
+    for i in rng.sample(range(len(cells)), count):
         out[i] = None
     return out
 
@@ -394,9 +392,9 @@ def _note_columns(rng: random.Random, name: str, n_rows: int, short_fraction: fl
 
 
 def _two_point_column(name: str, n_rows: int, rng: random.Random):
-    cells = _alternating(n_rows, 0.0, 100.0)
+    cells = _alternating(n_rows, 0.0, 100.0)  # both values stay in the failing column
     return _pair(name, ColumnType.NUMERICAL, cells,
-                 _mask_cells(rng, cells, max(2, n_rows // 10), protected={0, 1}))
+                 cells[:2] + _mask_cells(rng, cells[2:], max(2, n_rows // 10)))
 
 
 def _numbered(name: str, prefix: str, width: int, count: int) -> bool:

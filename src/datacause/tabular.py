@@ -148,7 +148,7 @@ class Dataset:
     attributes: tuple[str, ...]
     types: tuple[ColumnType, ...]
     columns: tuple[tuple[Cell, ...], ...]
-    fingerprint: str = field(default="", compare=False)
+    fingerprint: str = field(init=False, compare=False)
 
     def __post_init__(self):
         schema, columns = self.attributes, self.columns
@@ -325,18 +325,29 @@ def save_csv(dataset: Dataset, path) -> None:
 
 # --- tallies --------------------------------------------------------------
 
-#: the tallies an engine run has counted, keyed by the digests of their
-#: columns; ``None`` outside a run. The run sets it and resets it on exit, so
-#: nothing counted outlives the run.
+#: the tallies counted in the innermost open :class:`TallyScope`, keyed by
+#: the digests of their columns; ``None`` outside every scope
 TALLIES: ContextVar[dict[tuple[bytes, ...], Counter] | None] = ContextVar("TALLIES",
                                                                          default=None)
+
+
+class TallyScope:
+    """Entered, counts each :func:`tally` of dataset columns once until its
+    exit drops them; an inner scope counts afresh until its own exit."""
+
+    def __enter__(self):
+        self._outer = TALLIES.set({})
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        TALLIES.reset(self._outer)
 
 
 def tally(*columns: Sequence[Cell]) -> Counter:
     """``Counter(zip(*columns))``: the rows taking each value tuple of
     ``columns``, in the order each tuple first occurs.
 
-    Within a run (:data:`TALLIES`), the tally of dataset columns is counted
+    Within a :class:`TallyScope`, the tally of dataset columns is counted
     once and then shared: equal digests mean equal cells, and a pair's tally
     is served transposed from its reverse, which keeps the first-occurrence
     order. So the result must never be changed. A column that is a plain
@@ -430,37 +441,37 @@ def _target(dataset: Dataset, term: Term) -> Cell:
                               "int beyond the float range") from None
 
 
-def _satisfies(term: Term, target: Cell, cells: Sequence[Cell]) -> Iterable[bool]:
-    """Per cell of ``cells`` (of the term's column), whether it satisfies
-    ``term``, whose target is ``target``; a missing cell never does."""
-    compare = _COMPARATORS[term.comparator][1]
-    if compare is operator.eq:  # no target equals a missing cell
-        return map(compare, cells, repeat(target))
-    return (v is not None and compare(v, target) for v in cells)
+def _where(dataset: Dataset, predicate: Predicate):
+    """``(columns, table, targets, satisfies)``: the predicate's distinct
+    columns, their :func:`tally`, each term's target (worked out first, so a
+    bad term raises before a column is read), and whether a value tuple of
+    the columns satisfies every term, where a missing cell never does."""
+    targets = [_target(dataset, t) for t in predicate.terms]
+    attributes = predicate.attributes()
+    tests = [(attributes.index(t.attribute), _COMPARATORS[t.comparator][1], target)
+             for t, target in zip(predicate.terms, targets)]
+    columns = list(map(dataset.column, attributes))
+    return columns, tally(*columns), targets, lambda values: all(
+        values[i] is not None and test(values[i], target) for i, test, target in tests)
 
 
 def select_where(dataset: Dataset, predicate: Predicate) -> set[int]:
-    """Indices of rows satisfying every term; missing tested cells never satisfy."""
-    targets = [_target(dataset, term) for term in predicate.terms]
-    return set.intersection(*(
-        set(compress(count(), _satisfies(t, target, dataset.column(t.attribute))))
-        for t, target in zip(predicate.terms, targets)))
+    """Indices of rows satisfying every term; missing tested cells never
+    satisfy. Each distinct value tuple of the :func:`tally` is tested once."""
+    columns, table, _, satisfies = _where(dataset, predicate)
+    hits = set(filter(satisfies, table))
+    return set(compress(count(), map(hits.__contains__, zip(*columns))))
 
 
 def count_where(dataset: Dataset, predicate: Predicate) -> int:
     """``len(select_where(dataset, predicate))``, read off the :func:`tally`
     of the predicate's columns: the rows of every value tuple that satisfies
-    each term, where a missing cell never does. A predicate of equality terms
-    on distinct columns is one lookup."""
-    attributes = predicate.attributes()
-    tests = [(attributes.index(t.attribute), _COMPARATORS[t.comparator][1], _target(dataset, t))
-             for t in predicate.terms]
-    table = tally(*map(dataset.column, attributes))
-    if len(tests) == len(attributes) and all(test is operator.eq for _, test, _ in tests):
-        return table[tuple(target for _, _, target in tests)]
-    return sum(c for values, c in table.items()
-               if all(values[i] is not None and test(values[i], target)
-                      for i, test, target in tests))
+    each term. A predicate of equality terms on distinct columns is one
+    lookup."""
+    columns, table, targets, satisfies = _where(dataset, predicate)
+    if len(targets) == len(columns) and all(t.comparator == "eq" for t in predicate.terms):
+        return table[tuple(targets)]
+    return sum(c for values, c in table.items() if satisfies(values))
 
 
 def unit_scale(values: Sequence[float]) -> float:

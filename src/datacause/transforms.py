@@ -311,8 +311,9 @@ def _balanced_reassignment(groups: dict[str, list[int]], values: list[str],
 
 def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> Dataset:
     """Shuffle ever larger seeded samples of the target column, then fall
-    back to its most balanced permutation. Each attempt is scored on its
-    column; only the one returned becomes a dataset."""
+    back to its most balanced permutation against the anchor attribute. One
+    loop scores each candidate column and builds a dataset only for the
+    first it accepts."""
     profile = triplet.profile
     best = violation(dataset, profile)
     if best <= POSTCONDITION_TOL:
@@ -322,40 +323,36 @@ def _decorrelate_chi2(dataset: Dataset, triplet: PvtTriplet, seed: int, **_) -> 
     n = dataset.row_count
     source = dataset.column(target)
 
-    def stat_of(column: list) -> float:
-        return chi_square_from_counts(joint_counts(anchor, column))
-
-    if profile.limit > 1e-12:
-        fraction = 0.125
-        for attempt in range(MAX_ITERATIONS):
-            rng = random.Random(_derive_seed(seed, "chi2", profile.label(), str(attempt)))
-            k = max(2, min(n, round(fraction * n)))
-            picked = rng.sample(range(n), k)
-            cells = [source[i] for i in picked]
-            rng.shuffle(cells)
+    def candidates():
+        if profile.limit > 1e-12:
+            fraction = 0.125
+            for attempt in range(MAX_ITERATIONS):
+                rng = random.Random(_derive_seed(seed, "chi2", profile.label(), str(attempt)))
+                k = max(2, min(n, round(fraction * n)))
+                picked = rng.sample(range(n), k)
+                cells = [source[i] for i in picked]
+                rng.shuffle(cells)
+                column = list(source)
+                for i, v in zip(picked, cells):
+                    column[i] = v
+                yield column
+                fraction = min(1.0, fraction * 2)
+        rng = random.Random(_derive_seed(seed, "chi2-balance", profile.label()))
+        groups: dict[str, list[int]] = {}
+        values: list[str] = []
+        for i, (a, b) in enumerate(zip(anchor, source)):
+            if a is None or b is None:
+                continue
+            groups.setdefault(a, []).append(i)
+            values.append(b)
+        if values:
             column = list(source)
-            for i, v in zip(picked, cells):
+            for i, v in _balanced_reassignment(groups, values, rng).items():
                 column[i] = v
-            stat = stat_of(column)
-            if stat <= profile.limit + 1e-12:
-                return dataset.with_column(target, column)
-            best = min(best, profile.violation_at(stat))
-            fraction = min(1.0, fraction * 2)
-    # deterministic fallback: rearrange the column into the most balanced
-    # permutation against the anchor attribute
-    rng = random.Random(_derive_seed(seed, "chi2-balance", profile.label()))
-    groups: dict[str, list[int]] = {}
-    values: list[str] = []
-    for i, (a, b) in enumerate(zip(anchor, source)):
-        if a is None or b is None:
-            continue
-        groups.setdefault(a, []).append(i)
-        values.append(b)
-    if values:
-        column = list(source)
-        for i, v in _balanced_reassignment(groups, values, rng).items():
-            column[i] = v
-        stat = stat_of(column)
+            yield column
+
+    for column in candidates():
+        stat = chi_square_from_counts(joint_counts(anchor, column))
         if stat <= profile.limit + 1e-12:
             return dataset.with_column(target, column)
         best = min(best, profile.violation_at(stat))

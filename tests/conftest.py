@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import random
 import string
 import sys
@@ -12,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from datacause.engine import EngineConfig, _Run
 from datacause.errors import CsvParseError, DatacauseError, SchemaError
 from datacause.profiles import joint_counts
 from datacause.tabular import (
@@ -21,12 +21,13 @@ from datacause.tabular import (
     ColumnType,
     Dataset,
     Predicate,
+    TallyScope,
     Term,
-    _satisfies,
     _target,
     count_where,
     from_columns,
     load_csv,
+    select_where,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -199,7 +200,15 @@ def csv_writer_bytes(dataset: Dataset) -> bytes:
 
 
 # --- counting, one call at a time: the references that datacause.tabular's
-# run-shared tally must equal through count_where and profiles.joint_counts
+# scope-shared tally must equal through count_where, select_where and
+# profiles.joint_counts
+
+
+def _cell_tests(term: Term, target, cells) -> list[bool]:
+    """Per cell of ``cells``, whether it satisfies ``term``, whose target is
+    ``target``; a missing cell never does."""
+    compare = {"eq": operator.eq, "le": operator.le, "ge": operator.ge}[term.comparator]
+    return [v is not None and compare(v, target) for v in cells]
 
 
 def narrowing_count_where(dataset: Dataset, predicate: Predicate) -> int:
@@ -208,11 +217,11 @@ def narrowing_count_where(dataset: Dataset, predicate: Predicate) -> int:
     *narrowing, (last, target) = [(t, _target(dataset, t)) for t in predicate.terms]
     cells = dataset.column(last.attribute)
     for first, first_target in narrowing:
-        cells = list(compress(cells, _satisfies(first, first_target,
-                                                dataset.column(first.attribute))))
+        cells = list(compress(cells, _cell_tests(first, first_target,
+                                                 dataset.column(first.attribute))))
     if last.comparator == "eq":
         return cells.count(target)
-    return sum(_satisfies(last, target, cells))
+    return sum(_cell_tests(last, target, cells))
 
 
 def filtered_joint_counts(left, right) -> Counter:
@@ -259,18 +268,20 @@ def _outcome(count, *args):
 
 
 def assert_counts_match_the_references(dataset: Dataset, predicates) -> None:
-    """``count_where`` and ``joint_counts`` give the references' counts, items
-    and item order, or the same error, outside an engine run and inside two.
-    In each run every predicate is counted twice and every pair of columns in
-    both orientations, the one first in one run and the other in the other,
-    so that later calls are served from the run's tallies, some transposed."""
+    """``count_where``, the size of ``select_where`` and ``joint_counts`` give
+    the references' counts, items and item order, or the same error, outside
+    a tally scope and inside two. In each scope every predicate is counted
+    twice and every pair of columns in both orientations, the one first in
+    one scope and the other in the other, so that later calls are served from
+    the scope's tallies, some transposed."""
     pairs = [(a, b) for a in dataset.attributes for b in dataset.attributes]
     expected = [_outcome(narrowing_count_where, dataset, p) for p in predicates]
     tables = [list(filtered_joint_counts(dataset.column(a), dataset.column(b)).items())
               for a, b in pairs]
 
     def check_counts():
-        assert [_outcome(count_where, dataset, p) for p in predicates] == expected
+        for where in (count_where, lambda d, p: len(select_where(d, p))):
+            assert [_outcome(where, dataset, p) for p in predicates] == expected
 
     def check_tables():
         assert [list(joint_counts(dataset.column(a), dataset.column(b)).items())
@@ -279,7 +290,7 @@ def assert_counts_match_the_references(dataset: Dataset, predicates) -> None:
     check_counts()
     check_tables()
     for order in ((check_counts, check_tables), (check_tables, check_counts)):
-        with _Run(None, EngineConfig(tau=0.5)):
+        with TallyScope():
             for check in order * 2:
                 check()
         assert TALLIES.get() is None

@@ -7,11 +7,13 @@ import stat
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import datacause.cli
+from datacause import tabular
 from datacause.cli import main
 from datacause.errors import DatacauseError
 from datacause.synth import PlantedCause, ScenarioSpec, generate
@@ -328,6 +330,30 @@ def test_diff_people(capsys):
     assert report["dot"].startswith("graph pvt_attributes {")
     for row in report["discriminative"]:
         assert 0.0 <= row["violation"] <= 1.0
+
+
+def test_diff_counts_each_column_tuple_once(capsys, monkeypatch):
+    """``diff`` counts in one tally scope: every tally is built inside it,
+    and the scope keeps one build per tuple of dataset columns. The dry runs
+    of its dependence repairs count plain lists, which are never kept."""
+    built = []
+
+    class CountingCounter(Counter):
+        def __init__(self, *args):
+            built.append((tabular.TALLIES.get(), self))
+            super().__init__(*args)
+
+    monkeypatch.setattr(tabular, "Counter", CountingCounter)
+    code, report = run(capsys, [
+        "diff",
+        "--pass", str(FIXTURES / "people_pass.csv"),
+        "--fail", str(FIXTURES / "people_fail.csv"),
+    ])
+    assert code == 0 and report["discriminative"]
+    memo = built[0][0]
+    assert memo and all(scope is memo for scope, _ in built)
+    kept = [table for _, table in built if any(table is t for t in memo.values())]
+    assert len(kept) == len(memo) < len(built)
 
 
 def test_diff_reports_no_coverage_nor_benefit_where_coverage_raises(capsys, monkeypatch):

@@ -1229,7 +1229,7 @@ def test_a_run_counts_each_column_tuple_once_and_a_second_run_counts_them_again(
     discriminative_pvts(d_pass, d_fail)
     unshared = len(built)
     built.clear()
-    with engine._Run(None, config):
+    with tabular.TallyScope():
         discriminative_pvts(d_pass, d_fail)
         assert len(built) == len(tabular.TALLIES.get()) < unshared
 

@@ -25,9 +25,11 @@ from datacause.errors import (
     SchemaError,
 )
 from datacause.tabular import (
+    TALLIES,
     ColumnType,
     Dataset,
     Predicate,
+    TallyScope,
     Term,
     from_columns,
     infer_types,
@@ -37,6 +39,7 @@ from datacause.tabular import (
     count_where,
     save_csv,
     select_where,
+    tally,
 )
 
 
@@ -523,6 +526,17 @@ def test_run_shared_tallies_count_as_the_per_call_references_on_seeded_datasets(
                                   for _ in range(rng.randint(1, 2))))
                   for _ in range(8)]
     assert_counts_match_the_references(dataset, predicates + list(COUNT_PREDICATES))
+
+
+def test_tally_scopes_nest_and_each_exit_brings_back_the_tallies_before_it(people_fail):
+    column = people_fail.column("gender")
+    with TallyScope():
+        outer = tally(column)
+        with TallyScope():
+            inner = tally(column)
+            assert inner is not outer and tally(column) is inner
+        assert tally(column) is outer
+    assert TALLIES.get() is None and tally(column) is not tally(column)
 
 
 @pytest.mark.parametrize("ctype", [ColumnType.CATEGORICAL, ColumnType.TEXT])
