@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import attribute_degrees, attribute_graph_to_dot
-from .oracle import ExternalOracleSpec, MalfunctionOracle, SubprocessOracle
+from .oracle import ExternalOracleSpec, MalfunctionOracle, SubprocessOracle, check_timeout
 from .profiles import discover_profiles, violation
 from .synth import ScenarioSpec, builtin_oracle, generate, ground_truth
 from .tabular import TallyScope, load_csv, save_csv
@@ -108,6 +108,7 @@ def _build_parser() -> _Parser:
 
 
 def _make_oracle(argument: str, timeout: float, seed: int) -> MalfunctionOracle:
+    check_timeout(timeout)  # for every oracle kind, though only a scorer command uses it
     if argument.startswith("builtin:"):
         return builtin_oracle(argument)
     try:
@@ -220,6 +221,8 @@ def _diff(args, report: dict, human: list[str] | None) -> None:
     report["config"] = {"pass": args.pass_csv, "fail": args.fail_csv}
     d_pass = load_csv(args.pass_csv)
     d_fail = load_csv(args.fail_csv)
+    if d_pass.attributes != d_fail.attributes:  # a header-only side infers no column types
+        raise SchemaError("pass and fail datasets must share a schema")
     if d_pass.row_count == 0 or d_fail.row_count == 0:
         triplets = []
     else:

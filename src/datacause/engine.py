@@ -22,6 +22,7 @@ from .errors import (
     SchemaError,
     TransformFailure,
     ValidationError,
+    check_types,
 )
 from .graph import (
     attribute_degrees,
@@ -64,11 +65,8 @@ class EngineConfig:
     remap_overrides: dict | None = None
 
     def __post_init__(self):
-        for name, types, kind in (("tau", (int, float), "a number"), ("seed", int, "an integer"),
-                                  ("max_interventions", int, "an integer")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValidationError(f"{name} must be {kind}, got {value!r}")
+        check_types(self, {"tau": (int, float), "seed": int, "max_interventions": int},
+                    ValidationError)
         if not 0.0 <= self.tau <= 1.0:
             raise ValidationError(f"tau must lie in [0, 1], got {self.tau}")
         if self.algorithm not in ALGORITHMS:
@@ -164,7 +162,7 @@ class _Run(TallyScope):
     are the run's. A run given the ``repairs`` of another shares them.
 
     A run is a :class:`~datacause.tabular.TallyScope`: entered, it counts
-    each tuple of dataset columns once, and nothing counted outlives it.
+    each tuple of dataset columns once, or joins the scope already open.
     """
 
     def __init__(self, oracle: MalfunctionOracle, config: EngineConfig,
@@ -252,17 +250,18 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
     """
     if not d_pass.same_schema(d_fail):
         raise SchemaError("pass and fail datasets must share a schema")
-    predicates = enumerate_selectivity_predicates(d_pass, d_fail)
-    profiles_pass = discover_profiles(d_pass, predicates)
-    profiles_fail = {p.label(): p for p in discover_profiles(d_fail, predicates)}
+    with TallyScope():
+        predicates = enumerate_selectivity_predicates(d_pass, d_fail)
+        profiles_pass = discover_profiles(d_pass, predicates)
+        profiles_fail = {p.label(): p for p in discover_profiles(d_fail, predicates)}
 
-    discriminative: list[Profile] = []
-    for profile in profiles_pass:
-        twin = profiles_fail.get(profile.label())
-        if twin is not None and profile.same_parameters(twin):
-            continue
-        if profile.significant(d_fail):
-            discriminative.append(profile)
+        discriminative: list[Profile] = []
+        for profile in profiles_pass:
+            twin = profiles_fail.get(profile.label())
+            if twin is not None and profile.same_parameters(twin):
+                continue
+            if profile.significant(d_fail):
+                discriminative.append(profile)
 
     degrees = attribute_degrees(discriminative)
 
@@ -285,9 +284,10 @@ def benefit_score(triplet: PvtTriplet, dataset: Dataset, seed: int = 0,
                   repair: Repair | None = None) -> float:
     """Violation times coverage: a prior on which repair to try first.
     A dry run of the repair goes through ``repair`` when that is given."""
-    v = violation(dataset, triplet.profile)
-    c = coverage(dataset, triplet, seed=seed, repair=repair)
-    return v * c
+    with TallyScope():
+        v = violation(dataset, triplet.profile)
+        c = coverage(dataset, triplet, seed=seed, repair=repair)
+        return v * c
 
 
 # --- shared plumbing ----------------------------------------------------------

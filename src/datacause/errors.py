@@ -83,3 +83,13 @@ class ScenarioSpecError(DatacauseError):
 
 class BisectionSizeError(DatacauseError):
     """Bisection requires at least two nodes."""
+
+
+def check_types(obj, fields: dict, error: type[DatacauseError]) -> None:
+    """Raise ``error`` unless each attribute of ``obj`` that ``fields`` names
+    holds its type there, ``int`` or ``(int, float)``, and is no bool."""
+    for name, types in fields.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, types):
+            kind = "an integer" if types is int else "a number"
+            raise error(f"{name} must be {kind}, got {value!r}")

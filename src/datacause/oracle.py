@@ -74,6 +74,15 @@ class CallableOracle(MalfunctionOracle):
         return self._fn(dataset)
 
 
+def check_timeout(timeout) -> None:
+    """Raise :class:`ValidationError` unless ``timeout`` is a number of
+    seconds in (0, :data:`MAX_ORACLE_TIMEOUT`]."""
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
+            or not 0 < timeout <= MAX_ORACLE_TIMEOUT:
+        raise ValidationError(f"oracle timeout must lie in (0, {MAX_ORACLE_TIMEOUT}] "
+                              f"seconds, got {timeout!r}")
+
+
 @dataclass(frozen=True)
 class ExternalOracleSpec:
     """How to run an external scorer: a command template with exactly one
@@ -84,10 +93,7 @@ class ExternalOracleSpec:
     workdir: str | None = None
 
     def __post_init__(self):
-        if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)) \
-                or not 0 < self.timeout <= MAX_ORACLE_TIMEOUT:
-            raise ValidationError(f"oracle timeout must lie in (0, {MAX_ORACLE_TIMEOUT}] "
-                                  f"seconds, got {self.timeout!r}")
+        check_timeout(self.timeout)
         holes = sum(part.count("{dataset}") for part in self.command)
         if holes != 1:
             raise OracleProtocolError(

@@ -16,22 +16,13 @@ import string
 import struct
 from dataclasses import asdict, dataclass
 
-from .errors import ScenarioSpecError
+from .errors import ScenarioSpecError, check_types
 from .oracle import CallableOracle, MalfunctionOracle
 from .profiles import chi_square_from_counts, contingency_table
 from .tabular import ColumnType, Dataset, from_columns
 
 CAUSE_KINDS = ("domain", "missing", "dependence", "selectivity")
 CAUSE_LOGICS = ("conjunctive", "disjunctive")
-
-
-def _check_types(spec, fields) -> None:
-    """Raise ScenarioSpecError unless each (name, types, kind) of ``fields``
-    names a field of ``spec`` that holds one of ``types`` and is no bool."""
-    for name, types, kind in fields:
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ScenarioSpecError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +52,8 @@ class ScenarioSpec:
     tau: float = 0.2
 
     def __post_init__(self):
-        _check_types(self, (("n_rows", int, "an integer"), ("n_attributes", int, "an integer"),
-                            ("seed", int, "an integer"), ("decoys", int, "an integer"),
-                            ("tau", (int, float), "a number")))
+        check_types(self, {"n_rows": int, "n_attributes": int, "seed": int, "decoys": int,
+                           "tau": (int, float)}, ScenarioSpecError)
         if not isinstance(self.planted_causes, (tuple, list)) or not all(
                 isinstance(c, PlantedCause) for c in self.planted_causes):
             raise ScenarioSpecError("planted_causes must hold PlantedCause values, "
@@ -576,13 +566,10 @@ class PairedCauseScenario:
 
     units: int = 2
     junk_attributes: int = 2
-    n_rows: int = 120
     seed: int = 0
-    tau: float = 0.2
-    logic: str = "disjunctive"
 
     def __post_init__(self):
-        _check_types(self, (("units", int, "an integer"), ("junk_attributes", int, "an integer")))
+        check_types(self, {"units": int, "junk_attributes": int}, ScenarioSpecError)
         if self.junk_attributes < 0:
             raise ScenarioSpecError("junk_attributes must be >= 0")
 
@@ -595,15 +582,14 @@ def generate_paired(scenario: PairedCauseScenario) -> tuple[Dataset, Dataset, Ma
     spec = ScenarioSpec(
         oracle_family="domain-remap",
         planted_causes=tuple(causes),
-        n_rows=scenario.n_rows,
+        n_rows=PAIRED_ROWS,
         seed=scenario.seed,
-        cause_logic=scenario.logic,
-        tau=scenario.tau,
+        cause_logic="disjunctive",
     )
     rng = random.Random(scenario.seed * 977 + 5)
     d_pass, d_fail, oracle = generate(spec)
     pairs = [_pair(a, t, d_pass.column(a), d_fail.column(a)) for a, t in d_pass.schema]
-    n = scenario.n_rows
+    n = PAIRED_ROWS
     masked = max(2, n // 12)
     for j in range(scenario.junk_attributes):
         (name, ctype, note_pass), (_, _, note_fail) = _note_columns(rng, f"junk_{j}", n)
@@ -616,6 +602,7 @@ def generate_paired(scenario: PairedCauseScenario) -> tuple[Dataset, Dataset, Ma
 
 ADVERSARIAL_COLUMNS = 54
 ADVERSARIAL_ROWS = 120
+PAIRED_ROWS = 120  # rows of a generate_paired scenario, whose tau is ScenarioSpec's
 
 
 def adversarial_rank_scenario(seed: int) -> tuple[Dataset, Dataset, MalfunctionOracle]:

@@ -325,22 +325,23 @@ def save_csv(dataset: Dataset, path) -> None:
 
 # --- tallies --------------------------------------------------------------
 
-#: the tallies counted in the innermost open :class:`TallyScope`, keyed by
+#: the tallies counted in the outermost open :class:`TallyScope`, keyed by
 #: the digests of their columns; ``None`` outside every scope
 TALLIES: ContextVar[dict[tuple[bytes, ...], Counter] | None] = ContextVar("TALLIES",
                                                                          default=None)
 
 
 class TallyScope:
-    """Entered, counts each :func:`tally` of dataset columns once until its
-    exit drops them; an inner scope counts afresh until its own exit."""
+    """Entered, counts each :func:`tally` of dataset columns once; a scope
+    entered inside an open one shares its tallies, and the outermost exit drops them."""
 
     def __enter__(self):
-        self._outer = TALLIES.set({})
+        self._token = TALLIES.set({}) if TALLIES.get() is None else None
         return self
 
     def __exit__(self, *exc_info) -> None:
-        TALLIES.reset(self._outer)
+        if self._token is not None:
+            TALLIES.reset(self._token)
 
 
 def tally(*columns: Sequence[Cell]) -> Counter:

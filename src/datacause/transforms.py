@@ -33,7 +33,8 @@ from .profiles import (
     text_runs,
     violation,
 )
-from .tabular import ColumnType, Dataset, count_where, mean, population_stddev, select_where
+from .tabular import (ColumnType, Dataset, TallyScope, count_where, mean, population_stddev,
+                      select_where)
 
 POSTCONDITION_TOL = 1e-9
 #: passes or seeded attempts an iterative repair makes before it gives up
@@ -506,12 +507,13 @@ def compose(triplets, dataset: Dataset, seed: int = 0,
     current = dataset
     warnings: list[str] = []
     applied: list[PvtTriplet] = []
-    for triplet in triplets:
-        current = repair(current, triplet)
-        for earlier in applied:
-            residual = violation(current, earlier.profile)
-            if residual > POSTCONDITION_TOL:
-                warnings.append(
-                    f"{earlier.id} re-violated ({residual:.3g}) after {triplet.id}")
-        applied.append(triplet)
+    with TallyScope():
+        for triplet in triplets:
+            current = repair(current, triplet)
+            for earlier in applied:
+                residual = violation(current, earlier.profile)
+                if residual > POSTCONDITION_TOL:
+                    warnings.append(
+                        f"{earlier.id} re-violated ({residual:.3g}) after {triplet.id}")
+            applied.append(triplet)
     return ComposeResult(current, tuple(warnings))

@@ -255,14 +255,18 @@ def test_explain_bad_builtin_oracle_parameter_exit_65(capsys, sentiment_dir, ora
     assert report["exit_status"] == 65
 
 
-@pytest.mark.parametrize("timeout", ["nan", "inf", "3e6", "0", "-1"])
-def test_explain_oracle_timeout_outside_its_range_exit_65(capsys, sentiment_dir, timeout):
+@pytest.mark.parametrize("timeout, oracle", [
+    *(pytest.param(t, None, id=t) for t in ("nan", "inf", "3e6", "0", "-1")),
+    # a builtin oracle runs no scorer, and its timeout is checked all the same
+    *(pytest.param(t, "builtin:domain-remap?logic=conjunctive&domain=target", id=f"builtin-{t}")
+      for t in ("nan", "inf", "0", "-5"))])
+def test_explain_oracle_timeout_outside_its_range_exit_65(capsys, sentiment_dir, timeout, oracle):
     scorer = shlex.join([sys.executable, "-c", "print(0.0)"])
     code, report = run(capsys, [
         "explain",
         "--pass", str(sentiment_dir / "pass.csv"),
         "--fail", str(sentiment_dir / "fail.csv"),
-        "--oracle", scorer,
+        "--oracle", oracle or scorer,
         "--tau", "0.2",
         f"--oracle-timeout={timeout}",
     ])
@@ -624,6 +628,17 @@ def test_diff_empty_datasets(capsys, tmp_path):
         "diff", "--pass", str(tmp_path / "e.csv"), "--fail", str(tmp_path / "e.csv")])
     assert code == 0
     assert report["discriminative"] == []
+
+
+@pytest.mark.parametrize("header_only", ["pass", "fail"])
+def test_diff_header_only_side_with_other_columns_exit_65(capsys, tmp_path, header_only):
+    (tmp_path / "empty.csv").write_text("a,b\n")
+    (tmp_path / "rows.csv").write_text("x\n1\n2\n")
+    sides = {"pass": "rows.csv", "fail": "rows.csv", header_only: "empty.csv"}
+    code, report = run(capsys, [
+        "diff", "--pass", str(tmp_path / sides["pass"]), "--fail", str(tmp_path / sides["fail"])])
+    assert code == 65
+    assert report["error"] == "pass and fail datasets must share a schema"
 
 
 def test_explain_missing_file_exit_65(capsys, tmp_path):

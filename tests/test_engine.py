@@ -1227,11 +1227,45 @@ def test_a_run_counts_each_column_tuple_once_and_a_second_run_counts_them_again(
     assert counts[0] == counts[1] > 0
     built.clear()
     discriminative_pvts(d_pass, d_fail)
-    unshared = len(built)
+    direct = len(built)
     built.clear()
     with tabular.TallyScope():
         discriminative_pvts(d_pass, d_fail)
-        assert len(built) == len(tabular.TALLIES.get()) < unshared
+        assert len(built) == len(tabular.TALLIES.get()) == direct
+
+
+@pytest.mark.parametrize("entry", ["discriminative_pvts", "benefit_score", "compose"])
+def test_a_direct_call_of_an_entry_point_counts_each_column_tuple_once(monkeypatch, entry):
+    """Called outside every tally scope, the entry point counts in one scope
+    of its own: it keeps one tally per tuple of dataset columns, builds as
+    many tallies as inside an open scope, and leaves no scope behind. The
+    dry runs of dependence repairs count plain lists, which are never kept."""
+    d_pass, d_fail, _ = generate(income_spec(1, with_skew=True))
+    triplets = discriminative_pvts(d_pass, d_fail)
+    call = {"discriminative_pvts": partial(discriminative_pvts, d_pass, d_fail),
+            "benefit_score": partial(benefit_score, triplets[0], d_fail),
+            "compose": partial(compose, triplets[:3], d_fail)}[entry]
+    built = []
+
+    class CountingCounter(Counter):
+        def __init__(self, *args):
+            built.append((tabular.TALLIES.get(), self))
+            super().__init__(*args)
+
+    monkeypatch.setattr(tabular, "Counter", CountingCounter)
+    call()
+    memo = built[0][0]
+    assert memo and all(scope is memo for scope, _ in built)
+    assert tabular.TALLIES.get() is None
+    kept = [table for _, table in built if any(table is t for t in memo.values())]
+    assert len(kept) == len(memo)
+    if entry == "discriminative_pvts":  # every tally it builds is of dataset columns
+        assert len(built) == len(memo)
+    direct = len(built)
+    built.clear()
+    with tabular.TallyScope():
+        call()
+    assert len(built) == direct
 
 
 #: the first scenario of the gt-wide and greedy-deps benchmark pools at seed 0,

@@ -9,6 +9,7 @@ import re
 import string
 import tempfile
 from bisect import bisect_left
+from functools import lru_cache
 from pathlib import Path
 from collections import Counter
 
@@ -29,9 +30,11 @@ from conftest import (  # noqa: E402
     per_call_letters,
 )
 from datacause import tabular  # noqa: E402
+from datacause.engine import ALGORITHMS, EngineConfig, discriminative_pvts, explain  # noqa: E402
 from datacause.errors import (  # noqa: E402
     ColumnTypeError,
     DegenerateInputError,
+    NoExplanationFound,
     SchemaError,
     TransformFailure,
 )
@@ -58,7 +61,17 @@ from datacause.profiles import (  # noqa: E402
     text_signature,
     violation,
 )
-from datacause.synth import _below_26_pow_9, _fixed_width_token, _letters  # noqa: E402
+from datacause.oracle import CallableOracle  # noqa: E402
+from datacause.synth import (  # noqa: E402
+    PlantedCause,
+    ScenarioSpec,
+    _below_26_pow_9,
+    _fixed_width_token,
+    _letters,
+    builtin_oracle,
+    generate,
+    ground_truth,
+)
 from datacause.tabular import (  # noqa: E402
     ColumnType,
     Dataset,
@@ -874,3 +887,103 @@ def test_bulk_text_draws_equal_one_draw_per_cell(seed, length, count):
 @example(26 ** 10)
 def test_fixed_width_token_equals_the_divmod_loop(index):
     assert _fixed_width_token(index) == divmod_token(index)
+
+
+# --- metamorphic relations of explain: what any valid input must keep -----
+
+#: a domain-remap scenario with decoys and a dependence-bias one with both of
+#: its causes, at two seeds each
+_SCENARIOS = [
+    *(ScenarioSpec("domain-remap", (PlantedCause("domain", "target"),), n_rows=200, seed=seed,
+                   decoys=20) for seed in (0, 1)),
+    *(ScenarioSpec("dependence-bias", (PlantedCause("dependence", "target"),
+                                       PlantedCause("selectivity", "usage_class")),
+                   n_rows=240, seed=seed, tau=0.3) for seed in (0, 1)),
+]
+
+
+@lru_cache(maxsize=None)
+def _scenario(index: int) -> tuple[ScenarioSpec, Dataset, Dataset]:
+    spec = _SCENARIOS[index]
+    return (spec, *generate(spec)[:2])
+
+
+def _reversed_columns(dataset: Dataset) -> Dataset:
+    return from_columns([(a, t, dataset.column(a)) for a, t in reversed(dataset.schema)])
+
+
+def _outcome(d_pass, d_fail, oracle, tau, seed, algorithm, restore=lambda d: d) -> tuple:
+    """What a run of ``explain`` decides: that it found no explanation, or its
+    triplet ids, intervention count and repaired dataset (through
+    ``restore``); each log entry's triplet ids and accepted flag; the notes."""
+    try:
+        result = explain(d_pass, d_fail, oracle,
+                         EngineConfig(tau=tau, seed=seed, algorithm=algorithm))
+    except NoExplanationFound as exc:
+        decided, log = "no explanation", exc.log
+    else:
+        decided = (result.triplet_ids(), result.interventions,
+                   restore(result.repaired).fingerprint)
+        log = result.log
+    return decided, [(e.triplet_ids, e.accepted) for e in log.entries], log.notes
+
+
+@lru_cache(maxsize=None)
+def _plain_outcome(index: int, algorithm: str) -> tuple:
+    spec, d_pass, d_fail = _scenario(index)
+    return _outcome(d_pass, d_fail, builtin_oracle(ground_truth(spec)["oracle"]), spec.tau,
+                    spec.seed, algorithm)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(0, len(_SCENARIOS) - 1), st.sampled_from(ALGORITHMS),
+       st.floats(0.25, 4.0))
+def test_a_strictly_increasing_map_of_the_scores_and_tau_changes_no_outcome(
+        index, algorithm, power):
+    """``x ** power`` keeps the order of every score and of tau, and keeps
+    1, the pre-score group testing gives its base query."""
+    spec, d_pass, d_fail = _scenario(index)
+    scorer = builtin_oracle(ground_truth(spec)["oracle"])
+    mapped = CallableOracle(lambda dataset: scorer.evaluate(dataset) ** power)
+    assert _outcome(d_pass, d_fail, mapped, spec.tau ** power, spec.seed,
+                    algorithm) == _plain_outcome(index, algorithm)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(0, len(_SCENARIOS) - 1), st.sampled_from(ALGORITHMS))
+def test_reversing_the_columns_of_both_datasets_changes_no_outcome(index, algorithm):
+    """The notes are left out: a chi-square repair's failure names its pair
+    of attributes in column order."""
+    spec, d_pass, d_fail = _scenario(index)
+    assert _outcome(_reversed_columns(d_pass), _reversed_columns(d_fail),
+                    builtin_oracle(ground_truth(spec)["oracle"]), spec.tau, spec.seed,
+                    algorithm, restore=_reversed_columns)[:2] \
+        == _plain_outcome(index, algorithm)[:2]
+
+
+@st.composite
+def _mixed_pairs(draw):
+    """Two datasets of 20 to 60 rows sharing a schema of two to four columns,
+    whose cells come from small pools so that profiles repeat, and a
+    permutation of each one's rows."""
+    types = draw(st.lists(st.sampled_from(list(ColumnType)), min_size=2, max_size=4))
+    pools = {ColumnType.NUMERICAL: [None, -3.5, 0.0, 1.25, 2.0, 7.5, 40.0],
+             ColumnType.CATEGORICAL: [None, "a", "b", "c", "d"],
+             ColumnType.TEXT: [None, "ab", "a1", "12-3", "xyz", "q"]}
+    pair = []
+    for _ in range(2):
+        n = draw(st.integers(20, 60))
+        dataset = from_columns([(f"c{i}", t, draw(st.lists(st.sampled_from(pools[t]),
+                                                             min_size=n, max_size=n)))
+                                for i, t in enumerate(types)])
+        pair.append((dataset, draw(st.permutations(range(n)))))
+    return pair
+
+
+@settings(deadline=None, max_examples=20)
+@given(_mixed_pairs())
+def test_a_row_permutation_leaves_the_candidate_set_unchanged(pair):
+    (d_pass, pass_order), (d_fail, fail_order) = pair
+    assert [t.id for t in discriminative_pvts(d_pass.take_rows(pass_order),
+                                              d_fail.take_rows(fail_order))] \
+        == [t.id for t in discriminative_pvts(d_pass, d_fail)]

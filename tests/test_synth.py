@@ -154,7 +154,7 @@ def test_disjunctive_paired_scenario_admits_any_unit():
                         and t.transform_id in ("remap", "impute")]
         assert len(unit_repairs) == 2
         repaired = compose(unit_repairs, d_fail, seed=3).dataset
-        assert oracle.evaluate(repaired) <= scenario.tau
+        assert oracle.evaluate(repaired) <= ScenarioSpec.tau  # generate_paired's tau
 
 
 def test_spec_validation_errors():

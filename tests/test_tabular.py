@@ -528,14 +528,13 @@ def test_run_shared_tallies_count_as_the_per_call_references_on_seeded_datasets(
     assert_counts_match_the_references(dataset, predicates + list(COUNT_PREDICATES))
 
 
-def test_tally_scopes_nest_and_each_exit_brings_back_the_tallies_before_it(people_fail):
+def test_nested_tally_scopes_share_one_memo_and_only_the_outermost_exit_drops_it(people_fail):
     column = people_fail.column("gender")
     with TallyScope():
-        outer = tally(column)
+        memo, outer = TALLIES.get(), tally(column)
         with TallyScope():
-            inner = tally(column)
-            assert inner is not outer and tally(column) is inner
-        assert tally(column) is outer
+            assert TALLIES.get() is memo and tally(column) is outer
+        assert TALLIES.get() is memo and tally(column) is outer
     assert TALLIES.get() is None and tally(column) is not tally(column)
 
 
