@@ -42,11 +42,10 @@ from .tabular import Dataset, TallyScope
 from .transforms import (
     POSTCONDITION_TOL,
     PvtTriplet,
-    Repair,
     compose,
     coverage,
     make_triplets,
-    transform,
+    repair_once,
 )
 
 ALGORITHMS = ("greedy", "group_test", "group_test_random")
@@ -147,31 +146,24 @@ class Explanation:
 
 
 class _Run(TallyScope):
-    """Per-run state: the run's interventions, their budget and their log,
-    and the repairs it has made.
+    """Per-run state: the run's interventions, their budget and their log.
 
     An intervention is a scorer call the run makes on a dataset it built,
     and each one gets exactly one log entry. Used as a context manager, the
     run attaches its log to a :class:`NoExplanationFound` or
     :class:`OracleError` that ends it.
 
-    The run makes each (input fingerprint, triplet) repair once:
-    :meth:`transform` keeps the result or the :class:`TransformFailure` in
-    ``repairs``. The key holds the triplet itself, since its id leaves out
-    the learned parameters and the perturbed attribute; seed and overrides
-    are the run's. A run given the ``repairs`` of another shares them.
-
     A run is a :class:`~datacause.tabular.TallyScope`: entered, it counts
-    each tuple of dataset columns once, or joins the scope already open.
+    each tuple of dataset columns once and makes each repair once, or joins
+    the scope already open. Its :meth:`transform` and :meth:`compose` bind
+    the run's seed and overrides.
     """
 
     def __init__(self, oracle: MalfunctionOracle, config: EngineConfig,
-                 log: InterventionLog | None = None,
-                 repairs: dict[tuple[str, PvtTriplet], Dataset | TransformFailure] | None = None):
+                 log: InterventionLog | None = None):
         self.oracle = oracle
         self.config = config
         self.log = log if log is not None else InterventionLog()
-        self.repairs = {} if repairs is None else repairs
         # members of group evaluations that failed to reduce, for A3 diagnostics
         self._flat_members: set[str] = set()
 
@@ -205,20 +197,12 @@ class _Run(TallyScope):
                     f"score but a composed group containing it did not")
 
     def transform(self, dataset: Dataset, triplet: PvtTriplet) -> Dataset:
-        key = (dataset.fingerprint, triplet)
-        if key not in self.repairs:
-            try:
-                self.repairs[key] = transform(dataset, triplet, seed=self.config.seed,
-                                              remap_overrides=self.config.remap_overrides)
-            except TransformFailure as exc:
-                self.repairs[key] = exc
-        result = self.repairs[key]
-        if isinstance(result, TransformFailure):
-            raise TransformFailure(str(result), best_violation=result.best_violation)
-        return result
+        return repair_once(dataset, triplet, seed=self.config.seed,
+                           remap_overrides=self.config.remap_overrides)
 
     def compose(self, triplets, dataset: Dataset):
-        return compose(triplets, dataset, repair=self.transform)
+        return compose(triplets, dataset, seed=self.config.seed,
+                       remap_overrides=self.config.remap_overrides)
 
     def attempt(self, triplets: list[PvtTriplet], dataset: Dataset, pre_score: float,
                 failure: str) -> tuple[float | None, Dataset | None]:
@@ -280,13 +264,11 @@ def discriminative_pvts(d_pass: Dataset, d_fail: Dataset,
     return triplets
 
 
-def benefit_score(triplet: PvtTriplet, dataset: Dataset, seed: int = 0,
-                  repair: Repair | None = None) -> float:
-    """Violation times coverage: a prior on which repair to try first.
-    A dry run of the repair goes through ``repair`` when that is given."""
+def benefit_score(triplet: PvtTriplet, dataset: Dataset, seed: int = 0) -> float:
+    """Violation times coverage: a prior on which repair to try first."""
     with TallyScope():
         v = violation(dataset, triplet.profile)
-        c = coverage(dataset, triplet, seed=seed, repair=repair)
+        c = coverage(dataset, triplet, seed=seed)
         return v * c
 
 
@@ -323,7 +305,7 @@ def _validate_inputs(d_pass: Dataset, d_fail: Dataset, oracle: MalfunctionOracle
 
 def _safe_benefit(run: _Run, triplet: PvtTriplet, dataset: Dataset) -> float:
     try:
-        return benefit_score(triplet, dataset, repair=run.transform)
+        return benefit_score(triplet, dataset, seed=run.config.seed)
     except TransformFailure as exc:
         run.log.notes.append(f"benefit of {triplet.id} treated as 0: {exc}")
         return 0.0
@@ -363,13 +345,13 @@ def _finalize(run: _Run, members: list[PvtTriplet], d_fail: Dataset,
               fail_score: float) -> Explanation:
     """Make a set the oracle has seen pass deletion-minimal and report it.
 
-    The minimality probes reuse the run's repairs but, as under
-    :func:`make_minimal`, keep a group-testing assumption check of their
-    own. The search or a probe composed the final set on ``d_fail``, so
-    composing it again takes each repair from the run; the closing query is
-    a cache hit that runs the run's check on it.
+    The minimality probes make their repairs in the run's scope but, as
+    under :func:`make_minimal`, keep a group-testing assumption check of
+    their own. The search or a probe composed the final set on ``d_fail``,
+    so composing it again makes no repair; the closing query is a cache hit
+    that runs the run's check on it.
     """
-    probes = _Run(run.oracle, run.config, run.log, run.repairs)
+    probes = _Run(run.oracle, run.config, run.log)
     x_star = _minimize(probes, members, d_fail, fail_score)
     repaired = run.compose(x_star, d_fail).dataset
     final_score = run.query(repaired, tuple(t.id for t in x_star), fail_score)

@@ -569,7 +569,10 @@ class PairedCauseScenario:
     seed: int = 0
 
     def __post_init__(self):
-        check_types(self, {"units": int, "junk_attributes": int}, ScenarioSpecError)
+        check_types(self, {"units": int, "junk_attributes": int, "seed": int},
+                    ScenarioSpecError)
+        if self.units < 1:
+            raise ScenarioSpecError("units must be >= 1")
         if self.junk_attributes < 0:
             raise ScenarioSpecError("junk_attributes must be >= 0")
 

@@ -325,15 +325,15 @@ def save_csv(dataset: Dataset, path) -> None:
 
 # --- tallies --------------------------------------------------------------
 
-#: the tallies counted in the outermost open :class:`TallyScope`, keyed by
-#: the digests of their columns; ``None`` outside every scope
-TALLIES: ContextVar[dict[tuple[bytes, ...], Counter] | None] = ContextVar("TALLIES",
-                                                                         default=None)
+#: the memo of the outermost open :class:`TallyScope`, its tallies keyed by their
+#: column digests and the repairs of ``transforms.repair_once``; ``None`` outside every scope
+TALLIES: ContextVar[dict[tuple, object] | None] = ContextVar("TALLIES", default=None)
 
 
 class TallyScope:
-    """Entered, counts each :func:`tally` of dataset columns once; a scope
-    entered inside an open one shares its tallies, and the outermost exit drops them."""
+    """Entered, counts each :func:`tally` of dataset columns once and makes each
+    ``repair_once`` repair once; a scope entered inside an open one shares its memo,
+    and the outermost exit drops it."""
 
     def __enter__(self):
         self._token = TALLIES.set({}) if TALLIES.get() is None else None

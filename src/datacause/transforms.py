@@ -18,8 +18,7 @@ import zlib
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 from .errors import ColumnTypeError, TransformFailure, ValidationError
 from .profiles import (
@@ -33,8 +32,8 @@ from .profiles import (
     text_runs,
     violation,
 )
-from .tabular import (ColumnType, Dataset, TallyScope, count_where, mean, population_stddev,
-                      select_where)
+from .tabular import (TALLIES, ColumnType, Dataset, TallyScope, count_where, mean,
+                      population_stddev, select_where)
 
 POSTCONDITION_TOL = 1e-9
 #: passes or seeded attempts an iterative repair makes before it gives up
@@ -60,10 +59,6 @@ class PvtTriplet:
         return (self.profile.attributes(), self.profile.kind.value, self.id)
 
 
-#: a repair of the dataset for the triplet, with the seed and options bound
-Repair = Callable[[Dataset, PvtTriplet], Dataset]
-
-
 def make_triplets(profile: Profile, perturb: str | None = None) -> list[PvtTriplet]:
     """One triplet per repair variant of the profile's kind, preference order."""
     return [PvtTriplet(profile, variant, perturb) for variant in REPAIRS[profile.kind]]
@@ -82,7 +77,7 @@ def _mode(values) -> str:
 #
 # Every repair takes the dataset and the triplet plus the keyword options of
 # :func:`transform`, and every coverage formula the dataset, the triplet and
-# the ``repair`` of :func:`coverage`; each ignores those it does not use.
+# the ``seed`` of :func:`coverage`; each ignores those it does not use.
 
 
 def _remap(dataset: Dataset, triplet: PvtTriplet, remap_overrides=None, **_) -> Dataset:
@@ -419,9 +414,9 @@ def _resample_coverage(dataset: Dataset, triplet: PvtTriplet, **_) -> float:
     return min(1.0, abs(size) / dataset.row_count)
 
 
-def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, repair: Repair) -> float:
+def _dry_run_coverage(dataset: Dataset, triplet: PvtTriplet, seed: int) -> float:
     """Run the repair and count the cells it changed."""
-    result = repair(dataset, triplet)
+    result = repair_once(dataset, triplet, seed=seed)
     if result is dataset:
         return 0.0
     changed = 0
@@ -476,16 +471,36 @@ def transform(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
     return result
 
 
-def coverage(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
-             repair: Repair | None = None) -> float:
+def repair_once(dataset: Dataset, triplet: PvtTriplet, seed: int = 0,
+                remap_overrides: dict[str, dict[str, str]] | None = None) -> Dataset:
+    """:func:`transform`, made once per open :class:`~datacause.tabular.TallyScope`,
+    which keeps the result or the :class:`TransformFailure`, raised again as a fresh
+    copy. The key holds the whole triplet (its id leaves out the learned parameters and
+    the perturbed attribute), and the overrides only for ``remap``, which alone reads them."""
+    memo = TALLIES.get()
+    if memo is None:
+        return transform(dataset, triplet, seed=seed, remap_overrides=remap_overrides)
+    overrides = repr(remap_overrides) if _variant(triplet)[0] is _remap else None
+    key = (dataset.fingerprint, triplet, seed, overrides)
+    if key not in memo:
+        try:
+            memo[key] = transform(dataset, triplet, seed=seed, remap_overrides=remap_overrides)
+        except TransformFailure as exc:
+            memo[key] = exc
+    result = memo[key]
+    if isinstance(result, TransformFailure):
+        raise TransformFailure(str(result), best_violation=result.best_violation)
+    return result
+
+
+def coverage(dataset: Dataset, triplet: PvtTriplet, seed: int = 0) -> float:
     """Fraction of rows the transformation would modify or resample.
 
     Counted from the data; only the two dependence repairs run a dry
-    repair, through ``repair(dataset, triplet)`` when that is given and
-    else through :func:`transform` with ``seed``.
+    repair, through :func:`repair_once` with ``seed``.
     """
     _, rows_touched = _variant(triplet)
-    return rows_touched(dataset, triplet, repair=repair or partial(transform, seed=seed))
+    return rows_touched(dataset, triplet, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -495,21 +510,19 @@ class ComposeResult:
 
 
 def compose(triplets, dataset: Dataset, seed: int = 0,
-            repair: Repair | None = None) -> ComposeResult:
+            remap_overrides: dict[str, dict[str, str]] | None = None) -> ComposeResult:
     """Apply transformations sequentially in the given order, each through
-    ``repair(dataset, triplet)`` when that is given and else through
-    :func:`transform` with ``seed``.
+    :func:`repair_once` with ``seed`` and ``remap_overrides``.
 
     A warning is recorded whenever a later step re-breaks the profile of an
     earlier one.
     """
-    repair = repair or partial(transform, seed=seed)
     current = dataset
     warnings: list[str] = []
     applied: list[PvtTriplet] = []
     with TallyScope():
         for triplet in triplets:
-            current = repair(current, triplet)
+            current = repair_once(current, triplet, seed=seed, remap_overrides=remap_overrides)
             for earlier in applied:
                 residual = violation(current, earlier.profile)
                 if residual > POSTCONDITION_TOL:

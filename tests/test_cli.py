@@ -356,8 +356,9 @@ def test_diff_counts_each_column_tuple_once(capsys, monkeypatch):
     assert code == 0 and report["discriminative"]
     memo = built[0][0]
     assert memo and all(scope is memo for scope, _ in built)
-    kept = [table for _, table in built if any(table is t for t in memo.values())]
-    assert len(kept) == len(memo) < len(built)
+    tallies = [t for t in memo.values() if isinstance(t, Counter)]
+    kept = [table for _, table in built if any(table is t for t in tallies)]
+    assert len(kept) == len(tallies) < len(built)
 
 
 def test_diff_reports_no_coverage_nor_benefit_where_coverage_raises(capsys, monkeypatch):

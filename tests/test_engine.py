@@ -896,14 +896,14 @@ def test_minimality_probe_that_fails_to_compose_is_noted(monkeypatch):
 
 def test_decision_tree_notes_an_untransformable_conjunction(monkeypatch):
     d_pass, d_fail, oracle = interaction_scenario(seed=0)
-    real = engine.transform
+    real = transforms.transform
 
     def transform_or_fail(dataset, triplet, **kwargs):
         if triplet.profile.attributes() == ("p1",):
             raise TransformFailure("forced failure", best_violation=1.0)
         return real(dataset, triplet, **kwargs)
 
-    monkeypatch.setattr(engine, "transform", transform_or_fail)
+    monkeypatch.setattr(transforms, "transform", transform_or_fail)
     with pytest.raises(NoExplanationFound, match="decision tree found no passing conjunction") \
             as err:
         decision_tree_explain([(d_pass, True), (d_fail, False)], d_fail, oracle,
@@ -929,14 +929,14 @@ def order_trap(monkeypatch):
     candidates first, and a repair of ``b`` that fails once ``a`` has no
     missing cell: the search collects both, but they do not compose in
     sorted order."""
-    real = engine.transform
+    real = transforms.transform
 
     def transform_or_fail(dataset, triplet, **kwargs):
         if triplet.profile.attribute == "b" and not dataset.column("a").missing:
             raise TransformFailure("forced failure", best_violation=1.0)
         return real(dataset, triplet, **kwargs)
 
-    monkeypatch.setattr(engine, "transform", transform_or_fail)
+    monkeypatch.setattr(transforms, "transform", transform_or_fail)
     monkeypatch.setattr(engine, "best_bisection", lambda graph, ids, seed: (ids[1:], ids[:1]))
 
 
@@ -1020,7 +1020,7 @@ def test_decision_tree_input_checks():
 
 def count_repairs(monkeypatch) -> list[tuple[str, object]]:
     """Record the (input fingerprint, triplet) of every repair made, whether
-    the engine calls it or ``compose`` and ``coverage`` do."""
+    the engine asks for it or ``compose`` and ``coverage`` do."""
     calls = []
     real = transforms.transform
 
@@ -1028,47 +1028,91 @@ def count_repairs(monkeypatch) -> list[tuple[str, object]]:
         calls.append((dataset.fingerprint, triplet))
         return real(dataset, triplet, **kwargs)
 
-    monkeypatch.setattr(engine, "transform", counting)
     monkeypatch.setattr(transforms, "transform", counting)
     return calls
 
 
-def test_a_greedy_run_makes_each_repair_once(monkeypatch):
+@pytest.mark.parametrize("overrides", [None, {"absent": {"a": "b"}}], ids=repr)
+def test_a_greedy_run_makes_each_repair_once(monkeypatch, overrides):
+    """Also with overrides, which the chi-square dry runs of the benefit
+    scores never read: the repair greedy applies is still the dry run's."""
     d_pass, d_fail, oracle = generate(income_spec(seed=0, with_skew=True))
     calls = count_repairs(monkeypatch)
     requests = []
-    real_run_transform = engine._Run.transform
+    real_repair_once = transforms.repair_once
 
-    def requesting(run, dataset, triplet):
+    def requesting(dataset, triplet, **kwargs):
         requests.append((dataset.fingerprint, triplet))
-        return real_run_transform(run, dataset, triplet)
+        return real_repair_once(dataset, triplet, **kwargs)
 
-    monkeypatch.setattr(engine._Run, "transform", requesting)
-    result = explain(d_pass, d_fail, oracle, EngineConfig(tau=0.3, seed=0))
+    monkeypatch.setattr(transforms, "repair_once", requesting)
+    monkeypatch.setattr(engine, "repair_once", requesting)
+    result = explain(d_pass, d_fail, oracle,
+                     EngineConfig(tau=0.3, seed=0, remap_overrides=overrides))
     assert result.triplets
     assert len(calls) == len(set(calls))
     assert set(requests) == set(calls)
     assert len(requests) > len(calls)  # later requests were answered by the memo
 
 
-def test_a_memoized_transform_failure_raises_and_notes_as_the_first():
+def test_a_scope_makes_each_repair_once(monkeypatch):
+    """In one tally scope, a benefit score's dry run and a composition of
+    the same chi-square triplet make one repair; outside, each call repairs."""
+    d_pass, d_fail, _ = generate(income_spec(seed=0))
+    shuffle = next(t for t in discriminative_pvts(d_pass, d_fail)
+                   if t.profile.kind is ProfileKind.CHI2)
+    calls = count_repairs(monkeypatch)
+    with tabular.TallyScope():
+        benefit_score(shuffle, d_fail, seed=2)
+        repaired = compose([shuffle], d_fail, seed=2).dataset
+    assert calls == [(d_fail.fingerprint, shuffle)]
+    calls.clear()
+    transforms.repair_once(d_fail, shuffle, seed=2)
+    assert transforms.repair_once(d_fail, shuffle, seed=2).fingerprint == repaired.fingerprint
+    assert calls == [(d_fail.fingerprint, shuffle)] * 2
+
+
+def test_a_memoized_transform_failure_raises_and_notes_as_the_first(monkeypatch):
     from datacause.engine import _Run
     xs = [float(i) for i in range(30)]
     d = from_columns([("x", ColumnType.NUMERICAL, xs), ("y", ColumnType.NUMERICAL, list(xs))])
     oracle = CallableOracle(lambda d: 0.5)
     [unreachable] = make_triplets(CorrelationBound("x", "y", 0.0))
-    run = _Run(oracle, EngineConfig(tau=0.2, seed=1))
+    calls = count_repairs(monkeypatch)
     failures = []
-    for _ in range(2):
-        with pytest.raises(TransformFailure) as caught:
-            run.transform(d, unreachable)
-        failures.append((str(caught.value), caught.value.best_violation))
-    for _ in range(2):
-        assert run.attempt([unreachable], d, 0.5, "probe") == (None, None)
+    with _Run(oracle, EngineConfig(tau=0.2, seed=1)) as run:
+        for _ in range(2):
+            with pytest.raises(TransformFailure) as caught:
+                run.transform(d, unreachable)
+            failures.append((str(caught.value), caught.value.best_violation))
+        for _ in range(2):
+            assert run.attempt([unreachable], d, 0.5, "probe") == (None, None)
     assert failures[0] == failures[1]
     assert failures[0][1] > 0.0
     assert run.log.notes == [f"probe: {failures[0][0]}"] * 2
-    assert len(run.repairs) == 1
+    assert len(calls) == 1
+
+
+def test_runs_sharing_a_scope_give_what_separate_runs_give():
+    """The memo's key holds the seed and the overrides: in one outer tally
+    scope, runs at two seeds and runs with and without overrides that change
+    the repaired dataset each give what a run of their own gives."""
+    dependence, domain = income_spec(seed=0, with_skew=True), sentiment_spec(seed=0)
+    runs = [(dependence, 0, None), (dependence, 1, None),
+            (domain, 0, None), (domain, 0, {"target": {"0": "1", "4": "-1"}})]
+
+    def outcome(spec, seed, overrides):
+        d_pass, d_fail, _ = generate(spec)
+        result = explain(d_pass, d_fail, builtin_oracle(ground_truth(spec)["oracle"]),
+                         EngineConfig(tau=spec.tau, seed=seed, remap_overrides=overrides))
+        return (result.triplet_ids(), result.interventions, result.repaired_fingerprint,
+                json.dumps(result.log.to_json_dict()))
+
+    separate = [outcome(*run) for run in runs]
+    with tabular.TallyScope():
+        shared = [outcome(*run) for run in runs]
+    assert shared == separate
+    assert separate[0][2] != separate[1][2] and separate[2][2] != separate[3][2]
 
 
 def test_each_explanation_starts_from_no_repairs(monkeypatch):
@@ -1104,14 +1148,14 @@ def test_group_test_notes_a_singleton_it_cannot_transform(monkeypatch):
     # each repair helps alone and neither passes, so both singletons are
     # descended into; the second is repaired on the first one's result
     monkeypatch.setattr(engine, "best_bisection", _halves_in_sorted_order)
-    real = engine.transform
+    real = transforms.transform
 
     def transform_or_fail(dataset, triplet, **kwargs):
         if triplet.profile.attributes() == ("b",) and "a" in complete(dataset):
             raise TransformFailure("forced failure", best_violation=1.0)
         return real(dataset, triplet, **kwargs)
 
-    monkeypatch.setattr(engine, "transform", transform_or_fail)
+    monkeypatch.setattr(transforms, "transform", transform_or_fail)
     d_pass, d_fail = two_missing_columns_pair()
     scores = {(): 1.0, ("a",): 0.6, ("b",): 0.6, ("a", "b"): 0.0}
     oracle = CallableOracle(lambda d: scores[complete(d)])
@@ -1257,10 +1301,11 @@ def test_a_direct_call_of_an_entry_point_counts_each_column_tuple_once(monkeypat
     memo = built[0][0]
     assert memo and all(scope is memo for scope, _ in built)
     assert tabular.TALLIES.get() is None
-    kept = [table for _, table in built if any(table is t for t in memo.values())]
-    assert len(kept) == len(memo)
+    tallies = [t for t in memo.values() if isinstance(t, Counter)]
+    kept = [table for _, table in built if any(table is t for t in tallies)]
+    assert len(kept) == len(tallies)
     if entry == "discriminative_pvts":  # every tally it builds is of dataset columns
-        assert len(built) == len(memo)
+        assert len(built) == len(tallies)
     direct = len(built)
     built.clear()
     with tabular.TallyScope():

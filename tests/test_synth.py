@@ -473,8 +473,10 @@ def test_spec_json_cause_with_unknown_or_missing_keys_rejected(cause):
 
 
 @pytest.mark.parametrize("fields", [{"units": 1.5}, {"units": "2"}, {"units": True},
+                                    {"units": 0}, {"units": -1},
                                     {"junk_attributes": "2"}, {"junk_attributes": 2.0},
-                                    {"junk_attributes": False}, {"junk_attributes": -1}],
+                                    {"junk_attributes": False}, {"junk_attributes": -1},
+                                    {"seed": "x"}, {"seed": 1.5}],
                          ids=repr)
 def test_paired_scenario_counts_must_be_integers_and_junk_not_negative(fields):
     with pytest.raises(ScenarioSpecError):
